@@ -261,9 +261,24 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_values(argv):
+    # argparse reads a bare "-3/4" or "-1/2,1/2" as an unknown option, so
+    # "--ratio -3/4" would exit 2.  No sievelab option starts with a digit:
+    # such a token after "--name" is that option's value, passed as
+    # "--name=-3/4".
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = prev + "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .arith import euler_phi
 from .bounds import additive_rhs
-from .expsum import CoeffSeq, QuadraticAmplitude, ls_lhs, exp_sum
+from .expsum import CoeffSeq, QuadraticAmplitude, ls_lhs
 from .farey import farey_sequence
 
 
@@ -65,13 +65,8 @@ def modulus_term(inst, q):
     """
     if q < 1 or q > inst.Q:
         raise ValueError("q must satisfy 1 <= q <= Q")
-    total = 0.0
-    for a in range(q):
-        if math.gcd(a, q) != 1 and q > 1:
-            continue
-        s = exp_sum(inst.seq, SQUARE, Fraction(a, q))
-        total += abs(s) ** 2
-    return total
+    residues = [Fraction(a, q) for a in range(q) if math.gcd(a, q) == 1]
+    return ls_lhs(inst.seq, SQUARE, residues)
 
 
 def modulus_term_closed_form(inst):

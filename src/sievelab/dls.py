@@ -140,17 +140,17 @@ def max_abs_g(M, N, a, b):
     """2 * max |g| is the exact Y needed for the double large sieve sweep.
 
     For a fixed difference u = s - t, |g| is maximal at an extreme value
-    of s + t, so an O(N) scan over u suffices.  Exact rational output.
+    of s + t, so an O(N) scan over u suffices.  The scan runs on b*|g| in
+    integers; the output is the exact Fraction.
     """
-    ab = Fraction(a, b)
-    best = Fraction(0)
+    best = 0
     for u in range(0, N):
         lo = 2 * M + 2 + u  # smallest s+t given |s-t| = u
         hi = 2 * (M + N) - u
-        cand = max(abs(u * (lo + ab)), abs(u * (hi + ab)))
+        cand = u * max(abs(b * lo + a), abs(b * hi + a))
         if cand > best:
             best = cand
-    return best
+    return Fraction(best, b)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,18 @@ the phase x*f(n) is reduced modulo 1 in exact integer arithmetic before
 any trig call, so phases of size 10^9 and beyond lose no accuracy.
 Summation is compensated (Kahan) in a fixed index order for reproducible
 output.
+
+The large-sieve left side over exact rational points takes a grouped
+path.  Write f(n) = P(n)/D with P(n) integers and D the lcm of the
+denominators of f(n) on the window.  For x = c/q in lowest terms,
+x f(n) = c P(n)/(qD), so S(c/q) depends on n only through P(n) mod qD:
+the a_n are bucketed by that residue, in exact integer arithmetic, and
+one unnormalised inverse DFT of length qD gives S(c/q) for every
+numerator c at once.  The buckets take memory proportional to qD, so a
+denominator q uses the DFT only while qD <= GROUPED_MAX_RATIO * N; its
+points otherwise take the exact per-point loop, which is also the
+reference the tests hold the grouped path to.  Float and mixed point sets
+take the per-point loops.
 """
 
 import math
@@ -16,6 +28,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Largest bucket count qD per window term for which ls_lhs uses a DFT.
+GROUPED_MAX_RATIO = 16
 
 
 def e(t):
@@ -189,12 +203,45 @@ def _point_list(points):
     return list(points)
 
 
+def _grouped_lhs(values, fvals, points):
+    # sum of |S(x)|^2 over exact points, one inverse DFT per denominator q;
+    # see the module docstring.  Duplicate points each add their term.
+    D = math.lcm(*(fv.denominator for fv in fvals))
+    P = [fv.numerator * (D // fv.denominator) for fv in fvals]
+    # int64 only when every P(n) fits; the residues below qD always do.
+    fits = -(2**63) <= min(P) and max(P) < 2**63
+    P = np.array(P, dtype=np.int64 if fits else object)
+    a = np.asarray(values, dtype=complex)
+    groups = {}
+    for x in map(_as_exact, points):
+        groups.setdefault(x.denominator, []).append(x)
+    terms = []
+    for q, xs in groups.items():
+        m = q * D
+        if m > GROUPED_MAX_RATIO * len(values):
+            for x in xs:
+                s = _exp_sum_exact(values, fvals, x)
+                terms.append(s.real * s.real + s.imag * s.imag)
+            continue
+        r = (P % m).astype(np.intp)
+        B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
+        S = np.fft.ifft(B, norm="forward")[[x.numerator % m for x in xs]]
+        terms.extend((S.real * S.real + S.imag * S.imag).tolist())
+    return math.fsum(terms)
+
+
 def ls_lhs(seq, f, points):
-    """The large-sieve left side: sum over x in points of |S(x)|^2."""
+    """The large-sieve left side: sum over x in points of |S(x)|^2.
+
+    Exact rational points with an exact amplitude take the grouped DFT
+    path described in the module docstring.
+    """
     pts = _point_list(points)
     fvals = None
     if pts and _as_exact(pts[0]) is not None:
         fvals = _exact_fvals(f, seq.M, seq.N)
+    if fvals is not None and all(_as_exact(x) is not None for x in pts):
+        return _grouped_lhs(seq.values, fvals, pts)
     terms = []
     for x in pts:
         xe = _as_exact(x)

@@ -85,6 +85,7 @@ def verify_classical(
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
+    farey = {}  # F(Q) per distinct Q, for this call only
     for i in range(instances):
         rng = _row_rng(seed, i)
         Q = int(rng.integers(2, q_max + 1))
@@ -92,7 +93,9 @@ def verify_classical(
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
         Z = seq.power()
-        points = farey_sequence(Q)
+        if Q not in farey:
+            farey[Q] = farey_sequence(Q)
+        points = farey[Q]
         delta = Fraction(1, Q * (Q - 1))
         t0 = time.perf_counter()
         lhs = ls_lhs(seq, f, points)
@@ -176,16 +179,20 @@ THEOREM2_COLUMNS = [
 ]
 
 
+def _farey_with_gap(Q):
+    points = farey_sequence(Q)
+    delta = min_gap_mod1(points.points) if len(points) > 1 else Fraction(1)
+    return points, delta
+
+
 def _sweep_row(spec):
-    index, Q, M, N, alpha, ab, eps, dist, density, seed = spec
+    index, Q, M, N, alpha, ab, eps, dist, density, seed, points, delta, y_exact = spec
     rng = _row_rng(seed, index)
     a, b = ab.numerator, ab.denominator
     beta = alpha * ab
     f = QuadraticAmplitude(alpha=alpha, beta=beta, gamma=Fraction(0))
     seq = random_sequence(dist, M, N, rng, density)
     Z = seq.power()
-    points = farey_sequence(Q)
-    delta = min_gap_mod1(points.points) if len(points) > 1 else Fraction(1)
     t0 = time.perf_counter()
     lhs = ls_lhs(seq, f, points)
     runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -212,7 +219,6 @@ def _sweep_row(spec):
     )
     ratios = report.compute_ratios()
     y_paper = 2 * abs(M) * N + N * N + N * ab
-    y_exact = 2 * dls.max_abs_g(M, N, a, b)
     row = {
         "row": index,
         "seed": seed,
@@ -243,15 +249,23 @@ def theorem2_sweep(config):
     """Ratio sweep over the grid; never asserts the quadratic bound.
 
     Returns (reports, rows): BoundReport objects and serializable dicts,
-    in grid order (Q, M, N, alpha, ratio, eps).
+    in grid order (Q, M, N, alpha, ratio, eps).  F(Q) with its gap, and the
+    exact Y = 2 max|g|, are built once per distinct argument in this call.
     """
+    farey = {}
+    y_exact = {}
     specs = []
     index = 0
     for Q in config.q_values:
+        if Q not in farey:
+            farey[Q] = _farey_with_gap(Q)
         for M in config.m_values:
             for N in config.n_values:
                 for alpha in config.alpha_values:
                     for ab in config.ratios:
+                        key = (M, N, ab.numerator, ab.denominator)
+                        if key not in y_exact:
+                            y_exact[key] = 2 * dls.max_abs_g(*key)
                         for eps in config.eps_values:
                             specs.append(
                                 (
@@ -265,6 +279,8 @@ def theorem2_sweep(config):
                                     config.dist,
                                     config.density,
                                     config.seed,
+                                    *farey[Q],
+                                    y_exact[key],
                                 )
                             )
                             index += 1

@@ -111,6 +111,17 @@ class TestTheorem2Sweep:
         assert cells["status"] == "domain_error"
         assert cells["rhs_theorem2"] == "" and cells["ratio_theorem2"] == ""
 
+    def test_negative_rational_lists(self):
+        args = ["theorem2-sweep", "--Q", "4", "--N", "8", "--eps", "0.1", "--seed", "2"]
+        bare = run(*args, "--alpha", "1/2", "--ratio", "-1/2,1/2")
+        attached = run(*args, "--alpha=1/2", "--ratio=-1/2,1/2")
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stdout == attached.stdout
+        # A negative alpha now parses and is refused as a domain error.
+        proc = run(*args, "--alpha", "-1/2")
+        assert proc.returncode == 2
+        assert "alpha" in proc.stderr
+
     def test_thread_env_preserves_output(self, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
         args = [
@@ -157,6 +168,16 @@ class TestLemma4Command:
         assert len(lines) == 1 + 64
         header = lines[0].split(",")
         assert "T_bruteforce" in header and "bound_proof_form" in header
+
+    def test_readme_negative_ratio(self):
+        # The README's command: a bare "-3/4" must parse as the ratio.
+        proc = run("lemma4", "--N", "30", "--alpha", "1/12", "--ratio", "-3/4")
+        assert proc.returncode == 0, proc.stderr
+        attached = run("lemma4", "--N", "30", "--alpha", "1/12", "--ratio=-3/4")
+        assert attached.returncode == 0
+        assert proc.stdout == attached.stdout
+        row = proc.stdout.splitlines()[1].split(",")
+        assert row[8:10] == ["-3", "4"]  # the a and b columns
 
     def test_cap_refusal(self):
         proc = run("lemma4", "--N", "501")

@@ -106,10 +106,14 @@ class TestGEval:
             dls.g_eval(1, 2, 2, 4)
 
     def test_max_abs_g(self):
-        for M, N, a, b in [(0, 10, 0, 1), (-7, 12, 1, 2), (3, 9, -3, 4)]:
+        for M, N, a, b in [
+            (0, 10, 0, 1), (-7, 12, 1, 2), (3, 9, -3, 4),
+            (-20, 15, -5, 3), (-3, 7, -1, 2), (4, 1, 1, 2), (-9, 1, -7, 5),
+        ]:
             S = range(M + 1, M + N + 1)
             expected = max(abs(dls.g_eval(s, t, a, b)) for s in S for t in S)
-            assert dls.max_abs_g(M, N, a, b) == expected
+            got = dls.max_abs_g(M, N, a, b)
+            assert isinstance(got, Fraction) and got == expected
 
 
 class TestLemma4Counters:

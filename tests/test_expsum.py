@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sievelab import expsum
 from sievelab.expsum import (
     CoeffSeq,
     LinearAmplitude,
@@ -149,6 +150,117 @@ class TestLsLhs:
             s = exp_sum(seq, SQUARE, x)
             s_conj = exp_sum(seq, SQUARE, 1 - x)
             assert s_conj == pytest.approx(s.conjugate(), rel=1e-12)
+
+
+def loop_lhs(seq, f, points):
+    # The exact per-point loop (exp_sum takes _exp_sum_exact for exact
+    # inputs): the reference for the grouped DFT path.
+    return math.fsum(abs(exp_sum(seq, f, x)) ** 2 for x in points)
+
+
+def assert_matches_loop(seq, f, points):
+    # rel 1e-12, or 1e-12 of the largest the sum can be when it cancels.
+    scale = len(points) * math.fsum(abs(v) for v in seq.values) ** 2
+    want = loop_lhs(seq, f, points)
+    assert ls_lhs(seq, f, points) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.fixture
+def bucket_sizes(monkeypatch):
+    """Bucket counts the grouped path allocates, recorded from np.bincount.
+
+    A count beyond the memory guard fails before anything is allocated.
+    """
+    sizes = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        assert minlength <= expsum.GROUPED_MAX_RATIO * len(x)
+        sizes.append(minlength)
+        return bincount(x, weights, minlength=minlength)
+
+    monkeypatch.setattr(expsum.np, "bincount", spy)
+    return sizes
+
+
+class TestGroupedLhs:
+    F_RAT = QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6), Fraction(2))
+
+    def test_farey_sets(self):
+        rng = np.random.default_rng(11)
+        for f in (self.F_RAT, SQUARE, LinearAmplitude(1, 0), QuadraticAmplitude(Fraction(5, 4), -3)):
+            for Q, M, N in ((1, 0, 5), (7, -11, 40), (17, 3, 100)):
+                assert_matches_loop(random_seq(rng, M, N), f, farey_sequence(Q))
+
+    def test_duplicates_each_count(self, bucket_sizes):
+        rng = np.random.default_rng(12)
+        seq = random_seq(rng, -11, 200)
+        x = Fraction(5, 12)
+        pts = [Fraction(1, 3), x, Fraction(2, 7), x, Fraction(0), x, Fraction(1, 2)]
+        assert_matches_loop(seq, self.F_RAT, pts)
+        once = ls_lhs(seq, self.F_RAT, [x])
+        rest = ls_lhs(seq, self.F_RAT, [p for p in pts if p != x])
+        assert ls_lhs(seq, self.F_RAT, pts) == pytest.approx(rest + 3 * once, rel=1e-12)
+        assert bucket_sizes  # the DFT path ran
+
+    def test_numerators_outside_0_q(self):
+        # f(n) is not integer valued, so S(x) and S(x + 1) differ.
+        rng = np.random.default_rng(13)
+        seq = random_seq(rng, 0, 60)
+        f = QuadraticAmplitude(Fraction(1, 4), Fraction(1, 3))
+        pts = [Fraction(7, 3), Fraction(-1, 3), Fraction(-13, 5), Fraction(22, 7), Fraction(1, 3)]
+        assert_matches_loop(seq, f, pts)
+        for x in pts[:4]:
+            assert ls_lhs(seq, f, [x]) != pytest.approx(ls_lhs(seq, f, [x % 1]), rel=1e-6)
+
+    def test_int_points(self):
+        rng = np.random.default_rng(14)
+        seq = random_seq(rng, -4, 50)
+        assert_matches_loop(seq, self.F_RAT, [0, 1, 2, -3, 1, Fraction(1, 2)])
+
+    def test_large_offsets(self):
+        rng = np.random.default_rng(15)
+        huge = QuadraticAmplitude(Fraction(10**12 + 1, 7), Fraction(-3, 2))  # P(n) beyond int64
+        for M in (-(10**6), 10**6 - 64):
+            seq = random_seq(rng, M, 64)
+            for f in (self.F_RAT, huge):
+                assert_matches_loop(seq, f, farey_sequence(9))
+
+    def test_large_denominators_take_the_loop(self, bucket_sizes):
+        rng = np.random.default_rng(16)
+        seq = random_seq(rng, 0, 4)
+        pts = [Fraction(1, 3), Fraction(5, 97), Fraction(2, 3), Fraction(96, 97)]
+        assert_matches_loop(seq, SQUARE, pts)
+        assert bucket_sizes == [3, 3]  # real and imaginary parts for q = 3
+
+    def test_huge_amplitude_denominator_allocates_nothing(self, bucket_sizes):
+        rng = np.random.default_rng(17)
+        seq = random_seq(rng, 5, 30)
+        f = QuadraticAmplitude(Fraction(1, 10**9))
+        assert_matches_loop(seq, f, farey_sequence(6))
+        assert bucket_sizes == []
+
+
+def test_grouped_lhs_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        values=st.lists(st.builds(complex, coeff, coeff), min_size=1, max_size=40),
+        M=st.integers(-(10**6), 10**6),
+        alpha=rational.filter(lambda r: r > 0),
+        beta=rational,
+        points=st.lists(st.one_of(rational, st.integers(-5, 5)), min_size=1, max_size=12),
+    )
+    def check(values, M, alpha, beta, points):
+        seq = CoeffSeq.from_values(values, M=M)
+        assert_matches_loop(seq, QuadraticAmplitude(alpha, beta), points)
+
+    check()
 
 
 class TestDualLhs:
