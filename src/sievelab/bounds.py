@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+class NegativeRadicandError(ValueError):
+    """Theorem 2's radicand alpha N (|M|+N+a/b) + 1 is negative."""
+
+
 def classical_rhs(delta, N, Z):
     """(1/delta + N) Z; constant 1 is legitimate (Montgomery-Vaughan)."""
     if not delta > 0:
@@ -70,7 +74,7 @@ def theorem2_rhs(Q, alpha, a, b, M, N, eps, Z):
     """
     radicand = float(alpha) * N * (abs(M) + N + a / b) + 1.0
     if radicand < 0:
-        raise ValueError("negative radicand: alpha N (|M|+N+a/b) + 1 < 0")
+        raise NegativeRadicandError("negative radicand: alpha N (|M|+N+a/b) + 1 < 0")
     return (Q * Q + Q * radicand ** 0.5) * pi_factor(alpha, a, b, M, N, eps) * Z
 
 

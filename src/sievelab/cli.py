@@ -3,7 +3,7 @@
 Subcommands: farey, verify-classical, theorem2-sweep, counterexample,
 dls-check, lemma4.  Exit codes: 0 on success (all checked inequalities
 hold), 1 when a checked inequality fails, 2 on usage or domain errors.
-SIEVELAB_THREADS caps row-level parallelism in the sweep drivers.
+A theorem2-sweep grid is checked before the first row runs.
 """
 
 import argparse

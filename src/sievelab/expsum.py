@@ -1,23 +1,23 @@
 """Coefficient sequences, quadratic amplitudes, and exponential sums.
 
 Everything revolves around S(x) = sum_{n=M+1}^{M+N} a_n e(x f(n)) with
-e(t) = exp(2 pi i t).  When x and the amplitude coefficients are rational
-the phase x*f(n) is reduced modulo 1 in exact integer arithmetic before
-any trig call, so phases of size 10^9 and beyond lose no accuracy.
-Summation is compensated (Kahan) in a fixed index order for reproducible
-output.
+e(t) = exp(2 pi i t).  One kernel, ``phases``, reduces every phase
+x f(n) modulo 1, always in exact integer arithmetic.  Each point and each
+amplitude coefficient is taken as a Fraction, which is exact for ints,
+Fractions and floats alike (a float is a dyadic rational).  With
+f(n) = P(n)/D on the window and x = u/v, the phase is
+(u P(n) mod vD)/(vD): the residue is exact and only the final division
+is done in floating point, so phases of size 10^9 and beyond lose no
+accuracy.  exp_sum, dual_lhs and phase_matrix are built on its rows,
+summed with numpy's pairwise sum.
 
-The large-sieve left side over exact rational points takes a grouped
-path.  Write f(n) = P(n)/D with P(n) integers and D the lcm of the
-denominators of f(n) on the window.  For x = c/q in lowest terms,
-x f(n) = c P(n)/(qD), so S(c/q) depends on n only through P(n) mod qD:
-the a_n are bucketed by that residue, in exact integer arithmetic, and
-one unnormalised inverse DFT of length qD gives S(c/q) for every
-numerator c at once.  The buckets take memory proportional to qD, so a
-denominator q uses the DFT only while qD <= GROUPED_MAX_RATIO * N; its
-points otherwise take the exact per-point loop, which is also the
-reference the tests hold the grouped path to.  Float and mixed point sets
-take the per-point loops.
+The large-sieve left side groups its points by reduced denominator q.
+For x = c/q, x f(n) = c P(n)/(qD), so S(c/q) depends on n only through
+P(n) mod qD: the a_n are bucketed by that residue and one unnormalised
+inverse DFT of length qD gives S(c/q) for every numerator c at once.  The buckets take memory proportional to qD,
+so a denominator uses the DFT only while qD <= GROUPED_MAX_RATIO * N; its
+points otherwise take kernel rows, as float points (q near 2^53) always
+do.  exp_sum's per-point rows are the reference the tests hold the DFT to.
 """
 
 import math
@@ -38,13 +38,12 @@ def e(t):
     return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
 
 
-def _as_exact(v):
-    # Fraction for exact inputs, None for anything float-like.
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
+def _exact(v):
+    # Exact for ints, Fractions and floats; Fraction(inf) raises OverflowError.
+    try:
         return Fraction(v)
-    return None
+    except (OverflowError, ValueError):
+        raise ValueError("not a finite rational: %r" % (v,)) from None
 
 
 @dataclass(frozen=True)
@@ -81,36 +80,30 @@ class CoeffSeq:
 class QuadraticAmplitude:
     """f(x) = alpha x^2 + beta x + gamma with alpha > 0.
 
-    ``ratio`` holds the reduced beta/alpha = a/b when that quotient is
-    rational (or has been supplied by rational approximation);
-    ``exact_coeffs`` is present when all three coefficients are rational,
-    enabling the exact phase path.
+    ``ratio`` holds the reduced beta/alpha = a/b when alpha and beta are
+    given as ints or Fractions (or when it has been supplied by rational
+    approximation).
     """
 
     alpha: object
     beta: object = 0
     gamma: object = 0
     ratio: Optional[Fraction] = None
-    exact_coeffs: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("quadratic amplitude requires alpha > 0")
-        ea, eb, eg = _as_exact(self.alpha), _as_exact(self.beta), _as_exact(self.gamma)
-        if self.exact_coeffs is None and ea is not None and eb is not None and eg is not None:
-            object.__setattr__(self, "exact_coeffs", (ea, eb, eg))
-        if self.ratio is None and ea is not None and eb is not None:
-            object.__setattr__(self, "ratio", eb / ea)
+        exact = (int, Fraction)
+        if self.ratio is None and isinstance(self.alpha, exact) and isinstance(self.beta, exact):
+            object.__setattr__(self, "ratio", Fraction(self.beta) / self.alpha)
+
+    @property
+    def coeffs(self):
+        """(alpha, beta, gamma), as given."""
+        return (self.alpha, self.beta, self.gamma)
 
     def __call__(self, n):
         return float(self.alpha) * n * n + float(self.beta) * n + float(self.gamma)
-
-    def eval_exact(self, n):
-        """f(n) as a Fraction, or None when the coefficients are not exact."""
-        if self.exact_coeffs is None:
-            return None
-        a, b, c = self.exact_coeffs
-        return a * n * n + b * n + c
 
 
 @dataclass(frozen=True)
@@ -120,81 +113,27 @@ class LinearAmplitude:
     beta: object = 1
     gamma: object = 0
 
+    @property
+    def coeffs(self):
+        """(0, beta, gamma): the quadratic coefficients of f."""
+        return (0, self.beta, self.gamma)
+
     def __call__(self, n):
         return float(self.beta) * n + float(self.gamma)
 
-    def eval_exact(self, n):
-        b, c = _as_exact(self.beta), _as_exact(self.gamma)
-        if b is None or c is None:
-            return None
-        return b * n + c
 
+def _integer_values(f, M, N):
+    """(P, D) with f(n) = P[n - M - 1] / D for n = M+1 .. M+N.
 
-def eval_amplitude(f, n):
-    """f(n) in floating point; use f.eval_exact(n) for the rational path."""
-    return f(n)
-
-
-def _exact_fvals(f, M, N):
-    fv = f.eval_exact(M + 1)
-    if fv is None:
-        return None
-    return [f.eval_exact(n) for n in range(M + 1, M + N + 1)]
-
-
-def _exp_sum_exact(values, fvals, x):
-    # Phase x*f(n) reduced mod 1 with integers only; Kahan accumulation.
-    xn, xd = x.numerator, x.denominator
-    sr = si = cr = ci = 0.0
-    cos, sin = math.cos, math.sin
-    for a, fv in zip(values, fvals):
-        num = xn * fv.numerator
-        den = xd * fv.denominator
-        t = TWO_PI * ((num % den) / den)
-        c, s = cos(t), sin(t)
-        ar, ai = a.real, a.imag
-        yr = (ar * c - ai * s) - cr
-        tr = sr + yr
-        cr = (tr - sr) - yr
-        sr = tr
-        yi = (ar * s + ai * c) - ci
-        ti = si + yi
-        ci = (ti - si) - yi
-        si = ti
-    return complex(sr, si)
-
-
-def _exp_sum_float(values, f, M, x):
-    sr = si = cr = ci = 0.0
-    cos, sin = math.cos, math.sin
-    for offset, a in enumerate(values):
-        t = TWO_PI * ((x * f(M + 1 + offset)) % 1.0)
-        c, s = cos(t), sin(t)
-        ar, ai = a.real, a.imag
-        yr = (ar * c - ai * s) - cr
-        tr = sr + yr
-        cr = (tr - sr) - yr
-        sr = tr
-        yi = (ar * s + ai * c) - ci
-        ti = si + yi
-        ci = (ti - si) - yi
-        si = ti
-    return complex(sr, si)
-
-
-def exp_sum(seq, f, x):
-    """S(x) = sum_n a_n e(x f(n)).
-
-    Exact mod-1 phase reduction is used whenever x is rational and the
-    amplitude has rational coefficients; otherwise double precision with
-    the phase folded into [0, 1) before the trig call.
+    P is a list of ints and D > 0 the least common denominator of the
+    f(n) on the window, so gcd(D, *P) = 1.
     """
-    xe = _as_exact(x)
-    if xe is not None:
-        fvals = _exact_fvals(f, seq.M, seq.N)
-        if fvals is not None:
-            return _exp_sum_exact(seq.values, fvals, xe)
-    return _exp_sum_float(seq.values, f, seq.M, float(x))
+    A, B, C = (_exact(c) for c in f.coeffs)
+    D = math.lcm(A.denominator, B.denominator, C.denominator)
+    A, B, C = int(A * D), int(B * D), int(C * D)
+    P = [(A * n + B) * n + C for n in range(M + 1, M + N + 1)]
+    g = math.gcd(D, *P)
+    return [p // g for p in P], D // g
 
 
 def _point_list(points):
@@ -203,53 +142,63 @@ def _point_list(points):
     return list(points)
 
 
-def _grouped_lhs(values, fvals, points):
-    # sum of |S(x)|^2 over exact points, one inverse DFT per denominator q;
-    # see the module docstring.  Duplicate points each add their term.
-    D = math.lcm(*(fv.denominator for fv in fvals))
-    P = [fv.numerator * (D // fv.denominator) for fv in fvals]
-    # int64 only when every P(n) fits; the residues below qD always do.
-    fits = -(2**63) <= min(P) and max(P) < 2**63
-    P = np.array(P, dtype=np.int64 if fits else object)
-    a = np.asarray(values, dtype=complex)
-    groups = {}
-    for x in map(_as_exact, points):
-        groups.setdefault(x.denominator, []).append(x)
-    terms = []
-    for q, xs in groups.items():
-        m = q * D
-        if m > GROUPED_MAX_RATIO * len(values):
-            for x in xs:
-                s = _exp_sum_exact(values, fvals, x)
-                terms.append(s.real * s.real + s.imag * s.imag)
-            continue
-        r = (P % m).astype(np.intp)
-        B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
-        S = np.fft.ifft(B, norm="forward")[[x.numerator % m for x in xs]]
-        terms.extend((S.real * S.real + S.imag * S.imag).tolist())
-    return math.fsum(terms)
+def phases(f, points, M, N):
+    """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
+
+    Each row is a float array in [0, 1), computed in integers as
+    (u P(n) mod vD) / (vD) with x = u/v and f(n) = P(n)/D exact; only the
+    final division is done in floating point.  Rows come one at a time, so
+    no K x N array is held.  A NaN or infinite point or coefficient raises
+    ValueError.
+    """
+    P, D = _integer_values(f, M, N)
+    P = np.array(P, dtype=object)
+    for x in map(_exact, _point_list(points)):
+        m = x.denominator * D
+        yield ((x.numerator % m) * P % m).astype(float) / m
+
+
+def _row_sum(a, row):
+    # S = sum_n a_n e(row_n), numpy's pairwise sum.
+    return (a * np.exp(2j * np.pi * row)).sum()
+
+
+def exp_sum(seq, f, x):
+    """S(x) = sum_n a_n e(x f(n)), with the phases of ``phases``."""
+    (row,) = phases(f, [x], seq.M, seq.N)
+    return complex(_row_sum(np.asarray(seq.values), row))
 
 
 def ls_lhs(seq, f, points):
     """The large-sieve left side: sum over x in points of |S(x)|^2.
 
-    Exact rational points with an exact amplitude take the grouped DFT
-    path described in the module docstring.
+    Points are grouped by reduced denominator q; a group takes one DFT of
+    length qD while qD <= GROUPED_MAX_RATIO * N and kernel rows otherwise
+    (see the module docstring).  Duplicate points each add their term.
     """
-    pts = _point_list(points)
-    fvals = None
-    if pts and _as_exact(pts[0]) is not None:
-        fvals = _exact_fvals(f, seq.M, seq.N)
-    if fvals is not None and all(_as_exact(x) is not None for x in pts):
-        return _grouped_lhs(seq.values, fvals, pts)
+    P, D = _integer_values(f, seq.M, seq.N)
+    a = np.asarray(seq.values)
+    groups = {}
+    for x in map(_exact, _point_list(points)):
+        groups.setdefault(x.denominator, []).append(x)
+    # int64 only when every P(n) fits; the residues below qD always do.
+    fits = -(2**63) <= min(P) and max(P) < 2**63
+    P = np.array(P, dtype=np.int64 if fits else object)
     terms = []
-    for x in pts:
-        xe = _as_exact(x)
-        if fvals is not None and xe is not None:
-            s = _exp_sum_exact(seq.values, fvals, xe)
-        else:
-            s = _exp_sum_float(seq.values, f, seq.M, float(x))
-        terms.append(s.real * s.real + s.imag * s.imag)
+    rest = []
+    for q, xs in groups.items():
+        m = q * D
+        if m > GROUPED_MAX_RATIO * seq.N:
+            rest.extend(xs)
+            continue
+        r = (P % m).astype(np.intp)
+        B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
+        S = np.fft.ifft(B, norm="forward")[[x.numerator % m for x in xs]]
+        terms.extend((S.real * S.real + S.imag * S.imag).tolist())
+    if rest:
+        for row in phases(f, rest, seq.M, seq.N):
+            s = _row_sum(a, row)
+            terms.append(s.real * s.real + s.imag * s.imag)
     return math.fsum(terms)
 
 
@@ -261,51 +210,15 @@ def dual_lhs(dual, f, points, M, N):
         raise ValueError(
             "dual sequence length %d != number of points %d" % (len(coeffs), len(pts))
         )
-    exact = all(_as_exact(x) is not None for x in pts)
-    terms = []
-    for n in range(M + 1, M + N + 1):
-        fv = f.eval_exact(n) if exact else None
-        sr = si = cr = ci = 0.0
-        for c_k, x in zip(coeffs, pts):
-            if fv is not None:
-                xe = _as_exact(x)
-                num = xe.numerator * fv.numerator
-                den = xe.denominator * fv.denominator
-                t = TWO_PI * ((num % den) / den)
-            else:
-                t = TWO_PI * ((float(x) * f(n)) % 1.0)
-            co, s = math.cos(t), math.sin(t)
-            ar, ai = c_k.real, c_k.imag
-            yr = (ar * co - ai * s) - cr
-            tr = sr + yr
-            cr = (tr - sr) - yr
-            sr = tr
-            yi = (ar * s + ai * co) - ci
-            ti = si + yi
-            ci = (ti - si) - yi
-            si = ti
-        terms.append(sr * sr + si * si)
-    return math.fsum(terms)
+    acc = np.zeros(N, dtype=complex)
+    for c, row in zip(coeffs, phases(f, pts, M, N)):
+        acc += c * np.exp(2j * np.pi * row)
+    return math.fsum((acc.real * acc.real + acc.imag * acc.imag).tolist())
 
 
 def phase_matrix(f, points, M, N):
     """The K x N matrix t_{kn} = e(x_k f(n)) as a numpy array."""
-    pts = _point_list(points)
-    rows = []
-    exact = all(_as_exact(x) is not None for x in pts)
-    fvals = _exact_fvals(f, M, N) if exact else None
-    for x in pts:
-        if fvals is not None:
-            xe = _as_exact(x)
-            fr = [
-                ((xe.numerator * fv.numerator) % (xe.denominator * fv.denominator))
-                / (xe.denominator * fv.denominator)
-                for fv in fvals
-            ]
-        else:
-            fr = [(float(x) * f(n)) % 1.0 for n in range(M + 1, M + N + 1)]
-        rows.append(np.exp(2j * np.pi * np.asarray(fr)))
-    return np.asarray(rows)
+    return np.exp(2j * np.pi * np.array(list(phases(f, points, M, N))))
 
 
 class DualityCheck(NamedTuple):

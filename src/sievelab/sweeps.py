@@ -4,13 +4,11 @@ Lemma-4-style pair-count table.
 
 Every driver is deterministic given its configuration: randomness comes
 from numpy's PCG64 generator seeded per row through SeedSequence spawn
-keys, rows are emitted in grid order, and parallel execution (capped by
-SIEVELAB_THREADS) preserves that order.
+keys, and rows are computed and emitted in grid order, one at a time.
 """
 
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,22 +20,6 @@ from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, ls_lhs
 from .farey import farey_sequence, min_gap_mod1
 
 RNG_ID = "numpy-pcg64"
-
-
-def thread_count():
-    """Worker count for row-parallel drivers, capped by SIEVELAB_THREADS."""
-    cap = os.environ.get("SIEVELAB_THREADS")
-    if cap is None:
-        return 1
-    return max(1, int(cap))
-
-
-def _map_rows(fn, specs):
-    workers = thread_count()
-    if workers == 1:
-        return [fn(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, specs))
 
 
 def _row_rng(seed, index):
@@ -144,6 +126,18 @@ class SweepConfig:
     density: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        # Checked before any row runs, so that a bad grid is an error and
+        # never a row: status=domain_error is left to negative radicands.
+        if not all(Q >= 1 for Q in self.q_values):
+            raise ValueError("every Q must be >= 1")
+        if not all(N >= 1 for N in self.n_values):
+            raise ValueError("every N must be >= 1")
+        if not all(alpha > 0 for alpha in self.alpha_values):
+            raise ValueError("every alpha must be > 0")
+        if not all(math.isfinite(eps) and eps > 0 for eps in self.eps_values):
+            raise ValueError("every eps must be finite and > 0")
+
 
 THEOREM2_COLUMNS = [
     "row",
@@ -199,7 +193,7 @@ def _sweep_row(spec):
     status = "ok"
     try:
         rhs_t2 = bounds.theorem2_rhs(Q, alpha, a, b, M, N, eps, Z)
-    except ValueError:
+    except bounds.NegativeRadicandError:
         rhs_t2 = None
         status = "domain_error"
     report = bounds.BoundReport(
@@ -284,7 +278,7 @@ def theorem2_sweep(config):
                                 )
                             )
                             index += 1
-    results = _map_rows(_sweep_row, specs)
+    results = [_sweep_row(spec) for spec in specs]
     reports = [r for r, _ in results]
     rows = [row for _, row in results]
     return reports, rows
@@ -330,7 +324,7 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
             "anomaly": check.anomaly,
         }
 
-    rows = _map_rows(one, range(instances))
+    rows = [one(i) for i in range(instances)]
     all_hold = all(r["holds"] and not r["anomaly"] for r in rows)
     return rows, all_hold
 

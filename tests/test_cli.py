@@ -122,6 +122,25 @@ class TestTheorem2Sweep:
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--eps", "0,-1,nan"),
+            ("--eps", "inf"),
+            ("--alpha", "0"),
+            ("--Q", "4,0"),
+            ("--N", "0"),
+        ],
+    )
+    def test_bad_grid_exits_before_the_run(self, tmp_path, option, value):
+        grid = {"--Q": "4", "--N": "16", "--alpha": "1", "--ratio": "0", "--eps": "0.1"}
+        grid[option] = value
+        out = tmp_path / "sweep.csv"
+        proc = run("theorem2-sweep", *(t for kv in grid.items() for t in kv), "--out", str(out))
+        assert proc.returncode == 2
+        assert "every %s" % option[2:] in proc.stderr
+        assert not out.exists()
+
     def test_thread_env_preserves_output(self, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
         args = [

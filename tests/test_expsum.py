@@ -13,10 +13,10 @@ from sievelab.expsum import (
     dual_lhs,
     duality_norm_check,
     e,
-    eval_amplitude,
     exp_sum,
     ls_lhs,
     phase_matrix,
+    phases,
 )
 from sievelab.farey import farey_sequence
 
@@ -37,19 +37,31 @@ def random_seq(rng, M, N):
 
 class TestAmplitudes:
     def test_eval_examples(self):
-        assert eval_amplitude(QuadraticAmplitude(1, 0, 0), 5) == 25
-        assert eval_amplitude(QuadraticAmplitude(Fraction(1, 2), 1, 0), 3) == 7.5
-        assert eval_amplitude(QuadraticAmplitude(2, -1, 1), 0) == 1
+        assert QuadraticAmplitude(1, 0, 0)(5) == 25
+        assert QuadraticAmplitude(Fraction(1, 2), 1, 0)(3) == 7.5
+        assert QuadraticAmplitude(2, -1, 1)(0) == 1
 
     def test_exact_path(self):
         f = QuadraticAmplitude(Fraction(1, 2), 1, 0)
-        assert f.eval_exact(3) == Fraction(15, 2)
+        assert expsum._integer_values(f, 2, 1) == ([15], 2)  # f(3) = 15/2
+        assert expsum._integer_values(f, 1, 2) == ([8, 15], 2)  # 4, 15/2
+        assert expsum._integer_values(f, 1, 1) == ([4], 1)  # D reduced
         assert f.ratio == Fraction(2)
 
-    def test_float_coeffs_have_no_exact_path(self):
-        f = QuadraticAmplitude(0.5, 1.0, 0.0)
-        assert f.exact_coeffs is None
-        assert f.eval_exact(3) is None
+    def test_float_coeffs_take_the_exact_path(self):
+        # A float is a dyadic rational: 0.5 and Fraction(1, 2) are the
+        # same amplitude, down to the last bit of every sum.
+        f_float = QuadraticAmplitude(0.5, 1.0, 0.0)
+        f_exact = QuadraticAmplitude(Fraction(1, 2), 1)
+        rng = np.random.default_rng(9)
+        seq = random_seq(rng, -7, 50)
+        pts = [0.3141592653589793, Fraction(2, 7), 0.75, 3]
+        for x in pts:
+            assert exp_sum(seq, f_float, x) == exp_sum(seq, f_exact, x)
+        for points in (pts, farey_sequence(9)):
+            assert ls_lhs(seq, f_float, points) == ls_lhs(seq, f_exact, points)
+        c = list(rng.standard_normal(len(pts)))
+        assert dual_lhs(c, f_float, pts, -7, 50) == dual_lhs(c, f_exact, pts, -7, 50)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -60,7 +72,7 @@ class TestAmplitudes:
     def test_linear(self):
         f = LinearAmplitude(1, 0)
         assert f(7) == 7
-        assert f.eval_exact(7) == 7
+        assert f.coeffs == (0, 1, 0)
 
 
 class TestCoeffSeq:
@@ -153,8 +165,7 @@ class TestLsLhs:
 
 
 def loop_lhs(seq, f, points):
-    # The exact per-point loop (exp_sum takes _exp_sum_exact for exact
-    # inputs): the reference for the grouped DFT path.
+    # exp_sum's per-point kernel rows: the reference for the grouped DFT.
     return math.fsum(abs(exp_sum(seq, f, x)) ** 2 for x in points)
 
 
@@ -245,7 +256,12 @@ def test_grouped_lhs_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    # Nonzero coefficients stay above 1e-100: below about 1e-150 |a_n|^2 and
+    # the abs term of the tolerance underflow, and no double computation,
+    # the reference's included, keeps 12 digits of a subnormal |S|^2.
+    coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).filter(
+        lambda v: v == 0 or abs(v) >= 1e-100
+    )
     rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 
     @hypothesis.settings(max_examples=60, deadline=None)
@@ -261,6 +277,62 @@ def test_grouped_lhs_property():
         assert_matches_loop(seq, QuadraticAmplitude(alpha, beta), points)
 
     check()
+
+
+def each_entry_point(f, pts, seq=CoeffSeq.from_values([1, 2j, 3])):
+    # A call of every public function that reduces phases.
+    yield lambda: list(phases(f, pts, seq.M, seq.N))
+    yield lambda: exp_sum(seq, f, pts[-1])
+    yield lambda: ls_lhs(seq, f, pts)
+    yield lambda: dual_lhs([1] * len(pts), f, pts, seq.M, seq.N)
+    yield lambda: phase_matrix(f, pts, seq.M, seq.N)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_an_error(bad):
+    amplitudes = [QuadraticAmplitude(1, bad), QuadraticAmplitude(1, 0, bad), LinearAmplitude(bad)]
+    if bad > 0:
+        amplitudes.append(QuadraticAmplitude(bad))
+    cases = [(QuadraticAmplitude(0.7, 0.1), [Fraction(1, 3), bad])]
+    cases += [(f, [Fraction(1, 3), 0.25]) for f in amplitudes]
+    for f, pts in cases:
+        for call in each_entry_point(f, pts):
+            with pytest.raises(ValueError):
+                call()
+
+
+def mp_oracle(mp, f, pts, a, c, M):
+    # S(x) per point, the dual sums per n and the phase matrix, computed at
+    # the working precision on the same (dyadic) inputs.
+    alpha, beta, gamma = (mp.mpf(v) for v in f.coeffs)
+    ns = range(M + 1, M + len(a) + 1)
+    E = [[mp.expjpi(2 * mp.mpf(x) * ((alpha * n + beta) * n + gamma)) for n in ns] for x in pts]
+    S = [mp.fsum(mp.mpc(v) * t for v, t in zip(a, row)) for row in E]
+    T = [mp.fsum(mp.mpc(ck) * row[i] for ck, row in zip(c, E)) for i in range(len(a))]
+    return E, S, T
+
+
+@pytest.mark.parametrize("M", [0, 10**4, 10**6])
+def test_float_inputs_against_mpmath(M):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    N = 200
+    f = QuadraticAmplitude(0.7071067811865476, -0.3183098861837907, 0.1234567)
+    pts = [0.3141592653589793] + rng.uniform(0, 1, 4).tolist()
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    c = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+    seq = CoeffSeq(M=M, N=N, values=tuple(a))
+    with mpmath.workdps(50):
+        E, S, T = mp_oracle(mpmath.mp, f, pts, a, c, M)
+        ls = float(mpmath.fsum(abs(s) ** 2 for s in S))
+        dual = float(mpmath.fsum(abs(t) ** 2 for t in T))
+        S = [complex(s) for s in S]
+        E = np.array([[complex(t) for t in row] for row in E])
+    for x, s in zip(pts, S):
+        assert abs(exp_sum(seq, f, x) - s) <= 1e-12 * abs(s)
+    assert ls_lhs(seq, f, pts) == pytest.approx(ls, rel=1e-12)
+    assert dual_lhs(c, f, pts, M, N) == pytest.approx(dual, rel=1e-12)
+    assert np.abs(phase_matrix(f, pts, M, N) - E).max() <= 1e-12
 
 
 class TestDualLhs:
