@@ -4,11 +4,15 @@ The classical and Cohen-Selberg forms are honest inequalities with
 constant 1; everything else (the Gallagher-style trivial bound, the
 quadratic-amplitude bound and its Pi factor, the conjectured reference
 curve) carries an unspecified implied constant and is computed with
-constant 1 purely for ratio reporting.
+constant 1 purely for ratio reporting.  RHS lists every right side a
+theorem2-sweep row reports, in column order; SLACK is the relative slack
+of every asserted inequality.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
+
+# A checked inequality holds when lhs <= rhs * (1.0 + SLACK).
+SLACK = 1e-9
 
 
 class NegativeRadicandError(ValueError):
@@ -83,8 +87,7 @@ def conjecture_rhs(Q, N, Z):
     return (Q * Q + Q * N) * Z
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """One parameter point of a sweep."""
 
     Q: int
@@ -98,37 +101,17 @@ class BoundParams:
     Z: float
 
 
-@dataclass
-class BoundReport:
-    """One row of a sweep: the left side against every bound formula."""
-
-    params: BoundParams
-    lhs: float
-    rhs_classical: float
-    rhs_sharp: float
-    rhs_additive: float
-    rhs_trivial: float
-    rhs_theorem2: Optional[float]
-    rhs_conjecture: float
-    ratios: dict = field(default_factory=dict)
-    seed: int = 0
-    runtime_ms: float = 0.0
-    status: str = "ok"
-
-    def compute_ratios(self):
-        out = {}
-        for name in (
-            "classical",
-            "sharp",
-            "additive",
-            "trivial",
-            "theorem2",
-            "conjecture",
-        ):
-            rhs = getattr(self, "rhs_" + name)
-            if rhs is None or (self.lhs == 0.0 and rhs == 0.0):
-                out[name] = None
-            else:
-                out[name] = self.lhs / rhs
-        self.ratios = out
-        return out
+# Every right side of a theorem2-sweep row, by name, in column order; each
+# formula takes the row's BoundParams.  Whether a bound is asserted depends
+# on the driver, not on the bound: verify-classical asserts sharp and
+# additive, for f(n) = n; theorem2-sweep asserts none, because its f is
+# quadratic and the prime-square construction (counterexample) shows that
+# the classical forms can fail there.
+RHS = {
+    "classical": lambda p: classical_rhs(p.delta, p.N, p.Z),
+    "sharp": lambda p: sharp_rhs(p.delta, p.N, p.Z),
+    "additive": lambda p: additive_rhs(p.Q, p.N, p.Z),
+    "trivial": lambda p: trivial_rhs(p.delta, p.alpha, p.M, p.N, p.Z),
+    "theorem2": lambda p: theorem2_rhs(p.Q, p.alpha, p.a, p.b, p.M, p.N, p.eps, p.Z),
+    "conjecture": lambda p: conjecture_rhs(p.Q, p.N, p.Z),
+}

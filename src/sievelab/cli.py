@@ -187,8 +187,8 @@ def _cmd_theorem2_sweep(args):
         density=args.density,
         seed=args.seed,
     )
-    _, rows = sweeps.theorem2_sweep(config)
-    reports.write_rows(rows, sweeps.THEOREM2_COLUMNS, args.out, args.format)
+    columns, rows = sweeps.theorem2_sweep(config)
+    reports.write_rows(rows, columns, args.out, args.format)
     return 0
 
 

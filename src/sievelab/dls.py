@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import divisor_pairs
+from .bounds import SLACK
 
 LEMMA4_CAP = 500
 
@@ -107,7 +108,7 @@ class DLSCheck(NamedTuple):
     anomaly: bool
 
 
-def dls_check(inst, slack=1e-9):
+def dls_check(inst):
     """Both sides of the double large sieve inequality with (pi/2)^4.
 
     The rhs uses Re B(eps); if B(eps) has a relatively large imaginary
@@ -118,7 +119,7 @@ def dls_check(inst, slack=1e-9):
     B = b_epsilon(inst)
     anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
     rhs = (math.pi / 2.0) ** 4 * A * B.real * (inst.X * inst.Y + 1.0)
-    holds = lhs <= rhs * (1.0 + slack)
+    holds = lhs <= rhs * (1.0 + SLACK)
     return DLSCheck(lhs=lhs, rhs=rhs, holds=bool(holds), anomaly=bool(anomaly))
 
 

@@ -20,6 +20,7 @@ points otherwise take kernel rows, as float points (q near 2^53) always
 do.  exp_sum's per-point rows are the reference the tests hold the DFT to.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +47,16 @@ def _exact(v):
         raise ValueError("not a finite rational: %r" % (v,)) from None
 
 
+def _finite_complex(values):
+    out = tuple(complex(v) for v in values)
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError("coefficients must be finite (no NaN or infinity)")
+    return out
+
+
 @dataclass(frozen=True)
 class CoeffSeq:
-    """Complex coefficients a_n on the window n = M+1 .. M+N."""
+    """Complex coefficients a_n on the window n = M+1 .. M+N, all finite."""
 
     M: int
     N: int
@@ -61,7 +69,7 @@ class CoeffSeq:
             raise ValueError(
                 "expected %d coefficients, got %d" % (self.N, len(self.values))
             )
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", _finite_complex(self.values))
 
     @classmethod
     def from_values(cls, values, M=0):
@@ -203,9 +211,9 @@ def ls_lhs(seq, f, points):
 
 
 def dual_lhs(dual, f, points, M, N):
-    """The dual form: sum_{n=M+1}^{M+N} |sum_k c_k e(x_k f(n))|^2."""
+    """The dual form: sum_{n=M+1}^{M+N} |sum_k c_k e(x_k f(n))|^2, c_k finite."""
     pts = _point_list(points)
-    coeffs = [complex(c) for c in dual]
+    coeffs = _finite_complex(dual)
     if len(coeffs) != len(pts):
         raise ValueError(
             "dual sequence length %d != number of points %d" % (len(coeffs), len(pts))

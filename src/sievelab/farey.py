@@ -3,8 +3,8 @@
 The point set of interest is the Farey sequence of order Q: all reduced
 fractions p/q with 0 <= p < q <= Q, in increasing order.  Its minimal gap
 modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
-1/(Q-1); the coarser convention delta^{-1} = Q^2 is also carried around
-for comparisons (see spacing_q2).
+1/(Q-1).  The additive bound (Q^2 + N) Z in bounds corresponds to the
+coarser convention delta^{-1} = Q^2.
 """
 
 from dataclasses import dataclass

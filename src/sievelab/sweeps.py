@@ -7,8 +7,8 @@ from numpy's PCG64 generator seeded per row through SeedSequence spawn
 keys, and rows are computed and emitted in grid order, one at a time.
 """
 
+import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,13 +79,10 @@ def verify_classical(
             farey[Q] = farey_sequence(Q)
         points = farey[Q]
         delta = Fraction(1, Q * (Q - 1))
-        t0 = time.perf_counter()
         lhs = ls_lhs(seq, f, points)
-        dt = (time.perf_counter() - t0) * 1e3
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
-        slack = 1.0 + 1e-9
-        ok = lhs <= rhs_sharp * slack and lhs <= rhs_add * slack
+        ok = lhs <= rhs_sharp * (1.0 + bounds.SLACK) and lhs <= rhs_add * (1.0 + bounds.SLACK)
         all_ok = all_ok and ok
         rows.append(
             {
@@ -157,18 +154,8 @@ THEOREM2_COLUMNS = [
     "y_paper",
     "y_exact",
     "lhs",
-    "rhs_classical",
-    "rhs_sharp",
-    "rhs_additive",
-    "rhs_trivial",
-    "rhs_theorem2",
-    "rhs_conjecture",
-    "ratio_classical",
-    "ratio_sharp",
-    "ratio_additive",
-    "ratio_trivial",
-    "ratio_theorem2",
-    "ratio_conjecture",
+    *("rhs_" + name for name in bounds.RHS),
+    *("ratio_" + name for name in bounds.RHS),
     "status",
 ]
 
@@ -179,46 +166,21 @@ def _farey_with_gap(Q):
     return points, delta
 
 
-def _sweep_row(spec):
-    index, Q, M, N, alpha, ab, eps, dist, density, seed, points, delta, y_exact = spec
-    rng = _row_rng(seed, index)
+def _sweep_row(config, index, Q, M, N, alpha, ab, eps, points, delta, y_exact):
+    rng = _row_rng(config.seed, index)
     a, b = ab.numerator, ab.denominator
-    beta = alpha * ab
-    f = QuadraticAmplitude(alpha=alpha, beta=beta, gamma=Fraction(0))
-    seq = random_sequence(dist, M, N, rng, density)
+    f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
+    seq = random_sequence(config.dist, M, N, rng, config.density)
     Z = seq.power()
-    t0 = time.perf_counter()
     lhs = ls_lhs(seq, f, points)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    status = "ok"
-    try:
-        rhs_t2 = bounds.theorem2_rhs(Q, alpha, a, b, M, N, eps, Z)
-    except bounds.NegativeRadicandError:
-        rhs_t2 = None
-        status = "domain_error"
-    report = bounds.BoundReport(
-        params=bounds.BoundParams(
-            Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z
-        ),
-        lhs=lhs,
-        rhs_classical=bounds.classical_rhs(delta, N, Z),
-        rhs_sharp=bounds.sharp_rhs(delta, N, Z),
-        rhs_additive=bounds.additive_rhs(Q, N, Z),
-        rhs_trivial=bounds.trivial_rhs(delta, alpha, M, N, Z),
-        rhs_theorem2=rhs_t2,
-        rhs_conjecture=bounds.conjecture_rhs(Q, N, Z),
-        seed=seed,
-        runtime_ms=runtime_ms,
-        status=status,
-    )
-    ratios = report.compute_ratios()
+    params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
     y_paper = 2 * abs(M) * N + N * N + N * ab
     row = {
         "row": index,
-        "seed": seed,
+        "seed": config.seed,
         "rng": RNG_ID,
         "version": __version__,
-        "dist": dist,
+        "dist": config.dist,
         "Q": Q,
         "M": M,
         "N": N,
@@ -231,57 +193,49 @@ def _sweep_row(spec):
         "y_paper": float(y_paper),
         "y_exact": float(y_exact),
         "lhs": lhs,
-        "status": status,
+        "status": "ok",
     }
-    for name in ("classical", "sharp", "additive", "trivial", "theorem2", "conjecture"):
-        row["rhs_" + name] = getattr(report, "rhs_" + name)
-        row["ratio_" + name] = ratios[name]
-    return report, row
+    for name, formula in bounds.RHS.items():
+        try:
+            rhs = formula(params)
+        except bounds.NegativeRadicandError:
+            rhs = None
+            row["status"] = "domain_error"
+        row["rhs_" + name] = rhs
+        if rhs is None or (lhs == 0.0 and rhs == 0.0):
+            row["ratio_" + name] = None
+        else:
+            row["ratio_" + name] = lhs / rhs
+    return row
 
 
 def theorem2_sweep(config):
     """Ratio sweep over the grid; never asserts the quadratic bound.
 
-    Returns (reports, rows): BoundReport objects and serializable dicts,
-    in grid order (Q, M, N, alpha, ratio, eps).  F(Q) with its gap, and the
+    Returns (THEOREM2_COLUMNS, rows): the report columns and one dict per
+    row, in grid order (Q, M, N, alpha, ratio, eps), with a right side and
+    a ratio for every entry of bounds.RHS.  F(Q) with its gap, and the
     exact Y = 2 max|g|, are built once per distinct argument in this call.
     """
     farey = {}
     y_exact = {}
-    specs = []
-    index = 0
-    for Q in config.q_values:
+    rows = []
+    grid = itertools.product(
+        config.q_values,
+        config.m_values,
+        config.n_values,
+        config.alpha_values,
+        config.ratios,
+        config.eps_values,
+    )
+    for index, (Q, M, N, alpha, ab, eps) in enumerate(grid):
         if Q not in farey:
             farey[Q] = _farey_with_gap(Q)
-        for M in config.m_values:
-            for N in config.n_values:
-                for alpha in config.alpha_values:
-                    for ab in config.ratios:
-                        key = (M, N, ab.numerator, ab.denominator)
-                        if key not in y_exact:
-                            y_exact[key] = 2 * dls.max_abs_g(*key)
-                        for eps in config.eps_values:
-                            specs.append(
-                                (
-                                    index,
-                                    Q,
-                                    M,
-                                    N,
-                                    alpha,
-                                    ab,
-                                    eps,
-                                    config.dist,
-                                    config.density,
-                                    config.seed,
-                                    *farey[Q],
-                                    y_exact[key],
-                                )
-                            )
-                            index += 1
-    results = [_sweep_row(spec) for spec in specs]
-    reports = [r for r, _ in results]
-    rows = [row for _, row in results]
-    return reports, rows
+        key = (M, N, ab.numerator, ab.denominator)
+        if key not in y_exact:
+            y_exact[key] = 2 * dls.max_abs_g(*key)
+        rows.append(_sweep_row(config, index, Q, M, N, alpha, ab, eps, *farey[Q], y_exact[key]))
+    return THEOREM2_COLUMNS, rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab import bounds
+from sievelab import bounds, sweeps
 
 
 class TestClassicalAndSharp:
@@ -112,20 +112,8 @@ class TestMonotonicity:
                 assert vals == sorted(vals)
 
 
-def test_bound_report_ratios():
-    params = bounds.BoundParams(
-        Q=4, M=0, N=8, alpha=1, a=0, b=1, eps=0.1, delta=Fraction(1, 12), Z=1.0
-    )
-    rep = bounds.BoundReport(
-        params=params,
-        lhs=10.0,
-        rhs_classical=20.0,
-        rhs_sharp=19.0,
-        rhs_additive=24.0,
-        rhs_trivial=76.0,
-        rhs_theorem2=None,
-        rhs_conjecture=40.0,
-    )
-    ratios = rep.compute_ratios()
-    assert ratios["classical"] == pytest.approx(0.5)
-    assert ratios["theorem2"] is None
+def test_rhs_table_order():
+    names = ["classical", "sharp", "additive", "trivial", "theorem2", "conjecture"]
+    assert list(bounds.RHS) == names
+    bound_columns = sweeps.THEOREM2_COLUMNS[-13:]
+    assert bound_columns == ["rhs_" + n for n in names] + ["ratio_" + n for n in names] + ["status"]

@@ -67,6 +67,22 @@ class TestVerifyClassical:
             cells = line.split(",")
             assert float(cells[8]) == 0.0  # Z column
             assert float(cells[10]) == 0.0  # lhs column
+        # lhs == rhs == 0 gives an empty ratio, not a 0/0.
+        proc = run(
+            "theorem2-sweep", "--Q", "4", "--N", "8", "--eps", "0.1",
+            "--dist", "sparse", "--density", "0",
+        )
+        assert proc.returncode == 0
+        header, *lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            cells = dict(zip(header.split(","), line.split(",")))
+            assert float(cells["lhs"]) == 0.0 and cells["status"] == "ok"
+            rhs = [v for c, v in cells.items() if c.startswith("rhs_")]
+            ratios = [v for c, v in cells.items() if c.startswith("ratio_")]
+            assert len(rhs) == len(ratios) == 6
+            assert all(float(v) == 0.0 for v in rhs)
+            assert all(v == "" for v in ratios)
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -110,6 +126,11 @@ class TestTheorem2Sweep:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["status"] == "domain_error"
         assert cells["rhs_theorem2"] == "" and cells["ratio_theorem2"] == ""
+        # Every other bound keeps its value and its ratio lhs / rhs.
+        for name in ("classical", "sharp", "additive", "trivial", "conjecture"):
+            rhs = float(cells["rhs_" + name])
+            assert rhs > 0
+            assert float(cells["ratio_" + name]) == float(cells["lhs"]) / rhs
 
     def test_negative_rational_lists(self):
         args = ["theorem2-sweep", "--Q", "4", "--N", "8", "--eps", "0.1", "--seed", "2"]

@@ -299,6 +299,12 @@ def test_non_finite_input_is_an_error(bad):
         for call in each_entry_point(f, pts):
             with pytest.raises(ValueError):
                 call()
+    # Sequence values a_n and dual weights c_k.
+    for values in ([1, bad], [1, complex(0, bad)]):
+        with pytest.raises(ValueError):
+            CoeffSeq.from_values(values)
+        with pytest.raises(ValueError):
+            dual_lhs(values, QuadraticAmplitude(1), [0.25, 0.5], 0, 3)
 
 
 def mp_oracle(mp, f, pts, a, c, M):
