@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, counterexample, dls, reports, sweeps
+from . import __version__, counterexample, reports, sweeps
 from .farey import farey_sequence
 
 
@@ -230,12 +230,6 @@ def _cmd_dls_check(args):
 
 
 def _cmd_lemma4(args):
-    if args.N > dls.LEMMA4_CAP:
-        print(
-            "lemma4: N = %d exceeds the O(N^2) cap %d" % (args.N, dls.LEMMA4_CAP),
-            file=sys.stderr,
-        )
-        return 2
     rows, agree = sweeps.lemma4_table(
         M=args.M,
         N=args.N,

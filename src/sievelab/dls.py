@@ -11,23 +11,23 @@ asymmetry is deliberate; an imaginary-part sanity check flags anomalies
 instead of silently taking moduli).
 
 The pair count T for the difference polynomial g(x, y) = (x-y)(x+y+a/b)
-is computed twice: an exhaustive scan over S x S, and a reconstruction
-from the divisor pairs of the integers k = b*g near b*g(m, n).  The two
-must agree exactly.
+is computed for every base pair (m, n) of S x S at once, twice: a sorted
+scan of all b*g over S x S, O(N^2 log N), and a count of the factors
+k = u*v near b*g(m, n) per difference u = m'-n', O(N^3).  The two share
+only the argument check and must agree exactly.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisor_pairs
 from .bounds import SLACK
 
 LEMMA4_CAP = 500
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -154,94 +154,80 @@ def max_abs_g(M, N, a, b):
     return Fraction(best, b)
 
 
-@dataclass(frozen=True)
-class Lemma4Instance:
-    """S = [M+1, M+N], the tolerance 1/(2 alpha), and a base pair (m, n)."""
+def _lemma4_windows(M, N, alpha, a, b):
+    """Check a Lemma 4 table's arguments; return its window centres and t.
 
-    M: int
-    N: int
-    alpha: object
-    a: int
-    b: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        if self.b < 1 or math.gcd(self.a, self.b) != 1:
-            raise ValueError("a/b must be reduced with b >= 1")
-        if not float(self.alpha) > 0:
-            raise ValueError("alpha must be positive")
-        lo, hi = self.M + 1, self.M + self.N
-        if not (lo <= self.m <= hi and lo <= self.n <= hi):
-            raise ValueError("(m, n) must lie in S = [M+1, M+N]")
-
-
-def _check_cap(inst):
-    if inst.N > LEMMA4_CAP:
-        raise ValueError(
-            "window length N = %d exceeds the O(N^2) cap %d" % (inst.N, LEMMA4_CAP)
-        )
-
-
-def _k_range(inst):
-    # Integers k with |k - b g(m,n)| <= b/(2 alpha), computed exactly.
-    bg0 = bg_eval(inst.m, inst.n, inst.a, inst.b)
-    thr = Fraction(inst.b) / (2 * Fraction(inst.alpha))
-    lo = math.ceil(bg0 - thr)
-    hi = math.floor(bg0 + thr)
-    return bg0, lo, hi
-
-
-def _bg_values(inst):
-    S = np.arange(inst.M + 1, inst.M + inst.N + 1, dtype=np.int64)
-    s = S[:, None]
-    t = S[None, :]
-    return ((s - t) * (inst.b * s + inst.b * t + inst.a)).ravel()
-
-
-def lemma4_count_bruteforce(inst):
-    """T by exhaustive scan of all (m', n') in S x S.
-
-    Counts pairs with g(m', n') != 0 and |g(m,n) - g(m',n')| <= 1/(2 alpha),
-    using the equivalent integer condition on b*g.
+    The centres are b*g(m, n), indexed [m-M-1, n-M-1].  The tolerance
+    |g(m,n) - g(m',n')| <= 1/(2 alpha) is the integer condition
+    |b g(m,n) - b g(m',n')| <= t with t = floor(b/(2 alpha)), exact.  All
+    b*g lie in [-K, K] with K = b max|g|, so clipping t to 2K changes no
+    count.  Both counters then work in int64 on values of size at most
+    max(V, K + t + 2bN) plus a few units, V = max |b(m'+n') + a|; that
+    bound is checked before any array is built.
     """
-    _check_cap(inst)
-    _, lo, hi = _k_range(inst)
-    bg = _bg_values(inst)
-    return int(np.count_nonzero((bg != 0) & (bg >= lo) & (bg <= hi)))
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N > LEMMA4_CAP:
+        raise ValueError(
+            "window length N = %d exceeds the cap %d (the divisor counter is O(N^3))"
+            % (N, LEMMA4_CAP)
+        )
+    if b < 1 or math.gcd(a, b) != 1:
+        raise ValueError("a/b must be reduced with b >= 1")
+    alpha = Fraction(alpha)
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    K = int(b * max_abs_g(M, N, a, b))
+    t = min(math.floor(b / (2 * alpha)), 2 * K)
+    v0 = b * (2 * M + 2) + a  # b(m'+n') + a at m' = n' = M+1
+    if max(abs(v0), abs(v0 + 2 * b * (N - 1)), K + t + 2 * b * N) > _INT64_MAX:
+        raise ValueError("b*g(m, n) +- t does not fit int64 (K = %d, t = %d)" % (K, t))
+    i = np.arange(N, dtype=np.int64)
+    return (i[:, None] - i) * (v0 + b * (i[:, None] + i)), t
 
 
-@lru_cache(maxsize=200000)
-def _pairs_with_bg(k, a, b, M, N):
-    # Number of (m', n') in S^2 with b g(m', n') = k != 0, reconstructed
-    # from factorizations k = u v with u = m'-n' and v = b m' + b n' + a,
-    # so m' = (bu+v-a)/(2b) and n' = (-bu+v-a)/(2b).
-    count = 0
-    lo, hi = M + 1, M + N
-    for u, v in divisor_pairs(k):
-        num_m = b * u + v - a
-        num_n = -b * u + v - a
-        if num_m % (2 * b) or num_n % (2 * b):
+def lemma4_count_bruteforce(M, N, alpha, a, b):
+    """T for every base pair (m, n), by a scan of all (m', n') in S x S.
+
+    Entry [m-M-1, n-M-1] counts the pairs with g(m', n') != 0 and
+    |g(m,n) - g(m',n')| <= 1/(2 alpha), on the equivalent integer
+    condition on b*g: the nonzero b*g over S x S are sorted once, and each
+    window [c - t, c + t] is two binary searches.  O(N^2 log N).
+    """
+    bg, t = _lemma4_windows(M, N, alpha, a, b)
+    vals = np.sort(bg[bg != 0])
+    return np.searchsorted(vals, bg + t, side="right") - np.searchsorted(vals, bg - t, side="left")
+
+
+def lemma4_count_divisor(M, N, alpha, a, b):
+    """T for every base pair by counting factorizations; must equal the brute force.
+
+    (m', n') in S^2 is the factor pair u = m'-n', v = b m' + b n' + a of
+    k = b g(m', n') = u v, and S^2 holds exactly the (u, v) with
+    v = a + bu (mod 2b) and 2b(M+1) + b|u| + a <= v <= 2b(M+N) - b|u| + a.
+    For each 0 < u < N the cofactors v with u v in a window [c - t, c + t]
+    form an arithmetic progression, counted in closed form over all N^2
+    windows at once; v = 0 (g = 0) is left out.  Since -u at centre c
+    counts as u at -c, and b g(n, m) = -b g(m, n), the negative u add the
+    transpose.  O(N^3); no k is enumerated.
+    """
+    centres, t = _lemma4_windows(M, N, alpha, a, b)
+    total = np.zeros_like(centres)
+    up, down = centres + t, t - centres
+    zero_in_window = np.abs(centres) <= t
+    for u in range(1, N):
+        r = (a + b * u) % (2 * b)  # v = r + 2b j
+        j_min = -((r - (2 * b * (M + 1) + b * u + a)) // (2 * b))
+        j_max = (2 * b * (M + N) - b * u + a - r) // (2 * b)
+        if j_min > j_max:
             continue
-        mp = num_m // (2 * b)
-        np_ = num_n // (2 * b)
-        if lo <= mp <= hi and lo <= np_ <= hi:
-            count += 1
-    return count
-
-
-def lemma4_count_divisor(inst):
-    """T by divisor-pair reconstruction; must equal the brute-force count."""
-    _check_cap(inst)
-    _, lo, hi = _k_range(inst)
-    total = 0
-    for k in range(lo, hi + 1):
-        if k == 0:
-            continue
-        total += _pairs_with_bg(k, inst.a, inst.b, inst.M, inst.N)
-    return total
+        step = 2 * b * u  # u v advances by this as j does by 1
+        lo = np.maximum(-((down + r * u) // step), j_min)
+        hi = np.minimum((up - r * u) // step, j_max)
+        total += np.maximum(hi - lo + 1, 0)
+        if r == 0 and j_min <= 0 <= j_max:
+            total -= zero_in_window
+    return total + total.T
 
 
 def lemma4_bound(alpha, a, b, M, N, eps):

@@ -294,25 +294,23 @@ def lemma4_table(M, N, alpha, a, b, eps=0.1):
     """
     bound_stmt = dls.lemma4_bound(alpha, a, b, M, N, eps)
     bound_proof = dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
+    brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
+    divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
+    alpha_text = str(Fraction(alpha))
     rows = []
-    agree = True
-    for m in range(M + 1, M + N + 1):
-        for n in range(M + 1, M + N + 1):
-            inst = dls.Lemma4Instance(M=M, N=N, alpha=alpha, a=a, b=b, m=m, n=n)
-            t_brute = dls.lemma4_count_bruteforce(inst)
-            t_div = dls.lemma4_count_divisor(inst)
-            same = t_brute == t_div
-            agree = agree and same
+    S = range(M + 1, M + N + 1)
+    for m, brute_row, divisor_row in zip(S, brute.tolist(), divisor.tolist()):
+        for n, t_brute, t_div in zip(S, brute_row, divisor_row):
             rows.append(
                 {
                     "m": m,
                     "n": n,
                     "T_bruteforce": t_brute,
                     "T_divisor": t_div,
-                    "agree": same,
+                    "agree": t_brute == t_div,
                     "bound_statement": bound_stmt,
                     "bound_proof_form": bound_proof,
-                    "alpha": str(Fraction(alpha)),
+                    "alpha": alpha_text,
                     "a": a,
                     "b": b,
                     "M": M,
@@ -321,4 +319,5 @@ def lemma4_table(M, N, alpha, a, b, eps=0.1):
                     "version": __version__,
                 }
             )
+    agree = bool(np.array_equal(brute, divisor))
     return rows, agree

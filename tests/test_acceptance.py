@@ -110,14 +110,12 @@ def test_criterion_5_lemma4_oracle_equivalence():
             S = range(M + 1, M + N + 1)
             for alpha in LEMMA4_ALPHAS:
                 for a, b in LEMMA4_RATIOS:
-                    for m in S:
-                        for n in S:
-                            inst = dls.Lemma4Instance(
-                                M=M, N=N, alpha=alpha, a=a, b=b, m=m, n=n
-                            )
-                            tb = dls.lemma4_count_bruteforce(inst)
-                            td = dls.lemma4_count_divisor(inst)
-                            assert tb == td, (M, N, alpha, a, b, m, n, tb, td)
+                    tb = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
+                    td = dls.lemma4_count_divisor(M, N, alpha, a, b)
+                    assert tb.shape == td.shape == (N, N)
+                    for (i, j), t in np.ndenumerate(tb):
+                        m, n = S[i], S[j]
+                        assert t == td[i, j], (M, N, alpha, a, b, m, n, t, td[i, j])
                     # Threshold iff in exact rationals: the condition on a
                     # pair depends only on D = bg(m,n) - bg(m',n'); cover
                     # every difference achieved on the grid.

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,12 +10,12 @@ import pytest
 SIEVELAB = [sys.executable, "-m", "sievelab.cli"]
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run(
-        SIEVELAB + list(args), capture_output=True, text=True, env=full_env
+        SIEVELAB + list(args), capture_output=True, text=True, env=full_env, timeout=timeout
     )
 
 
@@ -223,6 +225,19 @@ class TestLemma4Command:
         proc = run("lemma4", "--N", "501")
         assert proc.returncode == 2
         assert "cap" in proc.stderr
+
+    def test_int64_overflow_refusal(self):
+        proc = run("lemma4", "--M", str(2 ** 62), "--N", "2", "--ratio", "1/4")
+        assert proc.returncode == 2
+        assert "int64" in proc.stderr and proc.stdout == ""
+
+    def test_tiny_alpha(self):
+        # A window wider than 2 max|b g| holds every nonzero b*g: 6 of 9 pairs.
+        proc = run("lemma4", "--N", "3", "--alpha", "1/%d" % 10 ** 30, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert len(rows) == 9
+        assert all(r["T_bruteforce"] == r["T_divisor"] == "6" for r in rows)
 
 
 def test_version_flag():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sievelab import dls
+from sievelab.arith import divisor_pairs
 from sievelab.sweeps import dls_random_sweep
 
 
@@ -116,45 +117,110 @@ class TestGEval:
             assert isinstance(got, Fraction) and got == expected
 
 
+def per_k_reference(M, N, alpha, a, b):
+    """T at every base pair from the factor pairs (u, v) of each k in its window.
+
+    (m', n') = ((bu + v - a)/(2b), (-bu + v - a)/(2b)) must be integral and
+    lie in S; the factorizations come from arith.divisor_pairs.
+    """
+    S = range(M + 1, M + N + 1)
+    thr = Fraction(b) / (2 * Fraction(alpha))
+    pairs_at = {}
+
+    def pairs_with_bg(k):
+        if k not in pairs_at:
+            count = 0
+            for u, v in divisor_pairs(k):
+                num_m, num_n = b * u + v - a, -b * u + v - a
+                if num_m % (2 * b) == 0 and num_n % (2 * b) == 0:
+                    count += num_m // (2 * b) in S and num_n // (2 * b) in S
+            pairs_at[k] = count
+        return pairs_at[k]
+
+    table = np.zeros((N, N), dtype=np.int64)
+    for i, m in enumerate(S):
+        for j, n in enumerate(S):
+            c = dls.bg_eval(m, n, a, b)
+            ks = range(math.ceil(c - thr), math.floor(c + thr) + 1)
+            table[i, j] = sum(pairs_with_bg(k) for k in ks if k != 0)
+    return table
+
+
+def both_counters(M, N, alpha, a, b):
+    brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
+    divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
+    assert brute.shape == divisor.shape == (N, N)
+    assert np.array_equal(brute, divisor), (M, N, alpha, a, b)
+    return brute
+
+
 class TestLemma4Counters:
+    # Tables are indexed [m - M - 1, n - M - 1].
     def test_no_qualifying_pairs(self):
-        inst = dls.Lemma4Instance(M=0, N=5, alpha=1, a=0, b=1, m=1, n=1)
-        assert dls.lemma4_count_bruteforce(inst) == 0
-        assert dls.lemma4_count_divisor(inst) == 0
+        assert both_counters(0, 5, 1, 0, 1)[0, 0] == 0
 
     def test_wide_tolerance(self):
-        inst = dls.Lemma4Instance(M=0, N=5, alpha=Fraction(1, 12), a=0, b=1, m=2, n=1)
-        assert dls.lemma4_count_bruteforce(inst) == 6
-        assert dls.lemma4_count_divisor(inst) == 6
+        assert both_counters(0, 5, Fraction(1, 12), 0, 1)[1, 0] == 6
 
     def test_exact_match_only(self):
-        inst = dls.Lemma4Instance(M=0, N=5, alpha=10 ** 6, a=0, b=1, m=2, n=1)
-        assert dls.lemma4_count_bruteforce(inst) == 1
-        assert dls.lemma4_count_divisor(inst) == 1
+        assert both_counters(0, 5, 10 ** 6, 0, 1)[1, 0] == 1
 
     def test_oracle_equivalence_small_grid(self):
         for alpha in (Fraction(1, 12), Fraction(1, 2), Fraction(3)):
             for a, b in ((0, 1), (1, 2), (-3, 4)):
-                for m in range(-3, 9):
-                    for n in range(-3, 9):
-                        inst = dls.Lemma4Instance(
-                            M=-4, N=12, alpha=alpha, a=a, b=b, m=m, n=n
-                        )
-                        assert dls.lemma4_count_bruteforce(inst) == dls.lemma4_count_divisor(inst)
+                table = both_counters(-4, 12, alpha, a, b)
+                assert np.array_equal(table, per_k_reference(-4, 12, alpha, a, b))
 
     def test_monotone_in_tolerance(self):
-        counts = []
-        for alpha in (Fraction(3), Fraction(1), Fraction(1, 2), Fraction(1, 12)):
-            inst = dls.Lemma4Instance(M=0, N=20, alpha=alpha, a=1, b=2, m=5, n=3)
-            counts.append(dls.lemma4_count_bruteforce(inst))
+        tables = [
+            dls.lemma4_count_bruteforce(0, 20, alpha, 1, 2)
+            for alpha in (Fraction(3), Fraction(1), Fraction(1, 2), Fraction(1, 12))
+        ]
+        counts = [table[4, 2] for table in tables]  # (m, n) = (5, 3)
         assert counts == sorted(counts)
+        assert all((lo <= hi).all() for lo, hi in zip(tables, tables[1:]))
 
     def test_cap_enforced(self):
-        inst = dls.Lemma4Instance(M=0, N=501, alpha=1, a=0, b=1, m=1, n=1)
         with pytest.raises(ValueError, match="cap"):
-            dls.lemma4_count_bruteforce(inst)
+            dls.lemma4_count_bruteforce(0, 501, 1, 0, 1)
         with pytest.raises(ValueError, match="cap"):
-            dls.lemma4_count_divisor(inst)
+            dls.lemma4_count_divisor(0, 501, 1, 0, 1)
+
+    def test_int64_overflow_refused(self):
+        # b*g reaches about 3.7e19 here; int64 arithmetic would wrap it.
+        M = 2 ** 62
+        assert abs(dls.bg_eval(M + 1, M + 2, 1, 4)) > 2 ** 63
+        for counter in (dls.lemma4_count_bruteforce, dls.lemma4_count_divisor):
+            with pytest.raises(ValueError, match="int64"):
+                counter(M, 2, 1, 1, 4)
+
+    def test_near_int64_limit_exact(self):
+        # |b*g| = 8M + 13, about 8e18, still fits: each off-diagonal pair
+        # matches only itself at alpha = 10^6.
+        table = both_counters(10 ** 18, 2, 10 ** 6, 1, 4)
+        assert table.tolist() == [[0, 1], [1, 0]]
+
+    def test_tiny_alpha_counts_every_nonzero_pair(self):
+        table = both_counters(0, 3, Fraction(1, 10 ** 30), 0, 1)
+        assert (table == 6).all()
+
+    def test_property_against_each_other_and_per_k(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ratio = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+        alpha = st.builds(Fraction, st.integers(1, 24), st.integers(1, 24))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            M=st.integers(-50, 50), N=st.integers(1, 40), alpha=alpha, ratio=ratio
+        )
+        def check(M, N, alpha, ratio):
+            a, b = ratio.numerator, ratio.denominator
+            table = both_counters(M, N, alpha, a, b)
+            if N <= 12:
+                assert np.array_equal(table, per_k_reference(M, N, alpha, a, b))
+
+        check()
 
     def test_threshold_equivalence_exact(self):
         # |g - g'| <= 1/(2 alpha)  iff  |bg - bg'| <= b/(2 alpha), in
@@ -198,9 +264,10 @@ class TestLemma4Bound:
 
 
 def test_lemma4_instance_validation():
-    with pytest.raises(ValueError):
-        dls.Lemma4Instance(M=0, N=5, alpha=1, a=2, b=4, m=1, n=1)
-    with pytest.raises(ValueError):
-        dls.Lemma4Instance(M=0, N=5, alpha=1, a=0, b=1, m=6, n=1)
-    with pytest.raises(ValueError):
-        dls.Lemma4Instance(M=0, N=5, alpha=0, a=0, b=1, m=1, n=1)
+    for counter in (dls.lemma4_count_bruteforce, dls.lemma4_count_divisor):
+        with pytest.raises(ValueError):
+            counter(0, 5, 1, 2, 4)
+        with pytest.raises(ValueError):
+            counter(0, 5, 0, 0, 1)
+        with pytest.raises(ValueError):
+            counter(0, 0, 1, 0, 1)
