@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, counterexample, reports, sweeps
-from .farey import farey_sequence
+from .farey import farey_pairs
 
 
 def _fraction(text):
@@ -140,20 +140,13 @@ LEMMA4_COLUMNS = [
 
 
 def _cmd_farey(args):
-    fs = farey_sequence(args.order)
-    rows = []
-    pts = fs.points
-    for i, x in enumerate(pts):
-        nxt = pts[i + 1] if i + 1 < len(pts) else None
-        rows.append(
-            {
-                "index": i,
-                "p": x.numerator,
-                "q": x.denominator,
-                "value": float(x),
-                "gap_to_next": str(nxt - x) if nxt is not None else "",
-            }
-        )
+    # Neighbours a/b < c/d in F(Q) have bc - ad = 1, so each gap is exactly 1/(bd).
+    pairs = list(farey_pairs(args.order))
+    gaps = ["1/%d" % (b * d) for (_, b), (_, d) in zip(pairs, pairs[1:])] + [""]
+    rows = [
+        {"index": i, "p": p, "q": q, "value": p / q, "gap_to_next": gap}
+        for i, ((p, q), gap) in enumerate(zip(pairs, gaps))
+    ]
     reports.write_rows(rows, FAREY_COLUMNS, args.out, args.format)
     return 0
 
@@ -208,7 +201,7 @@ def _cmd_counterexample(args):
            report.modulus_term_Q, report.naive_rhs)
     )
     if args.out:
-        with open(args.out, "w") as fh:
+        with reports.output(args.out) as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     return 0

@@ -40,22 +40,27 @@ class SpacedPoints:
         return cls(points=pts, min_gap=min_gap_mod1(pts))
 
 
-def farey_sequence(Q):
-    """All reduced p/q with 0 <= p < q <= Q in increasing order.
+def farey_pairs(Q):
+    """Yield (p, q) for every reduced p/q with 0 <= p < q <= Q, in increasing order.
 
     Generated by the classical neighbor recurrence: from consecutive terms
     a/b, c/d the next term is (kc - a)/(kd - b) with k = (Q + b) // d.
-    Exact, ordered, and O(|F(Q)|).
+    Neighbors satisfy bc - ad = 1, so their gap is exactly 1/(bd).
+    Integer-only and O(|F(Q)|).
     """
     if Q < 1:
         raise ValueError("Farey order must be >= 1, got %r" % (Q,))
-    points = [Fraction(0, 1)]
     a, b, c, d = 0, 1, 1, Q
+    yield a, b
     while c < d:
-        points.append(Fraction(c, d))
+        yield c, d
         k = (Q + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return FareySet(order=Q, points=tuple(points))
+
+
+def farey_sequence(Q):
+    """F(Q) as exact Fractions, from farey_pairs."""
+    return FareySet(order=Q, points=tuple(Fraction(p, q) for p, q in farey_pairs(Q)))
 
 
 def farey_size(Q):

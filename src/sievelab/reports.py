@@ -3,45 +3,59 @@
 One schema per command, header order fixed, floats serialized with
 repr-style shortest round-trip formatting.  Identical rows produce
 byte-identical files, which is what the golden-file tests diff against.
+A report file is written to <path>.<pid>.tmp and renamed onto the path,
+so a run that fails leaves the previous file as it was.
 """
 
+import contextlib
 import csv
 import json
+import os
 import sys
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+@contextlib.contextmanager
+def output(path, newline=None):
+    """Text stream for a report: stdout for '-' or None, else an atomic file."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    path = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)  # keep an existing file's mode
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(rows, columns, path=None):
     """Write dict rows in the given column order; '-' or None means stdout."""
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
+    # csv.writer writes None as "" and other values by str(); only bools need mapping.
+    with output(path, newline="") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        writer.writerows(
+            ["true" if v is True else "false" if v is False else v for v in map(row.get, columns)]
+            for row in rows
+        )
 
 
 def write_json(rows, columns, path=None):
-    """JSON mirror of the CSV: a list with one object per row."""
-    payload = [{c: row.get(c) for c in columns} for row in rows]
-    text = json.dumps(payload, indent=2, default=str)
-    if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    """JSON mirror of the CSV: json.dumps(rows, indent=2, default=str) + newline,
+    one C-encoder call per row, written as it comes."""
+    encode = json.JSONEncoder(default=str, separators=(",\n    ", ": ")).encode
+    with output(path) as out:
+        sep = "[\n  {\n    "
+        for row in rows:
+            out.write(sep + encode({c: row.get(c) for c in columns})[1:-1])
+            sep = "\n  },\n  {\n    "
+        out.write("[]\n" if sep[0] == "[" else "\n  }\n]\n")
 
 
 def write_rows(rows, columns, path=None, fmt="csv"):

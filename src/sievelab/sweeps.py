@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from . import bounds, dls
 from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, ls_lhs
-from .farey import farey_sequence, min_gap_mod1
+from .farey import farey_sequence
 
 RNG_ID = "numpy-pcg64"
 
@@ -46,6 +46,11 @@ def random_sequence(dist, M, N, rng, density=0.1):
     return CoeffSeq(M=M, N=N, values=tuple(values))
 
 
+def _farey_with_gap(Q):
+    # The minimal gap of F(Q) mod 1 is 1/(Q(Q-1)), between 1/Q and 1/(Q-1).
+    return farey_sequence(Q), Fraction(1, Q * (Q - 1)) if Q > 1 else Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # verify-classical
 
@@ -67,7 +72,7 @@ def verify_classical(
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
-    farey = {}  # F(Q) per distinct Q, for this call only
+    farey = {}  # F(Q) and its gap per distinct Q, for this call only
     for i in range(instances):
         rng = _row_rng(seed, i)
         Q = int(rng.integers(2, q_max + 1))
@@ -76,9 +81,8 @@ def verify_classical(
         seq = random_sequence(dist, M, N, rng, density)
         Z = seq.power()
         if Q not in farey:
-            farey[Q] = farey_sequence(Q)
-        points = farey[Q]
-        delta = Fraction(1, Q * (Q - 1))
+            farey[Q] = _farey_with_gap(Q)
+        points, delta = farey[Q]
         lhs = ls_lhs(seq, f, points)
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
@@ -158,12 +162,6 @@ THEOREM2_COLUMNS = [
     *("ratio_" + name for name in bounds.RHS),
     "status",
 ]
-
-
-def _farey_with_gap(Q):
-    points = farey_sequence(Q)
-    delta = min_gap_mod1(points.points) if len(points) > 1 else Fraction(1)
-    return points, delta
 
 
 def _sweep_row(config, index, Q, M, N, alpha, ab, eps, points, delta, y_exact):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -29,9 +30,18 @@ class TestFareyCommand:
 
     def test_order_one(self):
         proc = run("farey", "--order", "1")
-        lines = proc.stdout.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("0,0,1,0.0,")
+        assert proc.stdout == "index,p,q,value,gap_to_next\n0,0,1,0.0,\n"
+        proc = run("farey", "--order", "1", "--format", "json")
+        assert json.loads(proc.stdout) == [
+            {"index": 0, "p": 0, "q": 1, "value": 0.0, "gap_to_next": ""}
+        ]
+
+    def test_rows_match_fractions(self):
+        proc = run("farey", "--order", "12")
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        xs = [Fraction(int(r["p"]), int(r["q"])) for r in rows]
+        assert [float(r["value"]) for r in rows] == [float(x) for x in xs]
+        assert [r["gap_to_next"] for r in rows] == [str(y - x) for x, y in zip(xs, xs[1:])] + [""]
 
     def test_order_zero_is_usage_error(self):
         proc = run("farey", "--order", "0")
@@ -164,15 +174,17 @@ class TestTheorem2Sweep:
         assert "every %s" % option[2:] in proc.stderr
         assert not out.exists()
 
-    def test_thread_env_preserves_output(self, tmp_path):
-        out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rerun_is_byte_identical(self, fmt, tmp_path):
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
         args = [
             "theorem2-sweep", "--Q", "4,8", "--N", "16,64", "--alpha", "1/3",
-            "--ratio", "1/2", "--eps", "0.1,0.25", "--seed", "11",
+            "--ratio", "1/2", "--eps", "0.1,0.25", "--seed", "11", "--format", fmt,
         ]
-        run(*args, "--out", str(out1), env={"SIEVELAB_THREADS": "1"})
-        run(*args, "--out", str(out2), env={"SIEVELAB_THREADS": "4"})
+        assert run(*args, "--out", str(out1)).returncode == 0
+        assert run(*args, "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert len(out1.read_bytes()) > 1000
 
 
 class TestCounterexampleCommand:
@@ -182,6 +194,7 @@ class TestCounterexampleCommand:
         assert proc.returncode == 0
         assert "failure demonstrated: 3936600 > 2165130" in proc.stdout
         payload = json.loads(out.read_text())
+        assert os.listdir(tmp_path) == ["cx.json"]  # no temp file left behind
         assert payload["lower_bound_exceeds_naive"] is True
         assert payload["modulus_term_Q"] == 3936600.0
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from sievelab.arith import euler_phi
-from sievelab.farey import FareySet, SpacedPoints, farey_sequence, farey_size, min_gap_mod1
+from sievelab.farey import (
+    FareySet, SpacedPoints, farey_pairs, farey_sequence, farey_size, min_gap_mod1,
+)
 
 
 def farey_bruteforce(Q):
@@ -52,6 +54,14 @@ class TestFareySequence:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             farey_sequence(0)
+        with pytest.raises(ValueError):
+            list(farey_pairs(0))
+
+    def test_pairs_match_enumeration(self):
+        for Q in range(1, 61):
+            pairs = list(farey_pairs(Q))
+            assert pairs == [(x.numerator, x.denominator) for x in farey_bruteforce(Q)]
+            assert pairs == [(x.numerator, x.denominator) for x in farey_sequence(Q)]
 
 
 class TestMinGap:
@@ -82,3 +92,20 @@ def test_farey_set_is_iterable_container():
     fs = farey_sequence(5)
     assert isinstance(fs, FareySet)
     assert Fraction(2, 5) in list(fs)
+
+
+def test_property_neighbour_identity():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(Q=hypothesis.strategies.integers(min_value=1, max_value=200))
+    def check(Q):
+        pairs = list(farey_pairs(Q))
+        # Increasing, reduced, q <= Q and as many as |F(Q)|: exactly F(Q).
+        assert len(pairs) == farey_size(Q) and pairs[0] == (0, 1)
+        assert all(q <= Q for _, q in pairs)
+        for (a, b), (c, d) in zip(pairs, pairs[1:]):
+            assert b * c - a * d == 1
+            assert "1/%d" % (b * d) == str(Fraction(c, d) - Fraction(a, b))
+
+    check()

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 from sievelab import sweeps
+from sievelab.farey import farey_sequence, min_gap_mod1
 
 
 def counting(monkeypatch, owner, name):
@@ -33,3 +36,10 @@ def test_verify_classical_builds_each_order_once(monkeypatch):
     rows, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
     assert ok
     assert sorted(farey) == sorted({(r["Q"],) for r in rows})
+
+
+def test_sweep_gap_is_the_closed_form():
+    assert sweeps._farey_with_gap(1) == (farey_sequence(1), Fraction(1))
+    for Q in range(2, 61):
+        points, delta = sweeps._farey_with_gap(Q)
+        assert delta == min_gap_mod1(points.points)
