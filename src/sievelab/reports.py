@@ -4,7 +4,8 @@ One schema per command, header order fixed, floats serialized with
 repr-style shortest round-trip formatting.  Identical rows produce
 byte-identical files, which is what the golden-file tests diff against.
 A report file is written to <path>.<pid>.tmp and renamed onto the path,
-so a run that fails leaves the previous file as it was.
+so a run that fails leaves the previous file as it was; a device or a
+pipe (/dev/null, /dev/stdout, a FIFO) is written in place.
 """
 
 import contextlib
@@ -19,6 +20,10 @@ def output(path, newline=None):
     """Text stream for a report: stdout for '-' or None, else an atomic file."""
     if path in (None, "-"):
         yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe: no rename
+        with open(path, "w", newline=newline) as fh:
+            yield fh
         return
     path = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
     tmp = "%s.%d.tmp" % (path, os.getpid())

@@ -68,6 +68,7 @@ class TestVerifyClassical:
             "--seed", "5", "--rhs-scale", "1e-3", "--out", os.devnull,
         )
         assert proc.returncode == 1
+        assert proc.stderr == "verify-classical: bound violated on at least one instance\n"
 
     def test_zero_sequences(self):
         proc = run(
@@ -207,6 +208,15 @@ class TestCounterexampleCommand:
         proc = run("counterexample", "--p", "4", "--N", "8")
         assert proc.returncode == 2
         assert "not prime" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_dev_stdout_writes_to_stdout(fmt):
+    plain = run("farey", "--order", "5", "--format", fmt)
+    proc = run("farey", "--order", "5", "--format", fmt, "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain.stdout
 
 
 class TestDlsCheckCommand:

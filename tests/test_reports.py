@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,33 @@ def test_symlink_is_written_through(tmp_path):
     reports.write_csv([{"x": 1}], ["x"], str(tmp_path / "link.csv"))
     assert (tmp_path / "link.csv").is_symlink()
     assert target.read_text() == "x\n1\n"
+
+
+def test_devnull_stays_a_device():
+    for fmt in ("csv", "json"):
+        reports.write_rows([{"x": 1}], ["x"], os.devnull, fmt)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    leftovers = [f for f in os.listdir(os.path.dirname(os.devnull)) if f.endswith(".tmp")]
+    assert not [f for f in leftovers if f.startswith(os.path.basename(os.devnull) + ".")]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_named_pipe_is_written_in_place(fmt, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    rows = [{"x": i, "y": i / 7} for i in range(3000)]  # more than a pipe buffer holds
+    reports.write_rows(rows, ["x", "y"], str(fifo), fmt)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    want = tmp_path / ("want." + fmt)
+    WRITERS[fmt][1](rows, ["x", "y"], str(want))
+    assert received == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe", "want." + fmt]
 
 
 def test_unknown_format():
