@@ -3,8 +3,8 @@ quadratic amplitudes."""
 
 __version__ = "0.1.0"
 
-from .arith import Rational, reduce, euler_phi, divisor_count, divisor_pairs, dirichlet_approx
-from .farey import FareySet, SpacedPoints, farey_sequence, min_gap_mod1
+from .arith import euler_phi, dirichlet_approx
+from .farey import farey_sequence
 from .expsum import (
     CoeffSeq,
     QuadraticAmplitude,
@@ -16,16 +16,9 @@ from .expsum import (
 )
 
 __all__ = [
-    "Rational",
-    "reduce",
     "euler_phi",
-    "divisor_count",
-    "divisor_pairs",
     "dirichlet_approx",
-    "FareySet",
-    "SpacedPoints",
     "farey_sequence",
-    "min_gap_mod1",
     "CoeffSeq",
     "QuadraticAmplitude",
     "LinearAmplitude",

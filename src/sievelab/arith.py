@@ -1,24 +1,11 @@
-"""Exact integer and rational utilities used throughout the toolkit.
+"""Euler's totient and rational approximation with the Dirichlet guarantee.
 
 Rationals are plain ``fractions.Fraction`` objects: they are always stored
 reduced with a positive denominator, which is exactly the invariant we need
-for Farey points and amplitude ratios.  All integer arithmetic here is
-arbitrary precision, so phase numerators of size Q^4 or larger are safe.
+for Farey points and amplitude ratios.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-
-Rational = Fraction
-
-
-def reduce(num, den):
-    """Return the reduced fraction num/den with positive denominator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
 
 
 def euler_phi(q):
@@ -39,43 +26,6 @@ def euler_phi(q):
     return result
 
 
-@lru_cache(maxsize=None)
-def _positive_divisors(n):
-    # n > 0; trial division is enough at the magnitudes this toolkit sees.
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
-
-def divisor_count(k):
-    """tau(|k|), the number of positive divisors of |k|.  Undefined at 0."""
-    if k == 0:
-        raise ValueError("divisor_count undefined at k = 0")
-    return len(_positive_divisors(abs(k)))
-
-
-def divisor_pairs(k):
-    """All ordered integer pairs (u, v) with u*v = k, sorted by u.
-
-    There are exactly 2*tau(|k|) of them: u runs over the positive and
-    negative divisors of |k|.
-    """
-    if k == 0:
-        raise ValueError("divisor_pairs undefined at k = 0 (infinitely many)")
-    pairs = []
-    for d in _positive_divisors(abs(k)):
-        pairs.append((d, k // d))
-        pairs.append((-d, -(k // d)))
-    pairs.sort()
-    return pairs
-
-
 def dirichlet_approx(theta, bound):
     """Best rational approximation a/b to theta with the Dirichlet guarantee.
 
@@ -90,7 +40,6 @@ def dirichlet_approx(theta, bound):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     x = Fraction(theta)
-    best = None
     # Convergents p_k/q_k of the continued fraction of x.
     p_prev, q_prev = 1, 0
     p, q = int(x // 1), 1

@@ -2,11 +2,13 @@
 
 Subcommands: farey, verify-classical, theorem2-sweep, counterexample,
 dls-check, lemma4.  Exit codes: 0 on success (all checked inequalities
-hold), 1 when a checked inequality fails, 2 on usage or domain errors.
-A theorem2-sweep grid is checked before the first row runs.
+hold), 1 when a checked inequality fails, 2 on usage or domain errors
+and on an --out that cannot be written.  A theorem2-sweep grid is
+checked before the first row runs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -74,26 +76,23 @@ def build_parser():
         "theorem2-sweep",
         help="ratio sweep of the quadratic-amplitude bound (never pass/fail)",
     )
-    p.add_argument("--Q", dest="q_values", type=_int_list, default=(4, 8, 16, 32))
-    p.add_argument("--N", dest="n_values", type=_int_list, default=(16, 64, 256))
-    p.add_argument("--M", dest="m_values", type=_int_list, default=(0,))
-    p.add_argument(
-        "--alpha",
-        dest="alpha_values",
-        type=_fraction_list,
-        default=(Fraction(1, 3), Fraction(1, 2), Fraction(1)),
-    )
+    # Every dest is a SweepConfig field, and the defaults are its grid.
+    grid = sweeps.SweepConfig()
+    p.add_argument("--Q", dest="q_values", type=_int_list, default=grid.q_values)
+    p.add_argument("--N", dest="n_values", type=_int_list, default=grid.n_values)
+    p.add_argument("--M", dest="m_values", type=_int_list, default=grid.m_values)
+    p.add_argument("--alpha", dest="alpha_values", type=_fraction_list, default=grid.alpha_values)
     p.add_argument(
         "--ratio",
         dest="ratios",
         type=_fraction_list,
-        default=(Fraction(0), Fraction(1, 2)),
+        default=grid.ratios,
         help="comma-separated list of a/b values",
     )
-    p.add_argument("--eps", dest="eps_values", type=_float_list, default=(0.05, 0.1, 0.25, 0.5))
-    p.add_argument("--dist", choices=("unit", "gaussian", "sparse"), default="gaussian")
-    p.add_argument("--density", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps", dest="eps_values", type=_float_list, default=grid.eps_values)
+    p.add_argument("--dist", choices=("unit", "gaussian", "sparse"), default=grid.dist)
+    p.add_argument("--density", type=float, default=grid.density)
+    p.add_argument("--seed", type=int, default=grid.seed)
     _add_io_args(p)
 
     p = sub.add_parser("counterexample", help="reproduce the prime-square construction")
@@ -170,15 +169,7 @@ def _cmd_verify_classical(args):
 
 def _cmd_theorem2_sweep(args):
     config = sweeps.SweepConfig(
-        q_values=args.q_values,
-        n_values=args.n_values,
-        m_values=args.m_values,
-        alpha_values=args.alpha_values,
-        ratios=args.ratios,
-        eps_values=args.eps_values,
-        dist=args.dist,
-        density=args.density,
-        seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(sweeps.SweepConfig)}
     )
     columns, rows = sweeps.theorem2_sweep(config)
     reports.write_rows(rows, columns, args.out, args.format)
@@ -268,7 +259,7 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print("sievelab %s: %s" % (args.command, exc), file=sys.stderr)
         return 2
 

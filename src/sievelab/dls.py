@@ -62,11 +62,6 @@ class DLSInstance:
         return 1.0 / self.X
 
 
-def triangle_kernel(x):
-    """Lambda(x) = max(1 - |x|, 0)."""
-    return max(1.0 - abs(x), 0.0)
-
-
 def _kernel_array(diffs):
     return np.maximum(1.0 - np.abs(diffs), 0.0)
 

@@ -24,19 +24,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 # Largest bucket count qD per window term for which ls_lhs uses a DFT.
 GROUPED_MAX_RATIO = 16
-
-
-def e(t):
-    """The additive character e(t) = exp(2 pi i t)."""
-    t = float(t)
-    return complex(math.cos(TWO_PI * t), math.sin(TWO_PI * t))
 
 
 def _exact(v):
@@ -76,9 +69,6 @@ class CoeffSeq:
         vals = tuple(values)
         return cls(M=M, N=len(vals), values=vals)
 
-    def indices(self):
-        return range(self.M + 1, self.M + self.N + 1)
-
     def power(self):
         """Z = sum |a_n|^2."""
         return math.fsum(abs(v) ** 2 for v in self.values)
@@ -88,22 +78,17 @@ class CoeffSeq:
 class QuadraticAmplitude:
     """f(x) = alpha x^2 + beta x + gamma with alpha > 0.
 
-    ``ratio`` holds the reduced beta/alpha = a/b when alpha and beta are
-    given as ints or Fractions (or when it has been supplied by rational
-    approximation).
+    The coefficients are kept as given (ints, Fractions or floats); the
+    phase kernel takes each as an exact rational.
     """
 
     alpha: object
     beta: object = 0
     gamma: object = 0
-    ratio: Optional[Fraction] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("quadratic amplitude requires alpha > 0")
-        exact = (int, Fraction)
-        if self.ratio is None and isinstance(self.alpha, exact) and isinstance(self.beta, exact):
-            object.__setattr__(self, "ratio", Fraction(self.beta) / self.alpha)
 
     @property
     def coeffs(self):
@@ -144,12 +129,6 @@ def _integer_values(f, M, N):
     return [p // g for p in P], D // g
 
 
-def _point_list(points):
-    if hasattr(points, "points"):
-        return list(points.points)
-    return list(points)
-
-
 def phases(f, points, M, N):
     """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
 
@@ -161,7 +140,7 @@ def phases(f, points, M, N):
     """
     P, D = _integer_values(f, M, N)
     P = np.array(P, dtype=object)
-    for x in map(_exact, _point_list(points)):
+    for x in map(_exact, points):
         m = x.denominator * D
         yield ((x.numerator % m) * P % m).astype(float) / m
 
@@ -187,7 +166,7 @@ def ls_lhs(seq, f, points):
     P, D = _integer_values(f, seq.M, seq.N)
     a = np.asarray(seq.values)
     groups = {}
-    for x in map(_exact, _point_list(points)):
+    for x in map(_exact, points):
         groups.setdefault(x.denominator, []).append(x)
     # int64 only when every P(n) fits; the residues below qD always do.
     fits = -(2**63) <= min(P) and max(P) < 2**63
@@ -212,7 +191,7 @@ def ls_lhs(seq, f, points):
 
 def dual_lhs(dual, f, points, M, N):
     """The dual form: sum_{n=M+1}^{M+N} |sum_k c_k e(x_k f(n))|^2, c_k finite."""
-    pts = _point_list(points)
+    pts = list(points)
     coeffs = _finite_complex(dual)
     if len(coeffs) != len(pts):
         raise ValueError(

@@ -7,37 +7,7 @@ modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
 coarser convention delta^{-1} = Q^2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .arith import euler_phi
-
-
-@dataclass(frozen=True)
-class FareySet:
-    """The Farey sequence of order Q, as exact rationals in [0, 1)."""
-
-    order: int
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-@dataclass(frozen=True)
-class SpacedPoints:
-    """An arbitrary finite point set with its minimal gap modulo 1."""
-
-    points: tuple
-    min_gap: object
-
-    @classmethod
-    def from_points(cls, points):
-        pts = tuple(points)
-        return cls(points=pts, min_gap=min_gap_mod1(pts))
 
 
 def farey_pairs(Q):
@@ -59,20 +29,16 @@ def farey_pairs(Q):
 
 
 def farey_sequence(Q):
-    """F(Q) as exact Fractions, from farey_pairs."""
-    return FareySet(order=Q, points=tuple(Fraction(p, q) for p, q in farey_pairs(Q)))
-
-
-def farey_size(Q):
-    """|F(Q)| = sum of euler_phi(q) for q <= Q."""
-    return sum(euler_phi(q) for q in range(1, Q + 1))
+    """F(Q) as a tuple of exact Fractions, from farey_pairs."""
+    return tuple(Fraction(p, q) for p, q in farey_pairs(Q))
 
 
 def min_gap_mod1(points):
     """min over j != k of ||x_j - x_k||, with ||x|| = distance to nearest int.
 
     Exact when the points are Fractions.  The wraparound gap between the
-    largest and smallest point (mod 1) is included.
+    largest and smallest point (mod 1) is included.  The drivers take the
+    closed form 1/(Q(Q-1)); this O(K log K) scan is the tests' oracle for it.
     """
     pts = sorted(x % 1 for x in points)
     if len(pts) < 2:

@@ -55,7 +55,7 @@ def test_criterion_1_farey_exact():
     with Budget(1, 1.0, "Farey size, exact min gap 1/(Q(Q-1)), unimodular neighbors"):
         assert len(farey_sequence(20)) == 128
         for Q in range(2, 51):
-            pts = farey_sequence(Q).points
+            pts = farey_sequence(Q)
             assert min_gap_mod1(pts) == Fraction(1, Q * (Q - 1))
             for x, y in zip(pts, pts[1:]):
                 assert y.numerator * x.denominator - x.numerator * y.denominator == 1
@@ -205,7 +205,7 @@ def test_criterion_9_parseval():
             )
             lhs = math.fsum(abs(exp_sum(seq, f, Fraction(a, q))) ** 2 for a in range(q))
             buckets = [0j] * q
-            for a, n in zip(seq.values, seq.indices()):
+            for a, n in zip(seq.values, range(M + 1, M + N + 1)):
                 buckets[n % q] += a
             rhs = q * math.fsum(abs(v) ** 2 for v in buckets)
             assert abs(lhs - rhs) <= 1e-9 * max(rhs, 1.0)

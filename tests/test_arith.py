@@ -4,40 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab.arith import (
-    dirichlet_approx,
-    divisor_count,
-    divisor_pairs,
-    euler_phi,
-    reduce,
-)
+from sievelab.arith import dirichlet_approx, euler_phi
 
 
 def phi_bruteforce(q):
     return sum(1 for k in range(1, q + 1) if math.gcd(k, q) == 1)
-
-
-class TestReduce:
-    def test_gcd_cancellation(self):
-        assert reduce(2, 4) == Fraction(1, 2)
-
-    def test_zero(self):
-        assert reduce(0, 7) == Fraction(0, 1)
-
-    def test_sign_normalization(self):
-        r = reduce(-6, -4)
-        assert r.denominator > 0
-        # cross-multiplication oracle: r == (-6)/(-4)
-        assert r.numerator * (-4) == (-6) * r.denominator
-        assert r == Fraction(3, 2)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            reduce(1, 0)
-
-    def test_idempotent(self):
-        r = reduce(3, 7)
-        assert reduce(r.numerator, r.denominator) == r
 
 
 class TestEulerPhi:
@@ -52,38 +23,6 @@ class TestEulerPhi:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             euler_phi(0)
-
-
-class TestDivisors:
-    @pytest.mark.parametrize("k,expected", [(1, 1), (12, 6), (-49, 3)])
-    def test_count_examples(self, k, expected):
-        assert divisor_count(k) == expected
-
-    def test_pairs_examples(self):
-        assert divisor_pairs(1) == [(-1, -1), (1, 1)]
-        assert set(divisor_pairs(6)) == {
-            (1, 6), (2, 3), (3, 2), (6, 1),
-            (-1, -6), (-2, -3), (-3, -2), (-6, -1),
-        }
-        assert set(divisor_pairs(-4)) == {
-            (1, -4), (2, -2), (4, -1), (-1, 4), (-2, 2), (-4, 1),
-        }
-
-    def test_pairs_sorted_by_u(self):
-        pairs = divisor_pairs(6)
-        assert pairs == sorted(pairs)
-
-    def test_zero_domain_errors(self):
-        with pytest.raises(ValueError):
-            divisor_count(0)
-        with pytest.raises(ValueError):
-            divisor_pairs(0)
-
-    def test_pair_count_and_products(self):
-        for k in list(range(-10000, 0)) + list(range(1, 10001)):
-            pairs = divisor_pairs(k)
-            assert len(pairs) == 2 * divisor_count(k)
-            assert all(u * v == k for u, v in pairs)
 
 
 class TestDirichletApprox:

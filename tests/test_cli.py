@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +8,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+
+import sievelab
+from sievelab import cli, sweeps
 
 SIEVELAB = [sys.executable, "-m", "sievelab.cli"]
 
@@ -175,6 +179,12 @@ class TestTheorem2Sweep:
         assert "every %s" % option[2:] in proc.stderr
         assert not out.exists()
 
+    def test_defaults_are_the_sweep_config_grid(self):
+        args = cli.build_parser().parse_args(["theorem2-sweep"])
+        grid = sweeps.SweepConfig()
+        fields = dataclasses.fields(grid)
+        assert {f.name: getattr(args, f.name) for f in fields} == dataclasses.asdict(grid)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rerun_is_byte_identical(self, fmt, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -217,6 +227,20 @@ def test_out_dev_stdout_writes_to_stdout(fmt):
     proc = run("farey", "--order", "5", "--format", fmt, "--out", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == plain.stdout
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("farey", "--order", "5"), ("counterexample", "--p", "3", "--N", "9")],
+)
+def test_unwritable_out_is_usage_error(command, tmp_path):
+    out = tmp_path / "missing" / "report"
+    proc = run(*command, "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("sievelab %s: " % command[0])
+    assert len(proc.stderr.splitlines()) == 1
+    assert os.listdir(tmp_path) == []  # no temp file left behind
 
 
 class TestDlsCheckCommand:
@@ -267,3 +291,9 @@ def test_version_flag():
     proc = run("--version")
     assert proc.returncode == 0
     assert "sievelab" in proc.stdout
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from sievelab import *", namespace)  # AttributeError on a stale name
+    assert set(sievelab.__all__) <= set(namespace)

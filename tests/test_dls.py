@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sievelab import dls
-from sievelab.arith import divisor_pairs
 from sievelab.sweeps import dls_random_sweep
 
 
@@ -13,12 +12,6 @@ def unit_instance(xs, ys, X, Y, aw=None, bw=None):
     aw = tuple(aw) if aw is not None else (1.0,) * len(xs)
     bw = tuple(bw) if bw is not None else (1.0,) * len(ys)
     return dls.DLSInstance(xs=tuple(xs), ys=tuple(ys), aw=aw, bw=bw, X=X, Y=Y)
-
-
-class TestTriangleKernel:
-    @pytest.mark.parametrize("x,expected", [(0, 1.0), (0.5, 0.5), (-2, 0.0), (1.0, 0.0)])
-    def test_values(self, x, expected):
-        assert dls.triangle_kernel(x) == expected
 
 
 class TestBilinearSum:
@@ -121,8 +114,16 @@ def per_k_reference(M, N, alpha, a, b):
     """T at every base pair from the factor pairs (u, v) of each k in its window.
 
     (m', n') = ((bu + v - a)/(2b), (-bu + v - a)/(2b)) must be integral and
-    lie in S; the factorizations come from arith.divisor_pairs.
+    lie in S.
     """
+
+    def divisor_pairs(k):
+        # Every (u, v) with u*v = k != 0: u runs over +-d for d | |k|.
+        n = abs(k)
+        ds = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        ds += [n // d for d in ds if d * d != n]
+        return [(s * d, s * (k // d)) for d in ds for s in (1, -1)]
+
     S = range(M + 1, M + N + 1)
     thr = Fraction(b) / (2 * Fraction(alpha))
     pairs_at = {}

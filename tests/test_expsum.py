@@ -12,7 +12,6 @@ from sievelab.expsum import (
     QuadraticAmplitude,
     dual_lhs,
     duality_norm_check,
-    e,
     exp_sum,
     ls_lhs,
     phase_matrix,
@@ -23,10 +22,14 @@ from sievelab.farey import farey_sequence
 SQUARE = QuadraticAmplitude(1)
 
 
+def e(t):
+    return cmath.exp(2j * cmath.pi * float(t))
+
+
 def naive_exp_sum(seq, f, x):
     return sum(
         a * cmath.exp(2j * cmath.pi * float(x) * f(n))
-        for a, n in zip(seq.values, seq.indices())
+        for a, n in zip(seq.values, range(seq.M + 1, seq.M + seq.N + 1))
     )
 
 
@@ -46,7 +49,6 @@ class TestAmplitudes:
         assert expsum._integer_values(f, 2, 1) == ([15], 2)  # f(3) = 15/2
         assert expsum._integer_values(f, 1, 2) == ([8, 15], 2)  # 4, 15/2
         assert expsum._integer_values(f, 1, 1) == ([4], 1)  # D reduced
-        assert f.ratio == Fraction(2)
 
     def test_float_coeffs_take_the_exact_path(self):
         # A float is a dyadic rational: 0.5 and Fraction(1, 2) are the
@@ -378,7 +380,7 @@ class TestParseval:
                 abs(exp_sum(seq, f, Fraction(a, q))) ** 2 for a in range(q)
             )
             buckets = [0j] * q
-            for a, n in zip(seq.values, seq.indices()):
+            for a, n in zip(seq.values, range(seq.M + 1, seq.M + seq.N + 1)):
                 buckets[n % q] += a
             rhs = q * math.fsum(abs(b) ** 2 for b in buckets)
             assert abs(lhs - rhs) <= 1e-9 * max(rhs, 1.0)

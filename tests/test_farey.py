@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sievelab.arith import euler_phi
-from sievelab.farey import (
-    FareySet, SpacedPoints, farey_pairs, farey_sequence, farey_size, min_gap_mod1,
-)
+from sievelab.farey import farey_pairs, farey_sequence, min_gap_mod1
 
 
 def farey_bruteforce(Q):
@@ -16,14 +14,14 @@ def farey_bruteforce(Q):
 
 class TestFareySequence:
     def test_order_one(self):
-        assert farey_sequence(1).points == (Fraction(0, 1),)
+        assert farey_sequence(1) == (Fraction(0, 1),)
 
     def test_order_four(self):
         fs = farey_sequence(4)
-        assert list(fs.points) == [
+        assert fs == (
             Fraction(0), Fraction(1, 4), Fraction(1, 3),
             Fraction(1, 2), Fraction(2, 3), Fraction(3, 4),
-        ]
+        )
         assert len(fs) == sum(euler_phi(q) for q in range(1, 5))
 
     def test_order_twenty_size(self):
@@ -31,22 +29,21 @@ class TestFareySequence:
 
     def test_matches_enumeration(self):
         for Q in range(1, 31):
-            assert list(farey_sequence(Q).points) == farey_bruteforce(Q)
+            assert list(farey_sequence(Q)) == farey_bruteforce(Q)
 
     def test_membership_invariants(self):
         fs = farey_sequence(17)
         for x in fs:
             assert 0 <= x.numerator < x.denominator <= 17
-        assert list(fs.points) == sorted(set(fs.points))
+        assert list(fs) == sorted(set(fs))
 
     def test_size_vs_phi(self):
         for Q in range(1, 201):
-            assert farey_size(Q) == sum(euler_phi(q) for q in range(1, Q + 1))
-        assert len(farey_sequence(200)) == farey_size(200)
+            assert len(farey_sequence(Q)) == sum(euler_phi(q) for q in range(1, Q + 1))
 
     def test_neighbor_determinant(self):
         for Q in range(2, 51):
-            pts = farey_sequence(Q).points
+            pts = farey_sequence(Q)
             for x, y in zip(pts, pts[1:]):
                 assert y.numerator * x.denominator - x.numerator * y.denominator == 1
                 assert y - x == Fraction(1, x.denominator * y.denominator)
@@ -69,29 +66,18 @@ class TestMinGap:
         assert min_gap_mod1([0, Fraction(1, 2)]) == Fraction(1, 2)
 
     def test_farey_four(self):
-        assert min_gap_mod1(farey_sequence(4).points) == Fraction(1, 12)
+        assert min_gap_mod1(farey_sequence(4)) == Fraction(1, 12)
 
     def test_wraparound(self):
         assert min_gap_mod1([0.1, 0.95]) == pytest.approx(0.15)
 
     def test_exact_farey_gap_law(self):
         for Q in range(2, 51):
-            assert min_gap_mod1(farey_sequence(Q).points) == Fraction(1, Q * (Q - 1))
+            assert min_gap_mod1(farey_sequence(Q)) == Fraction(1, Q * (Q - 1))
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             min_gap_mod1([0.5])
-
-
-def test_spaced_points_records_gap():
-    sp = SpacedPoints.from_points([0.0, 0.25, 0.5])
-    assert sp.min_gap == pytest.approx(0.25)
-
-
-def test_farey_set_is_iterable_container():
-    fs = farey_sequence(5)
-    assert isinstance(fs, FareySet)
-    assert Fraction(2, 5) in list(fs)
 
 
 def test_property_neighbour_identity():
@@ -102,7 +88,7 @@ def test_property_neighbour_identity():
     def check(Q):
         pairs = list(farey_pairs(Q))
         # Increasing, reduced, q <= Q and as many as |F(Q)|: exactly F(Q).
-        assert len(pairs) == farey_size(Q) and pairs[0] == (0, 1)
+        assert len(pairs) == sum(map(euler_phi, range(1, Q + 1))) and pairs[0] == (0, 1)
         assert all(q <= Q for _, q in pairs)
         for (a, b), (c, d) in zip(pairs, pairs[1:]):
             assert b * c - a * d == 1

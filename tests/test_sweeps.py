@@ -42,4 +42,4 @@ def test_sweep_gap_is_the_closed_form():
     assert sweeps._farey_with_gap(1) == (farey_sequence(1), Fraction(1))
     for Q in range(2, 61):
         points, delta = sweeps._farey_with_gap(Q)
-        assert delta == min_gap_mod1(points.points)
+        assert delta == min_gap_mod1(points)
