@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__, counterexample, reports, sweeps
-from .farey import farey_pairs
 
 
 def _fraction(text):
@@ -119,8 +118,6 @@ def build_parser():
     return parser
 
 
-FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
-
 VERIFY_COLUMNS = [
     "row", "seed", "rng", "version", "dist", "Q", "M", "N", "Z",
     "delta", "lhs", "rhs_sharp", "rhs_additive", "holds",
@@ -139,14 +136,7 @@ LEMMA4_COLUMNS = [
 
 
 def _cmd_farey(args):
-    # Neighbours a/b < c/d in F(Q) have bc - ad = 1, so each gap is exactly 1/(bd).
-    pairs = list(farey_pairs(args.order))
-    gaps = ["1/%d" % (b * d) for (_, b), (_, d) in zip(pairs, pairs[1:])] + [""]
-    rows = [
-        {"index": i, "p": p, "q": q, "value": p / q, "gap_to_next": gap}
-        for i, ((p, q), gap) in enumerate(zip(pairs, gaps))
-    ]
-    reports.write_rows(rows, FAREY_COLUMNS, args.out, args.format)
+    reports.write_farey(args.order, args.out, args.format)
     return 0
 
 
@@ -193,7 +183,7 @@ def _cmd_counterexample(args):
     )
     if args.out:
         with reports.output(args.out) as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(dataclasses.asdict(report), fh, indent=2)
             fh.write("\n")
     return 0
 

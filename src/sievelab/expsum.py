@@ -34,6 +34,8 @@ GROUPED_MAX_RATIO = 16
 
 def _exact(v):
     # Exact for ints, Fractions and floats; Fraction(inf) raises OverflowError.
+    if type(v) is Fraction:  # Farey points already are; Fraction(v) would copy each
+        return v
     try:
         return Fraction(v)
     except (OverflowError, ValueError):

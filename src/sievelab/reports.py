@@ -5,7 +5,8 @@ repr-style shortest round-trip formatting.  Identical rows produce
 byte-identical files, which is what the golden-file tests diff against.
 A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
-pipe (/dev/null, /dev/stdout, a FIFO) is written in place.
+pipe (/dev/null, /dev/stdout, a FIFO) is written in place.  write_farey
+streams the farey report from the integer pairs, in constant memory.
 """
 
 import contextlib
@@ -13,6 +14,16 @@ import csv
 import json
 import os
 import sys
+
+from .farey import farey_pairs
+
+# Farey cells are three ints, a float and the gap "1/bd", empty on the last
+# row: per format a header, a row template, a separator and a tail.
+_FAREY_FORMATS = {
+    "csv": ("index,p,q,value,gap_to_next\n", "%d,%d,%d,%r,1/%d", "\n", "\n"),
+    "json": ("[\n", '  {\n    "index": %d,\n    "p": %d,\n    "q": %d,\n    "value": %r,\n'
+             '    "gap_to_next": "1/%d"\n  }', ",\n", "\n]\n"),
+}
 
 
 @contextlib.contextmanager
@@ -70,3 +81,21 @@ def write_rows(rows, columns, path=None, fmt="csv"):
         write_json(rows, columns, path)
     else:
         raise ValueError("unknown format %r" % (fmt,))
+
+
+def write_farey(Q, path=None, fmt="csv"):
+    """Each point a/b of F(Q) and its gap 1/(bd) to the next c/d, streamed from farey_pairs."""
+    if fmt not in _FAREY_FORMATS:
+        raise ValueError("unknown format %r" % (fmt,))
+    head, row, sep, tail = _FAREY_FORMATS[fmt]
+    pairs = farey_pairs(Q)
+    p, q = next(pairs)  # a bad Q raises here, before the output is opened
+    with output(path, newline="" if fmt == "csv" else None) as out:
+        i, lines, row_sep = 0, [head], row + sep
+        for c, d in pairs:
+            lines.append(row_sep % (i, p, q, p / q, q * d))
+            i, p, q = i + 1, c, d
+            if len(lines) == 4096:
+                out.write("".join(lines))
+                lines.clear()
+        out.write("".join(lines) + row.replace("1/%d", "") % (i, p, q, p / q) + tail)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import sievelab
-from sievelab import cli, sweeps
+from sievelab import cli, counterexample, sweeps
 
 SIEVELAB = [sys.executable, "-m", "sievelab.cli"]
 
@@ -51,6 +51,19 @@ class TestFareyCommand:
         proc = run("farey", "--order", "0")
         assert proc.returncode == 2
         assert "order" in proc.stderr.lower() or "farey" in proc.stderr.lower()
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_order_leaves_out_file(self, order, fmt, tmp_path):
+        out = tmp_path / "report"
+        out.write_text("old report\n")
+        proc = run("farey", "--order", order, "--format", fmt, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert out.read_text() == "old report\n"
+        assert os.listdir(tmp_path) == ["report"]  # no temp file left behind
 
     def test_json_format(self):
         proc = run("farey", "--order", "3", "--format", "json")
@@ -218,6 +231,16 @@ class TestCounterexampleCommand:
         proc = run("counterexample", "--p", "4", "--N", "8")
         assert proc.returncode == 2
         assert "not prime" in proc.stderr
+
+    def test_p_above_cap_refused(self, tmp_path):
+        cap = counterexample.COUNTEREXAMPLE_P_CAP
+        out = tmp_path / "cx.json"
+        proc = run("counterexample", "--p", "101", "--N", "101", "--out", str(out))
+        assert cap < 101
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "sievelab counterexample: p = 101 exceeds the cap %d on |F(p^2)|\n" % cap
+        assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")

@@ -29,6 +29,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             cx.build(3, 10)
 
+    def test_cap_on_p(self):
+        cap = cx.COUNTEREXAMPLE_P_CAP
+        assert cap >= 7  # the README's and the bench's configs
+        assert cx.build(cap, cap).Q == cap * cap
+        with pytest.raises(ValueError, match="cap"):
+            cx.build(cap + 2, cap + 2)
+        with pytest.raises(ValueError, match="cap"):
+            cx.build(2 ** 61 - 1, 2 ** 61 - 1)  # prime; refused before any work
+
 
 class TestModulusTerm:
     def test_q9_exact(self):

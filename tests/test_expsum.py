@@ -385,6 +385,29 @@ class TestParseval:
             rhs = q * math.fsum(abs(b) ** 2 for b in buckets)
             assert abs(lhs - rhs) <= 1e-9 * max(rhs, 1.0)
 
+    def test_property_every_residue_mod_m(self):
+        # With m >= N each residue class mod m holds at most one n, so the
+        # sum over c = 0 .. m-1 of |S(c/m)|^2 is m * Z.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False).filter(
+            lambda v: v == 0 or abs(v) >= 1e-100
+        )
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            values=st.lists(st.builds(complex, coeff, coeff), min_size=1, max_size=40),
+            M=st.integers(-(10**6), 10**6),
+            extra=st.integers(0, 60),
+        )
+        def check(values, M, extra):
+            seq = CoeffSeq.from_values(values, M=M)
+            m = seq.N + extra
+            lhs = ls_lhs(seq, LinearAmplitude(1, 0), [Fraction(c, m) for c in range(m)])
+            assert lhs == pytest.approx(m * seq.power(), rel=1e-12)
+
+        check()
+
 
 class TestDuality:
     def test_single_entry(self):

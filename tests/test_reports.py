@@ -4,13 +4,16 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sievelab import reports
+from sievelab.farey import farey_pairs
 
 
 # The writers as they were before they streamed: the byte-for-byte oracles.
@@ -184,5 +187,133 @@ def test_property_writers_match_oracle(tmp_path):
     def check(rows, picked):
         for fmt in WRITERS:
             assert_same_bytes(fmt, rows, picked, tmp_path)
+
+    check()
+
+
+# The farey report, streamed from farey_pairs, against write_rows on the dict
+# rows the farey command built before it streamed.
+
+FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
+
+
+def farey_dict_rows(Q):
+    pairs = list(farey_pairs(Q))
+    gaps = ["1/%d" % (b * d) for (_, b), (_, d) in zip(pairs, pairs[1:])] + [""]
+    return [
+        {"index": i, "p": p, "q": q, "value": p / q, "gap_to_next": gap}
+        for i, ((p, q), gap) in enumerate(zip(pairs, gaps))
+    ]
+
+
+def farey_oracle_bytes(Q, fmt, directory):
+    want = directory / ("want." + fmt)
+    reports.write_rows(farey_dict_rows(Q), FAREY_COLUMNS, str(want), fmt)
+    return want.read_bytes()
+
+
+def printed(write):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write()
+    return buf.getvalue()
+
+
+def assert_farey_stdout_matches(Q, fmt):
+    want = printed(lambda: reports.write_rows(farey_dict_rows(Q), FAREY_COLUMNS, None, fmt))
+    assert printed(lambda: reports.write_farey(Q, None, fmt)) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("Q", [1, 2, 3, 60, 300])
+def test_farey_report_matches_dict_rows(Q, fmt, tmp_path):
+    got = tmp_path / ("got." + fmt)
+    reports.write_farey(Q, str(got), fmt)
+    assert got.read_bytes() == farey_oracle_bytes(Q, fmt, tmp_path)
+    assert_farey_stdout_matches(Q, fmt)
+    assert sorted(os.listdir(tmp_path)) == ["got." + fmt, "want." + fmt]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_farey_report_to_dev_stdout(fmt, tmp_path):
+    # In a child whose stdout is a pipe, as a shell pipeline would give it.
+    code = "from sievelab import reports; reports.write_farey(300, '/dev/stdout', %r)" % fmt
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+    assert proc.stdout == farey_oracle_bytes(300, fmt, tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_farey_report_through_named_pipe(fmt, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    reports.write_farey(300, str(fifo), fmt)  # |F(300)| rows: more than a pipe buffer holds
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [farey_oracle_bytes(300, fmt, tmp_path)]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_farey_report_failure_leaves_old_file(fmt, tmp_path, monkeypatch):
+    def failing_pairs(Q):
+        for k, pair in enumerate(farey_pairs(Q)):
+            if k == 5000:
+                raise RuntimeError("boom")
+            yield pair
+
+    monkeypatch.setattr(reports, "farey_pairs", failing_pairs)
+    path = tmp_path / ("report." + fmt)
+    path.write_text("old report\n")
+    with pytest.raises(RuntimeError, match="boom"):
+        reports.write_farey(300, str(path), fmt)
+    assert path.read_text() == "old report\n"
+    assert os.listdir(tmp_path) == [path.name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_farey_report_memory_does_not_grow_with_q(fmt):
+    # |F(300)| is four times |F(150)|; rows go out in chunks, so the peak is one chunk.
+    peaks = []
+    for Q in (150, 300):
+        tracemalloc.start()
+        try:
+            reports.write_farey(Q, os.devnull, fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("Q", [0, -3])
+def test_farey_report_bad_order_opens_nothing(Q, tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    path.write_text("old report\n")
+    for target in (str(path), None):
+        with pytest.raises(ValueError, match="order"):
+            reports.write_farey(Q, target, "csv")
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == "old report\n"
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_farey_report_unknown_format(capsys):
+    with pytest.raises(ValueError, match="format"):
+        reports.write_farey(5, None, "xml")
+    assert capsys.readouterr().out == ""
+
+
+def test_property_farey_report_matches_dict_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(Q=hypothesis.strategies.integers(1, 80))
+    def check(Q):
+        for fmt in ("csv", "json"):
+            assert_farey_stdout_matches(Q, fmt)
 
     check()
