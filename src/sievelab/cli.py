@@ -1,10 +1,11 @@
-"""Command-line surface.
+"""Command-line surface; it only parses and dispatches.
 
 Subcommands: farey, verify-classical, theorem2-sweep, counterexample,
 dls-check, lemma4.  Exit codes: 0 on success (all checked inequalities
 hold), 1 when a checked inequality fails, 2 on usage or domain errors
 and on an --out that cannot be written.  A theorem2-sweep grid is
-checked before the first row runs.
+checked before the first row runs.  Each driver's defaults, report
+columns and distributions are written once, in sweeps.
 """
 
 import argparse
@@ -40,6 +41,11 @@ def _add_io_args(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _subcommand(sub, name, text):
+    # An option left out stays out of the namespace, so the driver's default applies.
+    return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sievelab",
@@ -49,90 +55,68 @@ def build_parser():
     parser.add_argument("--version", action="version", version="sievelab " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("farey", help="list F(Q) with gaps")
+    p = _subcommand(sub, "farey", "list F(Q) with gaps")
     p.add_argument("--order", type=int, required=True, help="Farey order Q")
     _add_io_args(p)
 
-    p = sub.add_parser(
-        "verify-classical",
-        help="hard check of the sharp and additive bounds for f(n) = n",
+    p = _subcommand(
+        sub, "verify-classical", "hard check of the sharp and additive bounds for f(n) = n"
     )
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--Q", dest="q_max", type=int, default=32, help="max Farey order")
-    p.add_argument("--N", dest="n_max", type=int, default=256, help="max window length")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", choices=("unit", "gaussian", "sparse"), default="gaussian")
-    p.add_argument("--density", type=float, default=0.1, help="sparse density")
+    p.add_argument("--instances", type=int)
+    p.add_argument("--Q", dest="q_max", type=int, help="max Farey order")
+    p.add_argument("--N", dest="n_max", type=int, help="max window length")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dist", choices=sweeps.DISTS)
+    p.add_argument("--density", type=float, help="sparse density")
     p.add_argument(
-        "--rhs-scale",
-        type=float,
-        default=1.0,
-        help="scale the right sides (self-test knob; <1 forces failures)",
+        "--rhs-scale", type=float, help="scale the right sides (self-test knob; <1 forces failures)"
     )
     _add_io_args(p)
 
-    p = sub.add_parser(
-        "theorem2-sweep",
-        help="ratio sweep of the quadratic-amplitude bound (never pass/fail)",
+    p = _subcommand(
+        sub, "theorem2-sweep", "ratio sweep of the quadratic-amplitude bound (never pass/fail)"
     )
-    # Every dest is a SweepConfig field, and the defaults are its grid.
-    grid = sweeps.SweepConfig()
-    p.add_argument("--Q", dest="q_values", type=_int_list, default=grid.q_values)
-    p.add_argument("--N", dest="n_values", type=_int_list, default=grid.n_values)
-    p.add_argument("--M", dest="m_values", type=_int_list, default=grid.m_values)
-    p.add_argument("--alpha", dest="alpha_values", type=_fraction_list, default=grid.alpha_values)
+    # Every dest is a SweepConfig field.
+    p.add_argument("--Q", dest="q_values", type=_int_list)
+    p.add_argument("--N", dest="n_values", type=_int_list)
+    p.add_argument("--M", dest="m_values", type=_int_list)
+    p.add_argument("--alpha", dest="alpha_values", type=_fraction_list)
     p.add_argument(
-        "--ratio",
-        dest="ratios",
-        type=_fraction_list,
-        default=grid.ratios,
-        help="comma-separated list of a/b values",
+        "--ratio", dest="ratios", type=_fraction_list, help="comma-separated list of a/b values"
     )
-    p.add_argument("--eps", dest="eps_values", type=_float_list, default=grid.eps_values)
-    p.add_argument("--dist", choices=("unit", "gaussian", "sparse"), default=grid.dist)
-    p.add_argument("--density", type=float, default=grid.density)
-    p.add_argument("--seed", type=int, default=grid.seed)
+    p.add_argument("--eps", dest="eps_values", type=_float_list)
+    p.add_argument("--dist", choices=sweeps.DISTS)
+    p.add_argument("--density", type=float)
+    p.add_argument("--seed", type=int)
     _add_io_args(p)
 
-    p = sub.add_parser("counterexample", help="reproduce the prime-square construction")
+    p = _subcommand(sub, "counterexample", "reproduce the prime-square construction")
     p.add_argument("--p", type=int, required=True, help="prime p; Q = p^2")
     p.add_argument("--N", type=int, required=True, help="window length, a multiple of p")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
-    p = sub.add_parser("dls-check", help="double large sieve inequality on random instances")
-    p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--size-max", type=int, default=50)
-    p.add_argument("--scale-min", type=float, default=0.25)
-    p.add_argument("--scale-max", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
+    p = _subcommand(sub, "dls-check", "double large sieve inequality on random instances")
+    p.add_argument("--instances", type=int)
+    p.add_argument("--size-max", type=int)
+    p.add_argument("--scale-min", type=float)
+    p.add_argument("--scale-max", type=float)
+    p.add_argument("--seed", type=int)
     _add_io_args(p)
 
-    p = sub.add_parser("lemma4", help="pair-count table by both counters")
+    p = _subcommand(sub, "lemma4", "pair-count table by both counters")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, default=0)
-    p.add_argument("--alpha", type=_fraction, default=Fraction(1))
-    p.add_argument("--ratio", type=_fraction, default=Fraction(0), help="a/b")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--M", type=int)
+    p.add_argument("--alpha", type=_fraction)
+    p.add_argument("--ratio", type=_fraction, help="a/b")
+    p.add_argument("--eps", type=float)
     _add_io_args(p)
 
     return parser
 
 
-VERIFY_COLUMNS = [
-    "row", "seed", "rng", "version", "dist", "Q", "M", "N", "Z",
-    "delta", "lhs", "rhs_sharp", "rhs_additive", "holds",
-]
-
-DLS_COLUMNS = [
-    "row", "seed", "rng", "version", "m_points", "n_points", "X", "Y",
-    "lhs", "rhs", "holds", "anomaly",
-]
-
-LEMMA4_COLUMNS = [
-    "m", "n", "T_bruteforce", "T_divisor", "agree",
-    "bound_statement", "bound_proof_form",
-    "alpha", "a", "b", "M", "N", "eps", "version",
-]
+def _options(args):
+    """The driver options given on the command line, as a new dict."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
 
 
 def _cmd_farey(args):
@@ -140,28 +124,8 @@ def _cmd_farey(args):
     return 0
 
 
-def _cmd_verify_classical(args):
-    rows, all_ok = sweeps.verify_classical(
-        instances=args.instances,
-        q_max=args.q_max,
-        n_max=args.n_max,
-        seed=args.seed,
-        dist=args.dist,
-        density=args.density,
-        rhs_scale=args.rhs_scale,
-    )
-    reports.write_rows(rows, VERIFY_COLUMNS, args.out, args.format)
-    if not all_ok:
-        print("verify-classical: bound violated on at least one instance", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_theorem2_sweep(args):
-    config = sweeps.SweepConfig(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(sweeps.SweepConfig)}
-    )
-    columns, rows = sweeps.theorem2_sweep(config)
+    columns, rows = sweeps.theorem2_sweep(sweeps.SweepConfig(**_options(args)))
     reports.write_rows(rows, columns, args.out, args.format)
     return 0
 
@@ -188,44 +152,38 @@ def _cmd_counterexample(args):
     return 0
 
 
-def _cmd_dls_check(args):
-    rows, all_hold = sweeps.dls_random_sweep(
-        instances=args.instances,
-        size_max=args.size_max,
-        scale_min=args.scale_min,
-        scale_max=args.scale_max,
-        seed=args.seed,
-    )
-    reports.write_rows(rows, DLS_COLUMNS, args.out, args.format)
-    if not all_hold:
-        print("dls-check: inequality failed or anomaly flagged", file=sys.stderr)
-        return 1
-    return 0
+# command -> (driver in sweeps, report columns, stderr line when a check fails).
+# The driver is looked up by name at call time, so a rebound one (a tracer's) runs.
+_ROW_COMMANDS = {
+    "verify-classical": (
+        "verify_classical",
+        sweeps.VERIFY_COLUMNS,
+        "verify-classical: bound violated on at least one instance",
+    ),
+    "dls-check": (
+        "dls_random_sweep",
+        sweeps.DLS_COLUMNS,
+        "dls-check: inequality failed or anomaly flagged",
+    ),
+    "lemma4": ("lemma4_table", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
+}
 
 
-def _cmd_lemma4(args):
-    rows, agree = sweeps.lemma4_table(
-        M=args.M,
-        N=args.N,
-        alpha=args.alpha,
-        a=args.ratio.numerator,
-        b=args.ratio.denominator,
-        eps=args.eps,
-    )
-    reports.write_rows(rows, LEMMA4_COLUMNS, args.out, args.format)
-    if not agree:
-        print("lemma4: counters disagree", file=sys.stderr)
+def _cmd_rows(args):
+    driver, columns, failure = _ROW_COMMANDS[args.command]
+    rows, ok = getattr(sweeps, driver)(**_options(args))
+    reports.write_rows(rows, columns, args.out, args.format)
+    if not ok:
+        print(failure, file=sys.stderr)
         return 1
     return 0
 
 
 _HANDLERS = {
     "farey": _cmd_farey,
-    "verify-classical": _cmd_verify_classical,
     "theorem2-sweep": _cmd_theorem2_sweep,
     "counterexample": _cmd_counterexample,
-    "dls-check": _cmd_dls_check,
-    "lemma4": _cmd_lemma4,
+    **dict.fromkeys(_ROW_COMMANDS, _cmd_rows),
 }
 
 

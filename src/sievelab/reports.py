@@ -5,8 +5,10 @@ repr-style shortest round-trip formatting.  Identical rows produce
 byte-identical files, which is what the golden-file tests diff against.
 A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
-pipe (/dev/null, /dev/stdout, a FIFO) is written in place.  write_farey
-streams the farey report from the integer pairs, in constant memory.
+pipe (/dev/null, a FIFO) is written in place, and a path that names the
+file stdout has open (/dev/stdout, or the target of a >> redirect) is
+written through sys.stdout.  write_farey streams the farey report from
+the integer pairs, in constant memory.
 """
 
 import contextlib
@@ -26,10 +28,19 @@ _FAREY_FORMATS = {
 }
 
 
+def _is_stdout(path):
+    # /dev/stdout, or the file that stdout is redirected to (say with >>).
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such path, or no descriptor
+        return False
+
+
 @contextlib.contextmanager
 def output(path, newline=None):
-    """Text stream for a report: stdout for '-' or None, else an atomic file."""
-    if path in (None, "-"):
+    """Text stream for a report: stdout for '-', None or the file stdout has
+    open, else an atomic file."""
+    if path in (None, "-") or _is_stdout(path):
         yield sys.stdout
         return
     if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe: no rename

@@ -20,6 +20,7 @@ from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, ls_lhs
 from .farey import farey_sequence
 
 RNG_ID = "numpy-pcg64"
+DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 
 
 def _row_rng(seed, index):
@@ -27,11 +28,11 @@ def _row_rng(seed, index):
 
 
 def random_sequence(dist, M, N, rng, density=0.1):
-    """A random coefficient sequence of the named distribution.
+    """A random coefficient sequence of the named distribution, one of DISTS.
 
     unit: unit-modulus random phases; gaussian: complex standard normal;
-    sparse: gaussian values kept with the given density (density 0 gives
-    the all-zero sequence).
+    sparse: gaussian values kept with the given density, which must lie in
+    [0, 1] (density 0 gives the all-zero sequence).
     """
     if dist == "unit":
         phases = rng.uniform(0.0, 1.0, N)
@@ -39,6 +40,8 @@ def random_sequence(dist, M, N, rng, density=0.1):
     elif dist == "gaussian":
         values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     elif dist == "sparse":
+        if not 0.0 <= density <= 1.0:  # also refuses nan
+            raise ValueError("sparse density must be finite and in [0, 1], got %r" % (density,))
         values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         values *= rng.uniform(0.0, 1.0, N) < density
     else:
@@ -54,21 +57,22 @@ def _farey_with_gap(Q):
 # ---------------------------------------------------------------------------
 # verify-classical
 
+VERIFY_COLUMNS = [
+    "row", "seed", "rng", "version", "dist", "Q", "M", "N", "Z",
+    "delta", "lhs", "rhs_sharp", "rhs_additive", "holds",
+]
+
 
 def verify_classical(
-    instances=200,
-    q_max=32,
-    n_max=256,
-    seed=0,
-    dist="gaussian",
-    density=0.1,
-    rhs_scale=1.0,
+    instances=200, q_max=32, n_max=256, seed=0, dist="gaussian", density=0.1, rhs_scale=1.0
 ):
     """Hard check of the sharp and additive large sieve bounds, f(n) = n.
 
     rhs_scale shrinks both right sides and exists only to let the harness
     prove it can fail.  Returns (rows, all_ok).
     """
+    if not (math.isfinite(rhs_scale) and rhs_scale > 0):
+        raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
@@ -141,23 +145,8 @@ class SweepConfig:
 
 
 THEOREM2_COLUMNS = [
-    "row",
-    "seed",
-    "rng",
-    "version",
-    "dist",
-    "Q",
-    "M",
-    "N",
-    "alpha",
-    "a",
-    "b",
-    "eps",
-    "Z",
-    "delta_exact",
-    "y_paper",
-    "y_exact",
-    "lhs",
+    "row", "seed", "rng", "version", "dist", "Q", "M", "N", "alpha", "a", "b", "eps", "Z",
+    "delta_exact", "y_paper", "y_exact", "lhs",
     *("rhs_" + name for name in bounds.RHS),
     *("ratio_" + name for name in bounds.RHS),
     "status",
@@ -239,6 +228,11 @@ def theorem2_sweep(config):
 # ---------------------------------------------------------------------------
 # dls-check
 
+DLS_COLUMNS = [
+    "row", "seed", "rng", "version", "m_points", "n_points", "X", "Y",
+    "lhs", "rhs", "holds", "anomaly",
+]
+
 
 def _dls_instance(rng, size_max, scale_min, scale_max):
     X = float(rng.uniform(scale_min, scale_max))
@@ -284,12 +278,20 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
 # ---------------------------------------------------------------------------
 # lemma4 table
 
+LEMMA4_COLUMNS = [
+    "m", "n", "T_bruteforce", "T_divisor", "agree",
+    "bound_statement", "bound_proof_form",
+    "alpha", "a", "b", "M", "N", "eps", "version",
+]
 
-def lemma4_table(M, N, alpha, a, b, eps=0.1):
-    """T for every (m, n) in S^2 by both counters, with both bound forms.
+
+def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
+    """T for every (m, n) in S^2 by both counters, with both bound forms,
+    for g(x, y) = (x - y)(x + y + a/b) with a/b = ratio.
 
     Returns (rows, counters_agree).
     """
+    a, b = ratio.numerator, ratio.denominator
     bound_stmt = dls.lemma4_bound(alpha, a, b, M, N, eps)
     bound_proof = dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)

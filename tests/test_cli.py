@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -192,12 +191,6 @@ class TestTheorem2Sweep:
         assert "every %s" % option[2:] in proc.stderr
         assert not out.exists()
 
-    def test_defaults_are_the_sweep_config_grid(self):
-        args = cli.build_parser().parse_args(["theorem2-sweep"])
-        grid = sweeps.SweepConfig()
-        fields = dataclasses.fields(grid)
-        assert {f.name: getattr(args, f.name) for f in fields} == dataclasses.asdict(grid)
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rerun_is_byte_identical(self, fmt, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -209,6 +202,55 @@ class TestTheorem2Sweep:
         assert run(*args, "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_bytes()) > 1000
+
+
+@pytest.mark.parametrize(
+    "argv, driver, expected",
+    [
+        (["lemma4", "--N", "8"], "lemma4_table", ((), {"N": 8})),
+        (["verify-classical", "--seed", "7"], "verify_classical", ((), {"seed": 7})),
+        (["dls-check", "--size-max", "9"], "dls_random_sweep", ((), {"size_max": 9})),
+        (["theorem2-sweep"], "theorem2_sweep", ((sweeps.SweepConfig(),), {})),
+    ],
+    ids=["lemma4", "verify-classical", "dls-check", "theorem2-sweep"],
+)
+def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch, capsys):
+    # main must reach the driver bound on sweeps at call time (a tracer rebinds
+    # it), and an option left out must leave the driver's own default in force.
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return (sweeps.THEOREM2_COLUMNS, []) if driver == "theorem2_sweep" else ([], True)
+
+    monkeypatch.setattr(sweeps, driver, record)
+    assert cli.main(argv) == 0
+    assert calls == [expected]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify-classical", "--instances", "3", "--dist", "sparse", "--density", "nan"),
+        ("verify-classical", "--instances", "3", "--dist", "sparse", "--density", "-1"),
+        ("verify-classical", "--instances", "3", "--dist", "sparse", "--density", "2"),
+        ("theorem2-sweep", "--Q", "4", "--N", "8", "--dist", "sparse", "--density", "nan"),
+        ("theorem2-sweep", "--Q", "4", "--N", "8", "--dist", "sparse", "--density", "inf"),
+        ("verify-classical", "--instances", "3", "--rhs-scale", "nan"),
+        ("verify-classical", "--instances", "3", "--rhs-scale", "inf"),
+        ("verify-classical", "--instances", "3", "--rhs-scale", "0"),
+        ("verify-classical", "--instances", "3", "--rhs-scale", "-1"),
+    ],
+)
+def test_bad_density_or_rhs_scale_is_refused(command, tmp_path):
+    out = tmp_path / "report"
+    for extra in ([], ["--out", str(out)]):
+        proc = run(*command, *extra)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("sievelab %s: " % command[0])
+        assert len(proc.stderr.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
 
 
 class TestCounterexampleCommand:
@@ -250,6 +292,21 @@ def test_out_dev_stdout_writes_to_stdout(fmt):
     proc = run("farey", "--order", "5", "--format", fmt, "--out", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == plain.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("command", [("farey", "--order", "5"), ("dls-check", "--instances", "3")])
+def test_out_dev_stdout_appends_to_a_redirect(command, tmp_path):
+    # As `sievelab ... --out /dev/stdout >> log` runs it: the earlier lines stay.
+    log = tmp_path / "log"
+    log.write_text("earlier line\n")
+    with open(log, "a") as fh:
+        proc = subprocess.run(
+            SIEVELAB + [*command, "--out", "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text() == "earlier line\n" + run(*command).stdout
+    assert os.listdir(tmp_path) == ["log"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from sievelab import sweeps
 from sievelab.farey import farey_sequence, min_gap_mod1
 
@@ -43,3 +45,9 @@ def test_sweep_gap_is_the_closed_form():
     for Q in range(2, 61):
         points, delta = sweeps._farey_with_gap(Q)
         assert delta == min_gap_mod1(points)
+
+
+@pytest.mark.parametrize("density", [float("nan"), float("inf"), -0.1, 1.5])
+def test_sparse_density_outside_the_unit_interval_is_refused(density):
+    with pytest.raises(ValueError, match="density"):
+        sweeps.random_sequence("sparse", 0, 4, sweeps._row_rng(0, 0), density)
