@@ -152,27 +152,22 @@ def _cmd_counterexample(args):
     return 0
 
 
-# command -> (driver in sweeps, report columns, stderr line when a check fails).
-# The driver is looked up by name at call time, so a rebound one (a tracer's) runs.
+# command -> (driver in sweeps, writer in reports, report columns, stderr line
+# when a check fails).  Both are looked up by name at call time, so a rebound
+# one (a tracer's) runs.
 _ROW_COMMANDS = {
-    "verify-classical": (
-        "verify_classical",
-        sweeps.VERIFY_COLUMNS,
-        "verify-classical: bound violated on at least one instance",
-    ),
-    "dls-check": (
-        "dls_random_sweep",
-        sweeps.DLS_COLUMNS,
-        "dls-check: inequality failed or anomaly flagged",
-    ),
-    "lemma4": ("lemma4_table", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
+    "verify-classical": ("verify_classical", "write_rows", sweeps.VERIFY_COLUMNS,
+                         "verify-classical: bound violated on at least one instance"),
+    "dls-check": ("dls_random_sweep", "write_rows", sweeps.DLS_COLUMNS,
+                  "dls-check: inequality failed or anomaly flagged"),
+    "lemma4": ("lemma4_table", "write_lemma4", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
 }
 
 
 def _cmd_rows(args):
-    driver, columns, failure = _ROW_COMMANDS[args.command]
+    driver, writer, columns, failure = _ROW_COMMANDS[args.command]
     rows, ok = getattr(sweeps, driver)(**_options(args))
-    reports.write_rows(rows, columns, args.out, args.format)
+    getattr(reports, writer)(rows, columns, args.out, args.format)
     if not ok:
         print(failure, file=sys.stderr)
         return 1

@@ -32,26 +32,27 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class DLSInstance:
-    """Two weighted point families inside [-X/2, X/2] and [-Y/2, Y/2]."""
+    """Two weighted point families inside [-X/2, X/2] and [-Y/2, Y/2], kept
+    as float64 points and complex128 weights (a tuple is converted once, here)."""
 
-    xs: tuple
-    ys: tuple
-    aw: tuple
-    bw: tuple
+    xs: np.ndarray
+    ys: np.ndarray
+    aw: np.ndarray
+    bw: np.ndarray
     X: float
     Y: float
 
     def __post_init__(self):
+        for name, dtype in (("xs", float), ("ys", float), ("aw", complex), ("bw", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not (self.X > 0 and self.Y > 0):
             raise ValueError("X and Y must be positive")
         if len(self.xs) != len(self.aw) or len(self.ys) != len(self.bw):
             raise ValueError("weight lists must match point lists in length")
-        for x in self.xs:
-            if abs(x) > self.X / 2:
-                raise ValueError("x point outside [-X/2, X/2]")
-        for y in self.ys:
-            if abs(y) > self.Y / 2:
-                raise ValueError("y point outside [-Y/2, Y/2]")
+        if (np.abs(self.xs) > self.X / 2).any():
+            raise ValueError("x point outside [-X/2, X/2]")
+        if (np.abs(self.ys) > self.Y / 2).any():
+            raise ValueError("y point outside [-Y/2, Y/2]")
 
     @property
     def delta(self):
@@ -68,19 +69,14 @@ def _kernel_array(diffs):
 
 def bilinear_sum_sq(inst):
     """|sum_m sum_n a_m b_n e(x_m y_n)|^2."""
-    xs = np.asarray(inst.xs, dtype=float)
-    ys = np.asarray(inst.ys, dtype=float)
-    aw = np.asarray(inst.aw, dtype=complex)
-    bw = np.asarray(inst.bw, dtype=complex)
-    phases = np.exp(2j * np.pi * np.outer(xs, ys))
-    s = aw @ phases @ bw
+    phases = np.exp(2j * np.pi * np.outer(inst.xs, inst.ys))
+    s = inst.aw @ phases @ inst.bw
     return float(abs(s) ** 2)
 
 
 def a_delta(inst):
     """A(delta) = sum over x-pairs of |a_m||a_r| Lambda((x_m - x_r)/delta)."""
-    xs = np.asarray(inst.xs, dtype=float)
-    mods = np.abs(np.asarray(inst.aw, dtype=complex))
+    xs, mods = inst.xs, np.abs(inst.aw)
     kern = _kernel_array((xs[:, None] - xs[None, :]) / inst.delta)
     return float(mods @ kern @ mods)
 
@@ -90,8 +86,7 @@ def b_epsilon(inst):
 
     Signed products, as displayed; mathematically real by kernel symmetry.
     """
-    ys = np.asarray(inst.ys, dtype=float)
-    bw = np.asarray(inst.bw, dtype=complex)
+    ys, bw = inst.ys, inst.bw
     kern = _kernel_array((ys[:, None] - ys[None, :]) / inst.eps)
     return complex(bw @ kern @ bw.conj())
 
@@ -225,15 +220,26 @@ def lemma4_count_divisor(M, N, alpha, a, b):
     return total + total.T
 
 
+def _lemma4_bound(alpha, b, eps, base):
+    # (b/alpha + 1)(base + b/alpha)^eps, for both forms below.  A b/alpha
+    # (tiny alpha) or a power (huge eps) past the float range gives inf.
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % (eps,))
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    try:
+        b_over_alpha = float(b) / float(alpha)
+        return (b_over_alpha + 1.0) * (base + b_over_alpha) ** eps
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def lemma4_bound(alpha, a, b, M, N, eps):
     """(b/alpha + 1)[N b (|M|+N) + |a| + b/alpha]^eps, the statement form.
 
     Constant 1; for ratio reporting only.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    b_over_alpha = float(b) / float(alpha)
-    return (b_over_alpha + 1.0) * (N * b * (abs(M) + N) + abs(a) + b_over_alpha) ** eps
+    return _lemma4_bound(alpha, b, eps, N * b * (abs(M) + N) + abs(a))
 
 
 def lemma4_bound_proof_form(alpha, a, b, M, N, eps):
@@ -242,7 +248,4 @@ def lemma4_bound_proof_form(alpha, a, b, M, N, eps):
     The placement of |a| differs from the statement form; both are
     reported, neither is asserted.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    b_over_alpha = float(b) / float(alpha)
-    return (b_over_alpha + 1.0) * (N * b * (abs(M) + N + abs(a)) + b_over_alpha) ** eps
+    return _lemma4_bound(alpha, b, eps, N * b * (abs(M) + N + abs(a)))

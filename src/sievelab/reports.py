@@ -7,8 +7,9 @@ A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
 pipe (/dev/null, a FIFO) is written in place, and a path that names the
 file stdout has open (/dev/stdout, or the target of a >> redirect) is
-written through sys.stdout.  write_farey streams the farey report from
-the integer pairs, in constant memory.
+written through sys.stdout.  write_farey and write_lemma4 render each row
+of the farey and lemma4 reports into one %-template per format, which
+holds the cells that are the same in every row, and write in chunks.
 """
 
 import contextlib
@@ -16,16 +17,18 @@ import csv
 import json
 import os
 import sys
+from itertools import chain, islice, repeat
 
 from .farey import farey_pairs
 
-# Farey cells are three ints, a float and the gap "1/bd", empty on the last
-# row: per format a header, a row template, a separator and a tail.
-_FAREY_FORMATS = {
-    "csv": ("index,p,q,value,gap_to_next\n", "%d,%d,%d,%r,1/%d", "\n", "\n"),
-    "json": ("[\n", '  {\n    "index": %d,\n    "p": %d,\n    "q": %d,\n    "value": %r,\n'
-             '    "gap_to_next": "1/%d"\n  }', ",\n", "\n]\n"),
-}
+_FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
+# Three ints, a float and the gap "1/bd", left empty on the last row.
+_FAREY_CELLS = {"csv": ("%d", "%d", "%d", "%r", "1/%d"),
+                "json": ("%d", "%d", "%d", "%r", '"1/%d"')}
+_AGREE = ("false", "true")  # a bool cell, as both generic writers write it
+
+# write_json's row encoder; a str, int or float alone encodes as in a row.
+_encode = json.JSONEncoder(default=str, separators=(",\n    ", ": ")).encode
 
 
 def _is_stdout(path):
@@ -76,11 +79,10 @@ def write_csv(rows, columns, path=None):
 def write_json(rows, columns, path=None):
     """JSON mirror of the CSV: json.dumps(rows, indent=2, default=str) + newline,
     one C-encoder call per row, written as it comes."""
-    encode = json.JSONEncoder(default=str, separators=(",\n    ", ": ")).encode
     with output(path) as out:
         sep = "[\n  {\n    "
         for row in rows:
-            out.write(sep + encode({c: row.get(c) for c in columns})[1:-1])
+            out.write(sep + _encode({c: row.get(c) for c in columns})[1:-1])
             sep = "\n  },\n  {\n    "
         out.write("[]\n" if sep[0] == "[" else "\n  }\n]\n")
 
@@ -94,19 +96,58 @@ def write_rows(rows, columns, path=None, fmt="csv"):
         raise ValueError("unknown format %r" % (fmt,))
 
 
+def _template(fmt, columns, cells, constants=()):
+    """(head, row, sep, tail) of a report in fmt; row is a %-template: the
+    conversions in cells, then each of constants (numbers or plain strings)
+    encoded once, as the generic writers do: str() for CSV, _encode for JSON."""
+    if fmt == "csv":
+        cells = (*cells, *(str(v).replace("%", "%%") for v in constants))
+        return ",".join(columns) + "\n", ",".join(cells), "\n", "\n"
+    if fmt == "json":
+        cells = (*cells, *(_encode(v).replace("%", "%%") for v in constants))
+        fields = ",\n    ".join(_encode(c) + ": " + cell for c, cell in zip(columns, cells))
+        return "[\n", "  {\n    " + fields + "\n  }", ",\n", "\n]\n"
+    raise ValueError("unknown format %r" % (fmt,))
+
+
+def _write_template(path, fmt, template, values, last_row):
+    """head, row % v + sep for each v of values but the last, last_row % (the
+    last v), then tail; 1024 rows a write.  The first v is drawn before the
+    output is opened, so values that fail at once leave it untouched."""
+    head, row, sep, tail = template
+    row_sep, values = row + sep, iter(values)
+    v = next(values)
+    with output(path, newline="" if fmt == "csv" else None) as out:
+        out.write(head)
+        while chunk := list(islice(values, 1024)):
+            out.write("".join([row_sep % w for w in [v, *chunk[:-1]]]))
+            v = chunk[-1]
+        out.write(last_row % v + tail)
+
+
+def _farey_values(pairs):
+    # (index, p, q, p/q, bd) for each point a/b and the next c/d; the last point has no bd.
+    i, (p, q) = 0, next(pairs)
+    for c, d in pairs:
+        yield i, p, q, p / q, q * d
+        i, p, q = i + 1, c, d
+    yield i, p, q, p / q
+
+
 def write_farey(Q, path=None, fmt="csv"):
     """Each point a/b of F(Q) and its gap 1/(bd) to the next c/d, streamed from farey_pairs."""
-    if fmt not in _FAREY_FORMATS:
-        raise ValueError("unknown format %r" % (fmt,))
-    head, row, sep, tail = _FAREY_FORMATS[fmt]
-    pairs = farey_pairs(Q)
-    p, q = next(pairs)  # a bad Q raises here, before the output is opened
-    with output(path, newline="" if fmt == "csv" else None) as out:
-        i, lines, row_sep = 0, [head], row + sep
-        for c, d in pairs:
-            lines.append(row_sep % (i, p, q, p / q, q * d))
-            i, p, q = i + 1, c, d
-            if len(lines) == 4096:
-                out.write("".join(lines))
-                lines.clear()
-        out.write("".join(lines) + row.replace("1/%d", "") % (i, p, q, p / q) + tail)
+    template = _template(fmt, _FAREY_COLUMNS, _FAREY_CELLS.get(fmt))
+    last_row = template[1].replace("1/%d", "")
+    _write_template(path, fmt, template, _farey_values(farey_pairs(Q)), last_row)
+
+
+def write_lemma4(table, columns, path=None, fmt="csv"):
+    """A sweeps.Lemma4Table in the given columns, with the bytes write_rows
+    gives on its dict rows: m, n, both counts and agree vary per row, and
+    the table's constant cells sit in the template."""
+    template = _template(fmt, columns, ("%d", "%d", "%d", "%d", "%s"), table.constants)
+    S = table.S
+    rows = chain.from_iterable(
+        zip(repeat(m), S, t.tolist(), u.tolist(), map(_AGREE.__getitem__, (t == u).tolist()))
+        for m, t, u in zip(S, table.brute, table.divisor))
+    _write_template(path, fmt, template, rows, template[1])

@@ -71,6 +71,8 @@ def verify_classical(
     rhs_scale shrinks both right sides and exists only to let the harness
     prove it can fail.  Returns (rows, all_ok).
     """
+    if instances < 0:
+        raise ValueError("instances must be >= 0, got %r" % (instances,))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     f = LinearAmplitude(1, 0)
@@ -92,24 +94,9 @@ def verify_classical(
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
         ok = lhs <= rhs_sharp * (1.0 + bounds.SLACK) and lhs <= rhs_add * (1.0 + bounds.SLACK)
         all_ok = all_ok and ok
-        rows.append(
-            {
-                "row": i,
-                "seed": seed,
-                "rng": RNG_ID,
-                "version": __version__,
-                "dist": dist,
-                "Q": Q,
-                "M": M,
-                "N": N,
-                "Z": Z,
-                "delta": str(delta),
-                "lhs": lhs,
-                "rhs_sharp": rhs_sharp,
-                "rhs_additive": rhs_add,
-                "holds": ok,
-            }
-        )
+        rows.append(dict(zip(VERIFY_COLUMNS, (
+            i, seed, RNG_ID, __version__, dist, Q, M, N, Z, str(delta), lhs, rhs_sharp, rhs_add, ok
+        ))))
     return rows, all_ok
 
 
@@ -162,26 +149,10 @@ def _sweep_row(config, index, Q, M, N, alpha, ab, eps, points, delta, y_exact):
     lhs = ls_lhs(seq, f, points)
     params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
     y_paper = 2 * abs(M) * N + N * N + N * ab
-    row = {
-        "row": index,
-        "seed": config.seed,
-        "rng": RNG_ID,
-        "version": __version__,
-        "dist": config.dist,
-        "Q": Q,
-        "M": M,
-        "N": N,
-        "alpha": str(alpha),
-        "a": a,
-        "b": b,
-        "eps": eps,
-        "Z": Z,
-        "delta_exact": str(delta),
-        "y_paper": float(y_paper),
-        "y_exact": float(y_exact),
-        "lhs": lhs,
-        "status": "ok",
-    }
+    row = dict(zip(THEOREM2_COLUMNS, (
+        index, config.seed, RNG_ID, __version__, config.dist, Q, M, N, str(alpha), a, b, eps, Z,
+        str(delta), float(y_paper), float(y_exact), lhs,
+    )), status="ok")
     for name, formula in bounds.RHS.items():
         try:
             rhs = formula(params)
@@ -243,34 +214,29 @@ def _dls_instance(rng, size_max, scale_min, scale_max):
     ys = rng.uniform(-Y / 2, Y / 2, n)
     aw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     bw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return dls.DLSInstance(
-        xs=tuple(xs), ys=tuple(ys), aw=tuple(aw), bw=tuple(bw), X=X, Y=Y
-    )
+    return dls.DLSInstance(xs=xs, ys=ys, aw=aw, bw=bw, X=X, Y=Y)
 
 
 def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
-    """dls_check over seeded random instances.  Returns (rows, all_hold)."""
+    """dls_check over seeded random instances.  Returns (rows, all_hold).
 
-    def one(i):
-        rng = _row_rng(seed, i)
-        inst = _dls_instance(rng, size_max, scale_min, scale_max)
+    The arguments are checked before the first row: instances >= 0,
+    size_max >= 1 and finite scales with 0 < scale_min <= scale_max.
+    """
+    if instances < 0:
+        raise ValueError("instances must be >= 0, got %r" % (instances,))
+    if size_max < 1:
+        raise ValueError("size_max must be >= 1, got %r" % (size_max,))
+    if not 0 < scale_min <= scale_max < math.inf:  # also refuses nan
+        raise ValueError("the scales must be finite with 0 < scale_min <= scale_max, got %r and %r"
+                         % (scale_min, scale_max))
+    rows = []
+    for i in range(instances):
+        inst = _dls_instance(_row_rng(seed, i), size_max, scale_min, scale_max)
         check = dls.dls_check(inst)
-        return {
-            "row": i,
-            "seed": seed,
-            "rng": RNG_ID,
-            "version": __version__,
-            "m_points": len(inst.xs),
-            "n_points": len(inst.ys),
-            "X": inst.X,
-            "Y": inst.Y,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "holds": check.holds,
-            "anomaly": check.anomaly,
-        }
-
-    rows = [one(i) for i in range(instances)]
+        rows.append(dict(zip(DLS_COLUMNS, (
+            i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y, *check
+        ))))
     all_hold = all(r["holds"] and not r["anomaly"] for r in rows)
     return rows, all_hold
 
@@ -285,39 +251,34 @@ LEMMA4_COLUMNS = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class Lemma4Table:
+    """T for every (m, n) in S^2 by both counters, as int64 arrays indexed
+    [m - S[0], n - S[0]], and the LEMMA4_COLUMNS cells after "agree", which
+    are the same in every row.  len() is the number of report rows."""
+
+    S: range
+    brute: np.ndarray
+    divisor: np.ndarray
+    constants: tuple
+
+    def __len__(self):
+        return len(self.S) ** 2
+
+
 def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     """T for every (m, n) in S^2 by both counters, with both bound forms,
     for g(x, y) = (x - y)(x + y + a/b) with a/b = ratio.
 
-    Returns (rows, counters_agree).
+    Returns (Lemma4Table, counters_agree); reports.write_lemma4 writes the table.
     """
     a, b = ratio.numerator, ratio.denominator
-    bound_stmt = dls.lemma4_bound(alpha, a, b, M, N, eps)
-    bound_proof = dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
+    constants = (
+        dls.lemma4_bound(alpha, a, b, M, N, eps),
+        dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
+        str(Fraction(alpha)), a, b, M, N, eps, __version__,
+    )
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
     divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
-    alpha_text = str(Fraction(alpha))
-    rows = []
-    S = range(M + 1, M + N + 1)
-    for m, brute_row, divisor_row in zip(S, brute.tolist(), divisor.tolist()):
-        for n, t_brute, t_div in zip(S, brute_row, divisor_row):
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "T_bruteforce": t_brute,
-                    "T_divisor": t_div,
-                    "agree": t_brute == t_div,
-                    "bound_statement": bound_stmt,
-                    "bound_proof_form": bound_proof,
-                    "alpha": alpha_text,
-                    "a": a,
-                    "b": b,
-                    "M": M,
-                    "N": N,
-                    "eps": eps,
-                    "version": __version__,
-                }
-            )
-    agree = bool(np.array_equal(brute, divisor))
-    return rows, agree
+    table = Lemma4Table(range(M + 1, M + N + 1), brute, divisor, constants)
+    return table, bool(np.array_equal(brute, divisor))

@@ -218,10 +218,14 @@ def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch,
     # main must reach the driver bound on sweeps at call time (a tracer rebinds
     # it), and an option left out must leave the driver's own default in force.
     calls = []
+    returned = {
+        "theorem2_sweep": (sweeps.THEOREM2_COLUMNS, []),
+        "lemma4_table": sweeps.lemma4_table(1),  # a one-row table, for write_lemma4
+    }.get(driver, ([], True))
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
-        return (sweeps.THEOREM2_COLUMNS, []) if driver == "theorem2_sweep" else ([], True)
+        return returned
 
     monkeypatch.setattr(sweeps, driver, record)
     assert cli.main(argv) == 0
@@ -243,6 +247,11 @@ def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch,
     ],
 )
 def test_bad_density_or_rhs_scale_is_refused(command, tmp_path):
+    assert_refused(command, tmp_path)
+
+
+def assert_refused(command, tmp_path):
+    # Exit 2 with one "sievelab <command>:" line, and nothing on stdout or in --out.
     out = tmp_path / "report"
     for extra in ([], ["--out", str(out)]):
         proc = run(*command, *extra)
@@ -251,6 +260,49 @@ def test_bad_density_or_rhs_scale_is_refused(command, tmp_path):
         assert proc.stderr.startswith("sievelab %s: " % command[0])
         assert len(proc.stderr.splitlines()) == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("dls-check", "--instances", "2", "--scale-min", "nan"),
+        ("dls-check", "--instances", "2", "--scale-max", "nan"),
+        ("dls-check", "--instances", "2", "--scale-max", "inf"),
+        ("dls-check", "--instances", "2", "--scale-min", "inf", "--scale-max", "inf"),
+        ("dls-check", "--instances", "2", "--scale-min", "0"),
+        ("dls-check", "--instances", "2", "--scale-min", "-1"),
+        ("dls-check", "--instances", "2", "--scale-min", "-2", "--scale-max", "-1"),
+        ("dls-check", "--instances", "2", "--scale-min", "5", "--scale-max", "1"),
+        ("dls-check", "--instances", "2", "--size-max", "0"),
+        ("dls-check", "--instances", "2", "--size-max", "-4"),
+        ("dls-check", "--instances", "-3"),
+        ("verify-classical", "--instances", "-3"),
+        ("lemma4", "--N", "2", "--eps", "inf"),
+        ("lemma4", "--N", "2", "--eps=-inf"),
+        ("lemma4", "--N", "2", "--eps", "nan"),
+        ("lemma4", "--N", "2", "--eps", "0"),
+        ("lemma4", "--N", "2", "--alpha", "0"),
+    ],
+)
+def test_bad_count_scale_or_eps_is_refused(command, tmp_path):
+    assert_refused(command, tmp_path)
+
+
+def test_refusals_come_before_any_row(monkeypatch):
+    # The checks run in the drivers, before the first instance is drawn.
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    for kwargs in ({"scale_min": float("nan")}, {"size_max": 0}, {"instances": -1}):
+        with pytest.raises(ValueError):
+            sweeps.dls_random_sweep(**kwargs)
+    with pytest.raises(ValueError, match="instances"):
+        sweeps.verify_classical(instances=-1)
+
+
+def test_zero_instances_write_a_header_only_report():
+    for command in ("dls-check", "verify-classical"):
+        proc = run(command, "--instances", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 1
 
 
 class TestCounterexampleCommand:
@@ -347,6 +399,20 @@ class TestLemma4Command:
         assert proc.stdout == attached.stdout
         row = proc.stdout.splitlines()[1].split(",")
         assert row[8:10] == ["-3", "4"]  # the a and b columns
+
+    def test_disagreeing_counters_exit_1(self, monkeypatch, capsys):
+        real = sweeps.dls.lemma4_count_divisor
+
+        def off_by_one(*args):
+            counts = real(*args)
+            counts[0, 1] += 1
+            return counts
+
+        monkeypatch.setattr(sweeps.dls, "lemma4_count_divisor", off_by_one)
+        assert cli.main(["lemma4", "--N", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "lemma4: counters disagree\n"
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["true", "false"] + ["true"] * 7
 
     def test_cap_refusal(self):
         proc = run("lemma4", "--N", "501")

@@ -84,6 +84,56 @@ class TestDLSCheck:
             unit_instance([0.0], [0.0], 0, 1)
 
 
+def drawn_arrays(seed):
+    # An instance as _dls_instance draws it: float64 points, complex128 weights.
+    rng = np.random.default_rng(seed)
+    X, Y = rng.uniform(0.25, 100.0, 2)
+    m, n = rng.integers(1, 30, 2)
+    return {
+        "xs": rng.uniform(-X / 2, X / 2, m), "ys": rng.uniform(-Y / 2, Y / 2, n),
+        "aw": rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        "bw": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        "X": float(X), "Y": float(Y),
+    }
+
+
+def as_tuples(fields):
+    return {k: tuple(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_tuple_and_array_instances_check_bit_equal(seed):
+    fields = drawn_arrays(seed)
+    from_arrays = dls.DLSInstance(**fields)
+    from_tuples = dls.DLSInstance(**as_tuples(fields))
+    for inst in (from_arrays, from_tuples):
+        assert (inst.xs.dtype, inst.ys.dtype) == (np.float64, np.float64)
+        assert (inst.aw.dtype, inst.bw.dtype) == (np.complex128, np.complex128)
+    def bits(inst):
+        check = dls.dls_check(inst)
+        return check.lhs.hex(), check.rhs.hex(), check.holds, check.anomaly
+
+    assert bits(from_arrays) == bits(from_tuples)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"X": 0.0}, "X and Y must be positive"),
+        ({"Y": float("nan")}, "X and Y must be positive"),
+        ({"aw": np.ones(40)}, "weight lists must match"),
+        ({"bw": np.ones(40)}, "weight lists must match"),
+        ({"X": 1e-3}, r"x point outside \[-X/2, X/2\]"),
+        ({"Y": 1e-3}, r"y point outside \[-Y/2, Y/2\]"),
+    ],
+)
+def test_tuple_and_array_instances_raise_alike(change, message):
+    fields = {**drawn_arrays(3), **change}
+    for given in (fields, as_tuples(fields)):
+        with pytest.raises(ValueError, match=message):
+            dls.DLSInstance(**given)
+
+
 class TestGEval:
     def test_diagonal_zero(self):
         assert dls.g_eval(4, 4, 1, 3) == 0
@@ -262,6 +312,27 @@ class TestLemma4Bound:
     def test_validation(self):
         with pytest.raises(ValueError):
             dls.lemma4_bound(1, 0, 1, 0, 10, 0)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    def test_eps_must_be_finite_and_positive(self, form, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            form(1, 0, 1, 0, 10, eps)
+
+    @pytest.mark.parametrize("alpha", [0, -1, Fraction(-1, 3), math.nan])
+    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    def test_alpha_must_be_positive(self, form, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            form(alpha, 0, 1, 0, 10, 0.5)
+
+    @pytest.mark.parametrize(
+        "alpha, eps",
+        [(1, 1e6), (Fraction(1, 10 ** 310), 0.5), (Fraction(1, 10 ** 400), 0.5), (Fraction(1, 10 ** 30), 20.0)],
+    )
+    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    def test_overflow_is_inf(self, form, alpha, eps):
+        # A power (huge eps) or b/alpha (tiny alpha) past the float range.
+        assert form(alpha, -3, 4, -5, 10, eps) == math.inf
 
 
 def test_lemma4_instance_validation():

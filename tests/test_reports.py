@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from sievelab import reports
+import sievelab
+from sievelab import dls, reports, sweeps
 from sievelab.farey import farey_pairs
 
 
@@ -315,5 +316,108 @@ def test_property_farey_report_matches_dict_rows():
     def check(Q):
         for fmt in ("csv", "json"):
             assert_farey_stdout_matches(Q, fmt)
+
+    check()
+
+
+# The lemma4 report, rendered from the two count tables, against write_rows on
+# the dict rows that sweeps.lemma4_table built before it returned the tables.
+
+def lemma4_dict_rows(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
+    a, b = ratio.numerator, ratio.denominator
+    bound_stmt = dls.lemma4_bound(alpha, a, b, M, N, eps)
+    bound_proof = dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
+    brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
+    divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
+    S = range(M + 1, M + N + 1)
+    return [
+        {
+            "m": m, "n": n, "T_bruteforce": t_brute, "T_divisor": t_div,
+            "agree": t_brute == t_div,
+            "bound_statement": bound_stmt, "bound_proof_form": bound_proof,
+            "alpha": str(Fraction(alpha)), "a": a, "b": b, "M": M, "N": N, "eps": eps,
+            "version": sievelab.__version__,
+        }
+        for m, brute_row, divisor_row in zip(S, brute.tolist(), divisor.tolist())
+        for n, t_brute, t_div in zip(S, brute_row, divisor_row)
+    ]
+
+
+def assert_lemma4_matches_dict_rows(args, fmt, directory, stdout=True, built=None):
+    table, rows = built or (sweeps.lemma4_table(**args)[0], lemma4_dict_rows(**args))
+    assert len(table) == len(rows)
+    got, want = directory / ("got." + fmt), directory / ("want." + fmt)
+    reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(got), fmt)
+    reports.write_rows(rows, sweeps.LEMMA4_COLUMNS, str(want), fmt)
+    assert got.read_bytes() == want.read_bytes()
+    if stdout:
+        assert printed(lambda: reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, None, fmt)) == (
+            printed(lambda: reports.write_rows(rows, sweeps.LEMMA4_COLUMNS, None, fmt))
+        )
+
+
+LEMMA4_CASES = [
+    {"N": 1},
+    {"N": 30, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4)},
+    {"N": 60, "M": -7, "alpha": Fraction(1, 5), "ratio": Fraction(2, 3)},
+    {"N": 3, "M": -2, "alpha": Fraction(1, 10 ** 310), "ratio": Fraction(-1, 5)},  # inf bounds
+    {"N": 3, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4), "eps": 1e6},  # inf bounds
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", LEMMA4_CASES)
+def test_lemma4_report_matches_dict_rows(args, fmt, tmp_path):
+    assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
+
+
+CAP_ARGS = {"N": 500, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4)}
+
+
+@pytest.fixture(scope="module")
+def cap_table_and_rows():
+    return sweeps.lemma4_table(**CAP_ARGS)[0], lemma4_dict_rows(**CAP_ARGS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lemma4_report_at_the_cap_matches_dict_rows(fmt, tmp_path, cap_table_and_rows):
+    assert_lemma4_matches_dict_rows(CAP_ARGS, fmt, tmp_path, stdout=False, built=cap_table_and_rows)
+
+
+def test_lemma4_report_writes_disagreeing_counters(tmp_path):
+    table, _ = sweeps.lemma4_table(4, alpha=Fraction(1, 3), ratio=Fraction(1, 2))
+    table.divisor[1, 2] += 1
+    reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(tmp_path / "r.csv"))
+    rows = list(csv.DictReader(open(tmp_path / "r.csv")))
+    assert [(r["m"], r["n"]) for r in rows if r["agree"] == "false"] == [("2", "3")]
+    assert sum(r["agree"] == "true" for r in rows) == 15
+
+
+def test_lemma4_report_unknown_format(tmp_path):
+    table, _ = sweeps.lemma4_table(2)
+    with pytest.raises(ValueError, match="format"):
+        reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(tmp_path / "r"), "xml")
+    assert os.listdir(tmp_path) == []
+
+
+def test_property_lemma4_report_matches_dict_rows(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        N=st.integers(1, 9),
+        M=st.integers(-40, 3),
+        alpha=st.one_of(
+            st.fractions(Fraction(1, 30), 6, max_denominator=30),
+            st.just(Fraction(1, 10 ** 310)),  # b/alpha overflows to inf
+        ),
+        ratio=st.fractions(-4, 4, max_denominator=9),
+        eps=st.sampled_from([1e-300, 0.1, 0.5, 3.0, 1e6]),  # 1e6: the power overflows to inf
+    )
+    def check(N, M, alpha, ratio, eps):
+        args = {"N": N, "M": M, "alpha": alpha, "ratio": ratio, "eps": eps}
+        for fmt in ("csv", "json"):
+            assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
 
     check()

@@ -51,3 +51,12 @@ def test_sweep_gap_is_the_closed_form():
 def test_sparse_density_outside_the_unit_interval_is_refused(density):
     with pytest.raises(ValueError, match="density"):
         sweeps.random_sequence("sparse", 0, 4, sweeps._row_rng(0, 0), density)
+
+
+def test_lemma4_table_has_one_row_per_base_pair():
+    # len() is the report's row count, N^2, as a caller of the list of rows read it.
+    table, agree = sweeps.lemma4_table(7, M=-3, alpha=Fraction(1, 2), ratio=Fraction(-1, 3))
+    assert agree and len(table) == 49
+    assert list(table.S) == list(range(-2, 5))
+    assert table.brute.shape == table.divisor.shape == (7, 7)
+    assert table.constants[2:] == ("1/2", -1, 3, -3, 7, 0.1, sweeps.__version__)
