@@ -2,14 +2,14 @@
 
 Everything revolves around S(x) = sum_{n=M+1}^{M+N} a_n e(x f(n)) with
 e(t) = exp(2 pi i t).  One kernel, ``phases``, reduces every phase
-x f(n) modulo 1, always in exact integer arithmetic.  Each point and each
-amplitude coefficient is taken as a Fraction, which is exact for ints,
-Fractions and floats alike (a float is a dyadic rational).  With
-f(n) = P(n)/D on the window and x = u/v, the phase is
-(u P(n) mod vD)/(vD): the residue is exact and only the final division
-is done in floating point, so phases of size 10^9 and beyond lose no
-accuracy.  exp_sum, dual_lhs and phase_matrix are built on its rows,
-summed with numpy's pairwise sum.
+x f(n) modulo 1.  It takes each point x = u/v and amplitude coefficient as
+an exact rational (a float is a dyadic one), writes D f(M+1+j) =
+c_0 j^2 + c_1 j + c_2 in integers and splits each floor(2^128 (u c_i mod
+vD) / vD) into 64 high bits, which numpy sums times j^(2-i) in int64
+(wraparound is exact reduction mod 1), and 64 low bits, a float64 remainder
+below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each phase is within 2^-52
+of the exact one for any M while N <= 2^30.  exp_sum, dual_lhs and
+phase_matrix are built on its rows, summed with numpy's pairwise sum.
 
 The large-sieve left side groups its points by reduced denominator q.
 For x = c/q, x f(n) = c P(n)/(qD), so S(c/q) depends on n only through
@@ -24,12 +24,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 # Largest bucket count qD per window term for which ls_lhs uses a DFT.
 GROUPED_MAX_RATIO = 16
+PHASE_BLOCK = 2**14  # most phases (points x terms) in one block of the phase kernel
 
 
 def _exact(v):
@@ -117,15 +119,20 @@ class LinearAmplitude:
         return float(self.beta) * n + float(self.gamma)
 
 
+def _coeffs(f):
+    """(A, B, C, D), integers with D > 0, such that f(n) = (A n^2 + B n + C) / D."""
+    A, B, C = (_exact(c) for c in f.coeffs)
+    D = math.lcm(A.denominator, B.denominator, C.denominator)
+    return int(A * D), int(B * D), int(C * D), D
+
+
 def _integer_values(f, M, N):
     """(P, D) with f(n) = P[n - M - 1] / D for n = M+1 .. M+N.
 
     P is a list of ints and D > 0 the least common denominator of the
     f(n) on the window, so gcd(D, *P) = 1.
     """
-    A, B, C = (_exact(c) for c in f.coeffs)
-    D = math.lcm(A.denominator, B.denominator, C.denominator)
-    A, B, C = int(A * D), int(B * D), int(C * D)
+    A, B, C, D = _coeffs(f)
     P = [(A * n + B) * n + C for n in range(M + 1, M + N + 1)]
     g = math.gcd(D, *P)
     return [p // g for p in P], D // g
@@ -134,17 +141,25 @@ def _integer_values(f, M, N):
 def phases(f, points, M, N):
     """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
 
-    Each row is a float array in [0, 1), computed in integers as
-    (u P(n) mod vD) / (vD) with x = u/v and f(n) = P(n)/D exact; only the
-    final division is done in floating point.  Rows come one at a time, so
-    no K x N array is held.  A NaN or infinite point or coefficient raises
-    ValueError.
+    Each row is a float array in [0, 1), within 2^-52 of the exact phase.
+    N outside 0 .. 2^30 or a NaN or infinite point or coefficient raises ValueError.
     """
-    P, D = _integer_values(f, M, N)
-    P = np.array(P, dtype=object)
-    for x in map(_exact, points):
-        m = x.denominator * D
-        yield ((x.numerator % m) * P % m).astype(float) / m
+    if not 0 <= N <= 2**30:
+        raise ValueError("phases needs 0 <= N <= 2^30, got N = %r" % (N,))
+    A, B, C, D = _coeffs(f)
+    c = (A, 2 * A * (M + 1) + B, (A * (M + 1) + B) * (M + 1) + C)
+    xs = map(_exact, points)
+    while block := list(islice(xs, max(PHASE_BLOCK // max(N, 1), 1))):
+        q = np.array([(x.numerator * ci % (m := x.denominator * D) << 128) // m
+                      for x in block for ci in c], dtype=object).reshape(-1, 3).T[..., None]
+        H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
+        rows = np.empty((len(block), N))
+        for s in range(0, N, PHASE_BLOCK):
+            j = np.arange(s, min(s + PHASE_BLOCK, N))
+            t = (R[0] * j + R[1]) * j + R[2] + ((H[0] * j + H[1]) * j + H[2]) * 2.0**-64
+            t -= np.floor(t)  # t was in [-1/2, 3/2): a tiny negative one gives 1.0
+            rows[:, s:s + len(j)] = np.where(t < 1, t, 0)
+        yield from rows
 
 
 def _row_sum(a, row):

@@ -18,6 +18,7 @@ from sievelab.expsum import (
     phases,
 )
 from sievelab.farey import farey_sequence
+from phase_reference import max_phase_error, reference_rows, residues
 
 SQUARE = QuadraticAmplitude(1)
 
@@ -307,6 +308,99 @@ def test_non_finite_input_is_an_error(bad):
             CoeffSeq.from_values(values)
         with pytest.raises(ValueError):
             dual_lhs(values, QuadraticAmplitude(1), [0.25, 0.5], 0, 3)
+
+
+ULP52 = Fraction(1, 2**52)
+
+
+class TestPhaseKernel:
+    def test_within_2_52_of_exact_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+        wide = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+        narrow = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+        coeff = st.one_of(finite, narrow, wide, st.integers(-(10**6), 10**6))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            alpha=coeff.filter(lambda v: v > 0),
+            beta=coeff,
+            gamma=coeff,
+            points=st.lists(
+                st.one_of(finite, wide, narrow, st.integers(-(10**20), 10**20)),
+                min_size=1, max_size=6,
+            ),
+            M=st.integers(-(10**18), 10**18),
+            N=st.integers(1, 4096),
+        )
+        def check(alpha, beta, gamma, points, M, N):
+            f = QuadraticAmplitude(alpha, beta, gamma)
+            rows = list(phases(f, points, M, N))
+            assert len(rows) == len(points)
+            for row, (r, m) in zip(rows, residues(f, points, M, N)):
+                assert row.shape == (N,) and ((0 <= row) & (row < 1)).all()
+                assert max_phase_error(row, r, m) <= ULP52
+
+        check()
+
+    def test_long_window_sampled(self):
+        f = QuadraticAmplitude(0.7071067811865476, -0.3183098861837907, 0.1234567)
+        M, N, x = -(10**12), 2**20, 0.3141592653589793
+        (row,) = phases(f, [x], M, N)
+        sample = np.random.default_rng(21).integers(0, N, 500).tolist() + [0, N - 1]
+        for i in sample:
+            ((r, m),) = residues(f, [x], M + i, 1)
+            assert max_phase_error(row[i:i + 1], r, m) <= ULP52
+
+    def test_rows_do_not_depend_on_the_block(self):
+        f = QuadraticAmplitude(0.7, -0.3, Fraction(1, 3))
+        pts = np.random.default_rng(22).uniform(-2, 2, 400).tolist()
+        pts += [Fraction(5, 7), 3, 5e-324, Fraction(1, 3**100)]
+        M, N = 10**9, 100
+        assert len(pts) * N > 2 * expsum.PHASE_BLOCK
+        together = list(phases(f, pts, M, N))
+        for x, row in zip(pts, together):
+            (alone,) = phases(f, [x], M, N)
+            assert alone.tobytes() == row.tobytes()
+        # A window longer than a block is computed in column blocks.
+        for row, short in zip(phases(f, pts[-4:], M, 2 * expsum.PHASE_BLOCK + 5), together[-4:]):
+            assert row[:N].tobytes() == short.tobytes()
+
+    @pytest.mark.parametrize("N", [-1, 2**30 + 1, 2**32, 2**40])
+    def test_window_limit(self, monkeypatch, N):
+        monkeypatch.setattr(expsum, "np", None)  # refused before numpy is used
+        rows = phases(SQUARE, [0.5], 0, N)
+        with pytest.raises(ValueError, match="N <= 2\\^30"):
+            next(rows)
+
+    def test_empty_window_and_points(self):
+        assert [len(r) for r in phases(SQUARE, [0.5, 1e-300], 3, 0)] == [0, 0]
+        assert list(phases(SQUARE, [], 3, 10)) == []
+
+
+def reference_lhs(seq, f, points):
+    a = np.asarray(seq.values)
+    rows = reference_rows(f, points, seq.M, seq.N)
+    return math.fsum(abs((a * np.exp(2j * np.pi * row)).sum()) ** 2 for row in rows)
+
+
+def reference_dual(c, f, points, M, N):
+    acc = sum(ck * np.exp(2j * np.pi * row) for ck, row in zip(c, reference_rows(f, points, M, N)))
+    return math.fsum(np.abs(acc) ** 2)
+
+
+@pytest.mark.parametrize("x", [1e-300, 5e-324])
+def test_tiny_float_point(x):
+    # vD is beyond the float range, so no step may convert it to a float.
+    seq, f = CoeffSeq.from_values([1, 1]), QuadraticAmplitude(0.7)
+    assert ls_lhs(seq, f, [x]) == pytest.approx(reference_lhs(seq, f, [x]), rel=1e-12)
+
+
+def test_tiny_float_amplitude():
+    f = QuadraticAmplitude(1e-300)
+    want = reference_dual([1], f, [0.5], 0, 3)
+    assert dual_lhs([1], f, [0.5], 0, 3) == pytest.approx(want, rel=1e-12)
 
 
 def mp_oracle(mp, f, pts, a, c, M):
