@@ -3,13 +3,14 @@
 Everything revolves around S(x) = sum_{n=M+1}^{M+N} a_n e(x f(n)) with
 e(t) = exp(2 pi i t).  One kernel, ``phases``, reduces every phase
 x f(n) modulo 1.  It takes each point x = u/v and amplitude coefficient as
-an exact rational (a float is a dyadic one), writes D f(M+1+j) =
-c_0 j^2 + c_1 j + c_2 in integers and splits each floor(2^128 (u c_i mod
-vD) / vD) into 64 high bits, which numpy sums times j^(2-i) in int64
-(wraparound is exact reduction mod 1), and 64 low bits, a float64 remainder
-below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each phase is within 2^-52
-of the exact one for any M while N <= 2^30.  exp_sum, dual_lhs and
-phase_matrix are built on its rows, summed with numpy's pairwise sum.
+an exact rational, a pair of Python ints (a float is a dyadic one), writes
+D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers and splits each
+floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums times
+j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits, a
+float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
+phase is within 2^-52 of the exact one for any M while N <= 2^30.
+exp_sum, dual_lhs and phase_matrix take e(row) as cos + i sin, summed
+pairwise; duality_norm_check solves the Gram matrices of phase_matrix.
 
 The large-sieve left side groups its points by reduced denominator q.
 For x = c/q, x f(n) = c P(n)/(qD), so S(c/q) depends on n only through
@@ -35,13 +36,17 @@ PHASE_BLOCK = 2**14  # most phases (points x terms) in one block of the phase ke
 
 
 def _exact(v):
-    # Exact for ints, Fractions and floats; Fraction(inf) raises OverflowError.
-    if type(v) is Fraction:  # Farey points already are; Fraction(v) would copy each
-        return v
+    # (u, d), Python ints with d > 0 and u/d = v exactly.  Numpy ints and
+    # strings go through Fraction, which keeps numpy int parts: hence int().
+    if type(v) is Fraction:  # Farey points: skip the lookups below
+        u, d = v.as_integer_ratio()
+        if type(u) is int and type(d) is int:
+            return u, d
     try:
-        return Fraction(v)
+        u, d = (v if hasattr(v, "as_integer_ratio") else Fraction(v)).as_integer_ratio()
     except (OverflowError, ValueError):
         raise ValueError("not a finite rational: %r" % (v,)) from None
+    return int(u), int(d)
 
 
 def _finite_complex(values):
@@ -121,9 +126,9 @@ class LinearAmplitude:
 
 def _coeffs(f):
     """(A, B, C, D), integers with D > 0, such that f(n) = (A n^2 + B n + C) / D."""
-    A, B, C = (_exact(c) for c in f.coeffs)
-    D = math.lcm(A.denominator, B.denominator, C.denominator)
-    return int(A * D), int(B * D), int(C * D), D
+    (A, a), (B, b), (C, c) = map(_exact, f.coeffs)
+    D = math.lcm(a, b, c)
+    return A * (D // a), B * (D // b), C * (D // c), D
 
 
 def _integer_values(f, M, N):
@@ -138,20 +143,27 @@ def _integer_values(f, M, N):
     return [p // g for p in P], D // g
 
 
+def _check_window(N):
+    if not 0 <= N <= 2**30:
+        raise ValueError("phases needs 0 <= N <= 2^30, got N = %r" % (N,))
+
+
 def phases(f, points, M, N):
     """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
 
     Each row is a float array in [0, 1), within 2^-52 of the exact phase.
     N outside 0 .. 2^30 or a NaN or infinite point or coefficient raises ValueError.
     """
-    if not 0 <= N <= 2**30:
-        raise ValueError("phases needs 0 <= N <= 2^30, got N = %r" % (N,))
+    return _phase_rows(f, map(_exact, points), M, N)
+
+
+def _phase_rows(f, xs, M, N):  # phases on an iterator of exact pairs (u, v)
+    _check_window(N)
     A, B, C, D = _coeffs(f)
     c = (A, 2 * A * (M + 1) + B, (A * (M + 1) + B) * (M + 1) + C)
-    xs = map(_exact, points)
     while block := list(islice(xs, max(PHASE_BLOCK // max(N, 1), 1))):
-        q = np.array([(x.numerator * ci % (m := x.denominator * D) << 128) // m
-                      for x in block for ci in c], dtype=object).reshape(-1, 3).T[..., None]
+        q = np.array([(u * ci % (m := v * D) << 128) // m
+                      for u, v in block for ci in c], dtype=object).reshape(-1, 3).T[..., None]
         H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
         rows = np.empty((len(block), N))
         for s in range(0, N, PHASE_BLOCK):
@@ -162,15 +174,20 @@ def phases(f, points, M, N):
         yield from rows
 
 
-def _row_sum(a, row):
-    # S = sum_n a_n e(row_n), numpy's pairwise sum.
-    return (a * np.exp(2j * np.pi * row)).sum()
+def _e(rows):
+    # cos and sin written into one complex array: bit-equal to
+    # np.exp(2j * np.pi * rows), without its complex temporaries.
+    z = np.empty(rows.shape, dtype=complex)
+    w = 2 * np.pi * rows
+    np.cos(w, out=z.real)
+    np.sin(w, out=z.imag)
+    return z
 
 
 def exp_sum(seq, f, x):
     """S(x) = sum_n a_n e(x f(n)), with the phases of ``phases``."""
     (row,) = phases(f, [x], seq.M, seq.N)
-    return complex(_row_sum(np.asarray(seq.values), row))
+    return complex((np.asarray(seq.values) * _e(row)).sum())
 
 
 def ls_lhs(seq, f, points):
@@ -183,25 +200,25 @@ def ls_lhs(seq, f, points):
     P, D = _integer_values(f, seq.M, seq.N)
     a = np.asarray(seq.values)
     groups = {}
-    for x in map(_exact, points):
-        groups.setdefault(x.denominator, []).append(x)
+    for u, v in map(_exact, points):
+        groups.setdefault(v, []).append(u)
     # int64 only when every P(n) fits; the residues below qD always do.
     fits = -(2**63) <= min(P) and max(P) < 2**63
     P = np.array(P, dtype=np.int64 if fits else object)
     terms = []
     rest = []
-    for q, xs in groups.items():
+    for q, us in groups.items():
         m = q * D
         if m > GROUPED_MAX_RATIO * seq.N:
-            rest.extend(xs)
+            rest.extend((u, q) for u in us)
             continue
         r = (P % m).astype(np.intp)
         B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
-        S = np.fft.ifft(B, norm="forward")[[x.numerator % m for x in xs]]
+        S = np.fft.ifft(B, norm="forward")[[u % m for u in us]]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
     if rest:
-        for row in phases(f, rest, seq.M, seq.N):
-            s = _row_sum(a, row)
+        for row in _phase_rows(f, iter(rest), seq.M, seq.N):
+            s = (a * _e(row)).sum()
             terms.append(s.real * s.real + s.imag * s.imag)
     return math.fsum(terms)
 
@@ -214,15 +231,17 @@ def dual_lhs(dual, f, points, M, N):
         raise ValueError(
             "dual sequence length %d != number of points %d" % (len(coeffs), len(pts))
         )
+    _check_window(N)
     acc = np.zeros(N, dtype=complex)
     for c, row in zip(coeffs, phases(f, pts, M, N)):
-        acc += c * np.exp(2j * np.pi * row)
+        acc += c * _e(row)
     return math.fsum((acc.real * acc.real + acc.imag * acc.imag).tolist())
 
 
 def phase_matrix(f, points, M, N):
     """The K x N matrix t_{kn} = e(x_k f(n)) as a numpy array."""
-    return np.exp(2j * np.pi * np.array(list(phases(f, points, M, N))))
+    pts = list(points)
+    return _e(np.array(list(phases(f, pts, M, N))).reshape(len(pts), N))
 
 
 class DualityCheck(NamedTuple):
@@ -231,40 +250,21 @@ class DualityCheck(NamedTuple):
     converged: bool
 
 
-def _top_eigenvalue(G, iterations, tol):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(len(G)) + 1j * rng.standard_normal(len(G))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        v = w / nw
-        if abs(nw - lam) <= tol * max(1.0, nw):
-            return nw, True
-        lam = nw
-    return lam, False
-
-
 def duality_norm_check(f, points, M, N, iterations=5000, tol=1e-12):
     """Spectral-norm equality behind the duality principle.
 
-    Power-iterates the two Gram matrices of t_{kn} = e(x_k f(n)): the
-    primal norm comes from T* T (n-side), the dual norm from T T* (k-side).
-    The two largest eigenvalues coincide, so the returned operator norms
-    must agree up to the iteration tolerance.
+    Solves the two Gram matrices of t_{kn} = e(x_k f(n)) directly: the
+    primal norm is the root of T* T's top eigenvalue (n-side), the dual
+    norm of T T*'s (k-side), each by ``np.linalg.eigvalsh``, clamped at 0
+    (and 0 for an empty matrix).  The two eigenvalues coincide, so the norms
+    agree to rounding.  The direct solve does not use ``iterations`` or
+    ``tol`` (both still checked); ``converged`` is True whenever it returns.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     T = phase_matrix(f, points, M, N)
-    lam_primal, ok_p = _top_eigenvalue(T.conj().T @ T, iterations, tol)
-    lam_dual, ok_d = _top_eigenvalue(T @ T.conj().T, iterations, tol)
-    return DualityCheck(
-        norm_primal=float(np.sqrt(lam_primal)),
-        norm_dual=float(np.sqrt(lam_dual)),
-        converged=bool(ok_p and ok_d),
-    )
+    primal, dual = (math.sqrt(max([0.0, *np.linalg.eigvalsh(G)[-1:]]))
+                    for G in (T.conj().T @ T, T @ T.conj().T))
+    return DualityCheck(primal, dual, True)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,31 @@ def each_entry_point(f, pts, seq=CoeffSeq.from_values([1, 2j, 3])):
     yield lambda: phase_matrix(f, pts, seq.M, seq.N)
 
 
+@pytest.mark.parametrize("x, exact", [
+    (np.int64(3), 3),
+    (np.int32(-4), -4),
+    (np.float32(0.1), float(np.float32(0.1))),
+    (True, 1),
+    (Decimal("0.1"), Fraction(1, 10)),
+    ("1/3", Fraction(1, 3)),
+    (Fraction(np.int64(3), np.int64(4)), Fraction(3, 4)),  # numpy parts
+])
+def test_point_and_coefficient_types(x, exact):
+    # Each accepted type is taken as its exact value, in Python ints.
+    assert expsum._exact(x) == Fraction(exact).as_integer_ratio()
+    assert all(type(v) is int for v in expsum._exact(x))
+    f, M, N = QuadraticAmplitude(0.7, -0.3, 0.1), 10**6, 16
+    (row,) = phases(f, [x], M, N)
+    ((r, m),) = residues(f, [exact], M, N)
+    assert max_phase_error(row, r, m) <= ULP52
+    # Every entry point, with the type among the points or the coefficients.
+    cases = [(f, [0.5, x], f, [0.5, exact]),
+             (QuadraticAmplitude(0.7, x, x), [0.5], QuadraticAmplitude(0.7, exact, exact), [0.5])]
+    for f_in, pts_in, f_want, pts_want in cases:
+        for got, want in zip(each_entry_point(f_in, pts_in), each_entry_point(f_want, pts_want)):
+            assert np.array_equal(got(), want())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_is_an_error(bad):
     amplitudes = [QuadraticAmplitude(1, bad), QuadraticAmplitude(1, 0, bad), LinearAmplitude(bad)]
@@ -373,10 +399,20 @@ class TestPhaseKernel:
         rows = phases(SQUARE, [0.5], 0, N)
         with pytest.raises(ValueError, match="N <= 2\\^30"):
             next(rows)
+        with pytest.raises(ValueError, match="N <= 2\\^30"):  # before np.zeros(N)
+            dual_lhs([1], SQUARE, [0.5], 0, N)
 
     def test_empty_window_and_points(self):
         assert [len(r) for r in phases(SQUARE, [0.5, 1e-300], 3, 0)] == [0, 0]
         assert list(phases(SQUARE, [], 3, 10)) == []
+        assert phase_matrix(SQUARE, [0.5, 1e-300], 3, 0).shape == (2, 0)
+        assert phase_matrix(SQUARE, [], 3, 10).shape == (0, 10)
+
+    def test_e_is_bit_equal_to_complex_exp(self):
+        t = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1 - 2.0**-53])
+        t = np.concatenate([t, np.random.default_rng(23).uniform(0, 1, 10**4)])
+        for rows in (t, t.reshape(2, -1)):
+            assert expsum._e(rows).tobytes() == np.exp(2j * np.pi * rows).tobytes()
 
 
 def reference_lhs(seq, f, points):
@@ -523,12 +559,37 @@ class TestDuality:
         f = QuadraticAmplitude(0.7, 0.1, 0.0)
         pts = list(rng.uniform(0, 1, 5))
         r = duality_norm_check(f, pts, -3, 8, iterations=20000, tol=1e-14)
-        T = phase_matrix(f, pts, -3, 8)
-        gram_small = np.linalg.eigvalsh(T @ T.conj().T)[-1] ** 0.5
-        gram_big = np.linalg.eigvalsh(T.conj().T @ T)[-1] ** 0.5
+        svd = float(np.linalg.norm(phase_matrix(f, pts, -3, 8), 2))
         assert abs(r.norm_primal - r.norm_dual) < 1e-6
-        assert r.norm_primal == pytest.approx(gram_big, abs=1e-7)
-        assert r.norm_dual == pytest.approx(gram_small, abs=1e-7)
+        assert r.norm_primal == pytest.approx(svd, abs=1e-7)
+        assert r.norm_dual == pytest.approx(svd, abs=1e-7)
+
+    def test_against_svd_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        unit = st.floats(-1, 1)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            alpha=st.floats(1e-3, 2), beta=unit, gamma=unit,
+            points=st.lists(st.one_of(unit, st.fractions(-1, 1, max_denominator=12)),
+                            min_size=1, max_size=20),
+            M=st.integers(-1000, 1000),
+            N=st.integers(1, 40),
+        )
+        def check(alpha, beta, gamma, points, M, N):
+            f = QuadraticAmplitude(alpha, beta, gamma)
+            r = duality_norm_check(f, points, M, N)
+            sigma = float(np.linalg.norm(phase_matrix(f, points, M, N), 2))
+            assert r.converged
+            assert abs(r.norm_primal - sigma) <= 1e-9 * max(1.0, sigma)
+            assert abs(r.norm_dual - sigma) <= 1e-9 * max(1.0, sigma)
+
+        check()
+
+    def test_no_points_or_empty_window(self):
+        assert duality_norm_check(SQUARE, [], 3, 10) == (0.0, 0.0, True)
+        assert duality_norm_check(SQUARE, [0.5, 0.25], 3, 0) == (0.0, 0.0, True)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
