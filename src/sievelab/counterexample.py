@@ -51,7 +51,7 @@ def build(p, N):
     if N <= 0 or N % p != 0:
         raise ValueError("N must be a positive multiple of p = %d" % p)
     values = [p if n % p == 0 else 0 for n in range(1, N + 1)]
-    return CounterexampleInstance(p=p, Q=p * p, N=N, seq=CoeffSeq(M=0, N=N, values=tuple(values)))
+    return CounterexampleInstance(p=p, Q=p * p, N=N, seq=CoeffSeq(M=0, N=N, values=values))
 
 
 def modulus_term(inst, q):

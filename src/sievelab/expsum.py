@@ -1,10 +1,13 @@
 """Coefficient sequences, quadratic amplitudes, and exponential sums.
 
 Everything revolves around S(x) = sum_{n=M+1}^{M+N} a_n e(x f(n)) with
-e(t) = exp(2 pi i t).  One kernel, ``phases``, reduces every phase
-x f(n) modulo 1.  It takes each point x = u/v and amplitude coefficient as
-an exact rational, a pair of Python ints (a float is a dyadic one), writes
-D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers and splits each
+e(t) = exp(2 pi i t).  Each input is converted once, where it enters: a
+CoeffSeq holds its a_n, and dual_lhs its weights, as a read-only finite
+complex128 copy; an amplitude reads its coefficients, and every function a
+point x = u/v, as an exact rational, a pair of Python ints (a float is a
+dyadic one).  ``_window`` writes D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in
+integers, the one integer form of f.  On it, one kernel, ``phases``,
+reduces every phase x f(n) modulo 1: it splits each
 floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums times
 j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits, a
 float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
@@ -12,16 +15,17 @@ phase is within 2^-52 of the exact one for any M while N <= 2^30.
 exp_sum, dual_lhs and phase_matrix take e(row) as cos + i sin, summed
 pairwise; duality_norm_check solves the Gram matrices of phase_matrix.
 
-The large-sieve left side groups its points by reduced denominator q.
-For x = c/q, x f(n) = c P(n)/(qD), so S(c/q) depends on n only through
-P(n) mod qD: the a_n are bucketed by that residue and one unnormalised
-inverse DFT of length qD gives S(c/q) for every numerator c at once.  The buckets take memory proportional to qD,
-so a denominator uses the DFT only while qD <= GROUPED_MAX_RATIO * N; its
-points otherwise take kernel rows, as float points (q near 2^53) always
-do.  exp_sum's per-point rows are the reference the tests hold the DFT to.
+The large-sieve left side groups its points by reduced denominator q.  Its
+D is reduced by gcd(D, P(0), P(1), P(2)), P(j) = D f(M+1+j): every P(j) is
+an integer combination of those three.  For x = c/q, x f(n) = c P(j)/(qD),
+so S(c/q) depends on n only through P(j) mod qD: the a_n are bucketed by
+that residue and one unnormalised inverse DFT of length qD gives S(c/q) for
+every numerator c at once.  The buckets take memory proportional to qD, so
+a denominator uses the DFT only while qD <= GROUPED_MAX_RATIO * N, and P is
+built only then; its points otherwise take kernel rows, as float points
+(q near 2^53) always do.  exp_sum's rows are the tests' reference for the DFT.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +40,13 @@ PHASE_BLOCK = 2**14  # most phases (points x terms) in one block of the phase ke
 
 
 def _exact(v):
-    # (u, d), Python ints with d > 0 and u/d = v exactly.  Numpy ints and
-    # strings go through Fraction, which keeps numpy int parts: hence int().
+    # (u, d), Python ints with d > 0 and u/d = v exactly.  Numpy scalars are
+    # unwrapped; strings go through Fraction, which keeps numpy int parts: hence int().
     if type(v) is Fraction:  # Farey points: skip the lookups below
         u, d = v.as_integer_ratio()
         if type(u) is int and type(d) is int:
             return u, d
+    v = v.item() if isinstance(v, np.generic) else v
     try:
         u, d = (v if hasattr(v, "as_integer_ratio") else Fraction(v)).as_integer_ratio()
     except (OverflowError, ValueError):
@@ -49,29 +54,39 @@ def _exact(v):
     return int(u), int(d)
 
 
-def _finite_complex(values):
-    out = tuple(complex(v) for v in values)
-    if not all(map(cmath.isfinite, out)):
+def _window(f, M):
+    """((c0, c1, c2), D), integers with D > 0 and D f(M+1+j) = (c0 j + c1) j + c2."""
+    (A, a), (B, b), (C, c) = map(_exact, f.coeffs)
+    D = math.lcm(a, b, c)
+    A, B, C, n = A * (D // a), B * (D // b), C * (D // c), M + 1
+    return (A, 2 * A * n + B, (A * n + B) * n + C), D
+
+
+def _value(f, n):  # f(n), rounded once: n = u/d and D f(n) are taken exactly
+    ((A, B, C), D), (u, d) = _window(f, -1), _exact(n)
+    return ((A * u + B * d) * u + C * d * d) / (D * d * d)
+
+
+def _finite_array(values):
+    a = np.array(values, dtype=complex)
+    if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite (no NaN or infinity)")
-    return out
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffSeq:
-    """Complex coefficients a_n on the window n = M+1 .. M+N, all finite."""
+    """Coefficients a_n on n = M+1 .. M+N: a read-only, finite complex128 copy."""
 
     M: int
     N: int
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("window length N must be positive")
-        if len(self.values) != self.N:
-            raise ValueError(
-                "expected %d coefficients, got %d" % (self.N, len(self.values))
-            )
-        object.__setattr__(self, "values", _finite_complex(self.values))
+        object.__setattr__(self, "values", _finite_array(self.values))
+        if self.N < 1 or self.values.shape != (self.N,):
+            raise ValueError("need N >= 1 values: N = %r, shape %r" % (self.N, self.values.shape))
 
     @classmethod
     def from_values(cls, values, M=0):
@@ -79,16 +94,16 @@ class CoeffSeq:
         return cls(M=M, N=len(vals), values=vals)
 
     def power(self):
-        """Z = sum |a_n|^2."""
-        return math.fsum(abs(v) ** 2 for v in self.values)
+        """Z = sum |a_n|^2, by Python's abs and ** (numpy's differ in the last bit)."""
+        return math.fsum(abs(v) ** 2 for v in self.values.tolist())
 
 
 @dataclass(frozen=True)
 class QuadraticAmplitude:
     """f(x) = alpha x^2 + beta x + gamma with alpha > 0.
 
-    The coefficients are kept as given (ints, Fractions or floats); the
-    phase kernel takes each as an exact rational.
+    The coefficients are kept as given (ints, Fractions, floats, "1/3", ...)
+    and read as exact rationals when built: NaN, infinity or alpha <= 0 is refused.
     """
 
     alpha: object
@@ -96,7 +111,7 @@ class QuadraticAmplitude:
     gamma: object = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
+        if not _window(self, -1)[0][0] > 0:
             raise ValueError("quadratic amplitude requires alpha > 0")
 
     @property
@@ -104,8 +119,7 @@ class QuadraticAmplitude:
         """(alpha, beta, gamma), as given."""
         return (self.alpha, self.beta, self.gamma)
 
-    def __call__(self, n):
-        return float(self.alpha) * n * n + float(self.beta) * n + float(self.gamma)
+    __call__ = _value
 
 
 @dataclass(frozen=True)
@@ -115,32 +129,15 @@ class LinearAmplitude:
     beta: object = 1
     gamma: object = 0
 
+    def __post_init__(self):
+        _window(self, -1)  # each coefficient a finite rational
+
     @property
     def coeffs(self):
         """(0, beta, gamma): the quadratic coefficients of f."""
         return (0, self.beta, self.gamma)
 
-    def __call__(self, n):
-        return float(self.beta) * n + float(self.gamma)
-
-
-def _coeffs(f):
-    """(A, B, C, D), integers with D > 0, such that f(n) = (A n^2 + B n + C) / D."""
-    (A, a), (B, b), (C, c) = map(_exact, f.coeffs)
-    D = math.lcm(a, b, c)
-    return A * (D // a), B * (D // b), C * (D // c), D
-
-
-def _integer_values(f, M, N):
-    """(P, D) with f(n) = P[n - M - 1] / D for n = M+1 .. M+N.
-
-    P is a list of ints and D > 0 the least common denominator of the
-    f(n) on the window, so gcd(D, *P) = 1.
-    """
-    A, B, C, D = _coeffs(f)
-    P = [(A * n + B) * n + C for n in range(M + 1, M + N + 1)]
-    g = math.gcd(D, *P)
-    return [p // g for p in P], D // g
+    __call__ = _value
 
 
 def _check_window(N):
@@ -159,8 +156,7 @@ def phases(f, points, M, N):
 
 def _phase_rows(f, xs, M, N):  # phases on an iterator of exact pairs (u, v)
     _check_window(N)
-    A, B, C, D = _coeffs(f)
-    c = (A, 2 * A * (M + 1) + B, (A * (M + 1) + B) * (M + 1) + C)
+    c, D = _window(f, M)
     while block := list(islice(xs, max(PHASE_BLOCK // max(N, 1), 1))):
         q = np.array([(u * ci % (m := v * D) << 128) // m
                       for u, v in block for ci in c], dtype=object).reshape(-1, 3).T[..., None]
@@ -187,7 +183,7 @@ def _e(rows):
 def exp_sum(seq, f, x):
     """S(x) = sum_n a_n e(x f(n)), with the phases of ``phases``."""
     (row,) = phases(f, [x], seq.M, seq.N)
-    return complex((np.asarray(seq.values) * _e(row)).sum())
+    return complex((seq.values * _e(row)).sum())
 
 
 def ls_lhs(seq, f, points):
@@ -197,41 +193,42 @@ def ls_lhs(seq, f, points):
     length qD while qD <= GROUPED_MAX_RATIO * N and kernel rows otherwise
     (see the module docstring).  Duplicate points each add their term.
     """
-    P, D = _integer_values(f, seq.M, seq.N)
-    a = np.asarray(seq.values)
+    a, N = seq.values, seq.N
+    (c0, c1, c2), D = _window(f, seq.M)
+    D //= (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
     groups = {}
     for u, v in map(_exact, points):
         groups.setdefault(v, []).append(u)
-    # int64 only when every P(n) fits; the residues below qD always do.
-    fits = -(2**63) <= min(P) and max(P) < 2**63
-    P = np.array(P, dtype=np.int64 if fits else object)
-    terms = []
-    rest = []
+    P = None
+    terms, rest = [], []
     for q, us in groups.items():
         m = q * D
-        if m > GROUPED_MAX_RATIO * seq.N:
+        if m > GROUPED_MAX_RATIO * N:
             rest.extend((u, q) for u in us)
             continue
+        if P is None:  # int64 while no P(j) * g can overflow; the residues below qD always fit
+            fits = abs(c0) * N * N + abs(c1) * N + abs(c2) < 2**63
+            j = np.arange(N, dtype=np.int64 if fits else object)
+            P = ((c0 * j + c1) * j + c2) // g
         r = (P % m).astype(np.intp)
         B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
         S = np.fft.ifft(B, norm="forward")[[u % m for u in us]]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
-    if rest:
-        for row in _phase_rows(f, iter(rest), seq.M, seq.N):
-            s = (a * _e(row)).sum()
-            terms.append(s.real * s.real + s.imag * s.imag)
+    for row in _phase_rows(f, iter(rest), seq.M, N):
+        s = (a * _e(row)).sum()
+        terms.append(s.real * s.real + s.imag * s.imag)
     return math.fsum(terms)
 
 
 def dual_lhs(dual, f, points, M, N):
     """The dual form: sum_{n=M+1}^{M+N} |sum_k c_k e(x_k f(n))|^2, c_k finite."""
     pts = list(points)
-    coeffs = _finite_complex(dual)
+    _check_window(N)
+    coeffs = _finite_array(dual)
     if len(coeffs) != len(pts):
         raise ValueError(
             "dual sequence length %d != number of points %d" % (len(coeffs), len(pts))
         )
-    _check_window(N)
     acc = np.zeros(N, dtype=complex)
     for c, row in zip(coeffs, phases(f, pts, M, N)):
         acc += c * _e(row)

@@ -46,7 +46,7 @@ def random_sequence(dist, M, N, rng, density=0.1):
         values *= rng.uniform(0.0, 1.0, N) < density
     else:
         raise ValueError("unknown distribution %r" % (dist,))
-    return CoeffSeq(M=M, N=N, values=tuple(values))
+    return CoeffSeq(M=M, N=N, values=values)
 
 
 def _farey_with_gap(Q):
@@ -73,6 +73,8 @@ def verify_classical(
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
+    if q_max < 2 or not 1 <= n_max <= 2**30:  # 2^30: the phase kernel's window limit
+        raise ValueError("need q_max >= 2 and 1 <= n_max <= 2^30, got %r and %r" % (q_max, n_max))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     f = LinearAmplitude(1, 0)
@@ -123,8 +125,8 @@ class SweepConfig:
         # never a row: status=domain_error is left to negative radicands.
         if not all(Q >= 1 for Q in self.q_values):
             raise ValueError("every Q must be >= 1")
-        if not all(N >= 1 for N in self.n_values):
-            raise ValueError("every N must be >= 1")
+        if not all(1 <= N <= 2**30 for N in self.n_values):  # the phase kernel's window limit
+            raise ValueError("every N must be in 1 .. 2^30")
         if not all(alpha > 0 for alpha in self.alpha_values):
             raise ValueError("every alpha must be > 0")
         if not all(math.isfinite(eps) and eps > 0 for eps in self.eps_values):

@@ -277,6 +277,8 @@ def assert_refused(command, tmp_path):
         ("dls-check", "--instances", "2", "--size-max", "-4"),
         ("dls-check", "--instances", "-3"),
         ("verify-classical", "--instances", "-3"),
+        ("verify-classical", "--Q", "1"),
+        ("verify-classical", "--N", "0"),
         ("lemma4", "--N", "2", "--eps", "inf"),
         ("lemma4", "--N", "2", "--eps=-inf"),
         ("lemma4", "--N", "2", "--eps", "nan"),
@@ -296,6 +298,12 @@ def test_refusals_come_before_any_row(monkeypatch):
             sweeps.dls_random_sweep(**kwargs)
     with pytest.raises(ValueError, match="instances"):
         sweeps.verify_classical(instances=-1)
+    # N above 2^30 only here, where no row can be drawn: a run would first allocate its N.
+    for name, value in (("q_max", 1), ("q_max", -5), ("n_max", 0), ("n_max", 2**30 + 1)):
+        with pytest.raises(ValueError, match=name):
+            sweeps.verify_classical(**{name: value})
+    with pytest.raises(ValueError, match="every N"):
+        sweeps.SweepConfig(n_values=(16, 2**30 + 1))
 
 
 def test_zero_instances_write_a_header_only_report():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sievelab import counterexample as cx
@@ -18,7 +19,7 @@ class TestBuild:
 
     def test_smallest(self):
         inst = cx.build(2, 2)
-        assert inst.seq.values == (0j, 2 + 0j)
+        assert np.array_equal(inst.seq.values, [0j, 2 + 0j])
         assert inst.Z == 4
 
     def test_rejects_composite_p(self):

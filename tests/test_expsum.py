@@ -19,7 +19,7 @@ from sievelab.expsum import (
     phases,
 )
 from sievelab.farey import farey_sequence
-from phase_reference import max_phase_error, reference_rows, residues
+from phase_reference import integer_values, max_phase_error, reference_rows, residues
 
 SQUARE = QuadraticAmplitude(1)
 
@@ -48,9 +48,10 @@ class TestAmplitudes:
 
     def test_exact_path(self):
         f = QuadraticAmplitude(Fraction(1, 2), 1, 0)
-        assert expsum._integer_values(f, 2, 1) == ([15], 2)  # f(3) = 15/2
-        assert expsum._integer_values(f, 1, 2) == ([8, 15], 2)  # 4, 15/2
-        assert expsum._integer_values(f, 1, 1) == ([4], 1)  # D reduced
+        assert expsum._window(f, 2) == ((1, 8, 15), 2)  # 2 f(3 + j) = j^2 + 8j + 15
+        assert expsum._window(f, -1) == ((1, 2, 0), 2)  # 2 f(j) = j^2 + 2j
+        assert integer_values(f, 1, 2) == ([8, 15], 2)  # the reference: 4, 15/2
+        assert integer_values(f, 1, 1) == ([4], 1)  # D reduced
 
     def test_float_coeffs_take_the_exact_path(self):
         # A float is a dyadic rational: 0.5 and Fraction(1, 2) are the
@@ -73,6 +74,26 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             QuadraticAmplitude(-1)
 
+    def test_string_alpha(self):
+        # alpha > 0 is checked on the exact value, so "1/3" is an amplitude.
+        seq = CoeffSeq.from_values([1, 2j, -3], M=4)
+        f, exact = QuadraticAmplitude("1/3"), QuadraticAmplitude(Fraction(1, 3))
+        assert ls_lhs(seq, f, farey_sequence(7)) == ls_lhs(seq, exact, farey_sequence(7))
+        for bad in ("-1/3", "0", "0/5"):
+            with pytest.raises(ValueError):
+                QuadraticAmplitude(bad)
+
+    def test_call_reads_each_coefficient_exactly(self):
+        assert QuadraticAmplitude(1, "1/3")(2) == float(Fraction(14, 3))
+        assert LinearAmplitude("1/3", Decimal("0.1"))(3) == 1.1
+        # One rounding, at the end (float arithmetic gives 3.3333333399999994e+17).
+        n = 10**9 + 1
+        assert QuadraticAmplitude(Fraction(1, 3), 0, 1)(n) == float(Fraction(n * n, 3) + 1)
+        # n^2 would wrap in int64, and 0.1 is read as the double it is.
+        n = np.int64(4 * 10**9)
+        assert QuadraticAmplitude(Fraction(1, 3))(n) == float(Fraction(16 * 10**18, 3))
+        assert QuadraticAmplitude(1, 1)(0.1) == float(Fraction(0.1) ** 2 + Fraction(0.1))
+
     def test_linear(self):
         f = LinearAmplitude(1, 0)
         assert f(7) == 7
@@ -91,6 +112,21 @@ class TestCoeffSeq:
     def test_power_zero_iff_all_zero(self):
         assert CoeffSeq.from_values([0, 0]).power() == 0.0
         assert CoeffSeq.from_values([0, 1e-8]).power() > 0.0
+
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([1, 2j, -3, 0.5])
+        seq = CoeffSeq(M=7, N=4, values=source)
+        want = ls_lhs(seq, SQUARE, farey_sequence(6))
+        source[:] = 100
+        assert ls_lhs(seq, SQUARE, farey_sequence(6)) == want
+        assert seq.values.dtype == np.complex128
+        with pytest.raises(ValueError):
+            seq.values[0] = 5
+        assert seq.values.tolist() == [1, 2j, -3, 0.5]
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            CoeffSeq(M=0, N=2, values=[[1], [2]])
 
 
 class TestExpSum:
@@ -256,6 +292,66 @@ class TestGroupedLhs:
         assert bucket_sizes == []
 
 
+    def test_int64_and_object_windows(self, monkeypatch):
+        # P(j) is built in int64 while |c0| N^2 + |c1| N + |c2| < 2^63 and
+        # as Python ints beyond; (M + 1)^2 crosses the bound between these M.
+        dtypes = []
+        arange = np.arange
+
+        def spy(*args, **kwargs):
+            dtypes.append(kwargs.get("dtype"))
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(expsum.np, "arange", spy)
+        rng = np.random.default_rng(18)
+        for M, dtype in ((3 * 10**9, np.int64), (5 * 10**9, object)):
+            seq = random_seq(rng, M, 64)
+            want = loop_lhs(seq, SQUARE, farey_sequence(9))
+            dtypes.clear()
+            assert ls_lhs(seq, SQUARE, farey_sequence(9)) == pytest.approx(want, rel=1e-12)
+            assert dtypes == [dtype]  # every q <= 9 takes the DFT: no kernel rows
+
+
+def test_reduced_denominator_property():
+    # ls_lhs reduces D by gcd(D, P(0), P(1), P(2)) alone; the reference takes
+    # the gcd over the whole window.  A point c/q takes q D buckets whenever
+    # that passes the memory guard, and its sum matches the kernel rows.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+        st.integers(-64, 64).map(lambda k: k / 16),  # floats with small denominators
+        st.floats(-1e6, 1e6),
+        st.integers(-(10**6), 10**6),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        alpha=coeff.filter(lambda v: v > 0), beta=coeff, gamma=coeff,
+        M=st.one_of(st.integers(-8, 8), st.integers(-(10**18), 10**18)), N=st.integers(1, 40),
+    )
+    # (n^2 + 3n)/4 from n = 0: P = 0, 4, 10, so P(2) alone halves the reduced D.
+    @hypothesis.example(alpha=Fraction(1, 4), beta=0.75, gamma=0, M=-1, N=3)
+    def check(alpha, beta, gamma, M, N):
+        f = QuadraticAmplitude(alpha, beta, gamma)
+        (c0, c1, c2), D = expsum._window(f, M)
+        P, reduced = integer_values(f, M, N)
+        assert [p * (D // reduced) for p in P] == [(c0 * j + c1) * j + c2 for j in range(N)]
+        assert D // math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))) == reduced
+        seq, points = CoeffSeq.from_values(np.arange(1, N + 1) * 1j, M=M), [0, Fraction(1, 2)]
+        want = loop_lhs(seq, f, points)
+        sizes = []
+        bincount = np.bincount
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expsum.np, "bincount", lambda x, w, minlength: sizes.append(minlength)
+                       or bincount(x, w, minlength=minlength))
+            assert ls_lhs(seq, f, points) == pytest.approx(want, rel=1e-12, abs=1e-12 * N**4)
+        guarded = [q * reduced for q in (1, 2) if q * reduced <= expsum.GROUPED_MAX_RATIO * N]
+        assert sizes == [m for m in guarded for _ in range(2)]  # real and imaginary parts
+
+    check()
+
+
 def test_grouped_lhs_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -300,6 +396,7 @@ def each_entry_point(f, pts, seq=CoeffSeq.from_values([1, 2j, 3])):
     (Decimal("0.1"), Fraction(1, 10)),
     ("1/3", Fraction(1, 3)),
     (Fraction(np.int64(3), np.int64(4)), Fraction(3, 4)),  # numpy parts
+    (np.True_, 1),
 ])
 def test_point_and_coefficient_types(x, exact):
     # Each accepted type is taken as its exact value, in Python ints.
@@ -319,15 +416,16 @@ def test_point_and_coefficient_types(x, exact):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_is_an_error(bad):
-    amplitudes = [QuadraticAmplitude(1, bad), QuadraticAmplitude(1, 0, bad), LinearAmplitude(bad)]
-    if bad > 0:
-        amplitudes.append(QuadraticAmplitude(bad))
-    cases = [(QuadraticAmplitude(0.7, 0.1), [Fraction(1, 3), bad])]
-    cases += [(f, [Fraction(1, 3), 0.25]) for f in amplitudes]
-    for f, pts in cases:
-        for call in each_entry_point(f, pts):
-            with pytest.raises(ValueError):
-                call()
+    # A coefficient is refused when the amplitude is built, before any sum;
+    # a point by every entry point.
+    for amplitude, coeffs in ((QuadraticAmplitude, (1, bad)), (QuadraticAmplitude, (1, 0, bad)),
+                              (QuadraticAmplitude, (bad,)), (LinearAmplitude, (bad,)),
+                              (LinearAmplitude, (1, bad))):
+        with pytest.raises(ValueError):
+            amplitude(*coeffs)
+    for call in each_entry_point(QuadraticAmplitude(0.7, 0.1), [Fraction(1, 3), bad]):
+        with pytest.raises(ValueError):
+            call()
     # Sequence values a_n and dual weights c_k.
     for values in ([1, bad], [1, complex(0, bad)]):
         with pytest.raises(ValueError):
