@@ -8,16 +8,16 @@ which outgrows (Q^2 + N) Z once N is large against Q^(3/2).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import euler_phi
 from .bounds import additive_rhs
 from .expsum import CoeffSeq, QuadraticAmplitude, ls_lhs
-from .farey import farey_sequence
+from .farey import ReducedFractions, farey_by_denominator
+from .sweeps import N_MAX
 
 
-# F(p^2) has about 3p^4/pi^2 points, built as Fractions: p = 41 gives 859 735
-# (4 s and 170 MB with N = p^3), while p = 101 would give 3.2e7.
+# F(p^2) has about 3p^4/pi^2 points, 859 735 at p = 41, where a run with N = p^3
+# takes 2.2-2.6 s and 76 MB (shared 2-vCPU VM), mostly ls_lhs; p = 101 gives 3.2e7.
 COUNTEREXAMPLE_P_CAP = 41
 
 
@@ -48,9 +48,9 @@ def build(p, N):
         raise ValueError("p = %d exceeds the cap %d on |F(p^2)|" % (p, COUNTEREXAMPLE_P_CAP))
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
-    if N <= 0 or N % p != 0:
-        raise ValueError("N must be a positive multiple of p = %d" % p)
-    values = [p if n % p == 0 else 0 for n in range(1, N + 1)]
+    if not 0 < N <= N_MAX or N % p != 0:
+        raise ValueError("N must be a positive multiple of p = %d within the cap %d" % (p, N_MAX))
+    values = ([0] * (p - 1) + [p]) * (N // p)
     return CounterexampleInstance(p=p, Q=p * p, N=N, seq=CoeffSeq(M=0, N=N, values=values))
 
 
@@ -61,8 +61,7 @@ def modulus_term(inst, q):
     """
     if q < 1 or q > inst.Q:
         raise ValueError("q must satisfy 1 <= q <= Q")
-    residues = [Fraction(a, q) for a in range(q) if math.gcd(a, q) == 1]
-    return ls_lhs(inst.seq, SQUARE, residues)
+    return ls_lhs(inst.seq, SQUARE, ReducedFractions([q]))
 
 
 def modulus_term_closed_form(inst):
@@ -90,7 +89,7 @@ def demonstrate_failure(inst):
     modulus_term(Q) > (Q^2 + N) Z, with no asymptotic threshold involved.
     """
     Z = float(inst.Z)
-    lhs = ls_lhs(inst.seq, SQUARE, farey_sequence(inst.Q))
+    lhs = ls_lhs(inst.seq, SQUARE, farey_by_denominator(inst.Q))
     single = modulus_term(inst, inst.Q)
     naive = additive_rhs(inst.Q, inst.N, Z)
     scale = inst.Q ** 2.5 * inst.N + inst.Q ** 0.5 * inst.N ** 2

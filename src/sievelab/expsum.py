@@ -15,7 +15,8 @@ phase is within 2^-52 of the exact one for any M while N <= 2^30.
 exp_sum, dual_lhs and phase_matrix take e(row) as cos + i sin, summed
 pairwise; duality_norm_check solves the Gram matrices of phase_matrix.
 
-The large-sieve left side groups its points by reduced denominator q.  Its
+The large-sieve left side groups its points by reduced denominator q; a
+farey.ReducedFractions, such as farey_by_denominator(Q), comes grouped.  Its
 D is reduced by gcd(D, P(0), P(1), P(2)), P(j) = D f(M+1+j): every P(j) is
 an integer combination of those three.  For x = c/q, x f(n) = c P(j)/(qD),
 so S(c/q) depends on n only through P(j) mod qD: the a_n are bucketed by
@@ -23,16 +24,21 @@ that residue and one unnormalised inverse DFT of length qD gives S(c/q) for
 every numerator c at once.  The buckets take memory proportional to qD, so
 a denominator uses the DFT only while qD <= GROUPED_MAX_RATIO * N, and P is
 built only then; its points otherwise take kernel rows, as float points
-(q near 2^53) always do.  exp_sum's rows are the tests' reference for the DFT.
+(q near 2^53) always do.  Consecutive groups fill their buckets in one pass,
+each at its offset, while sum(qD + N) <= PHASE_BLOCK // 4: each bin still
+sums its group's a_n in n order, and fsum rounds correctly, so the sum is
+bit-equal to one fill per group.  exp_sum's rows are the DFT's reference.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
+
+from .farey import ReducedFractions
 
 # Largest bucket count qD per window term for which ls_lhs uses a DFT.
 GROUPED_MAX_RATIO = 16
@@ -42,10 +48,6 @@ PHASE_BLOCK = 2**14  # most phases (points x terms) in one block of the phase ke
 def _exact(v):
     # (u, d), Python ints with d > 0 and u/d = v exactly.  Numpy scalars are
     # unwrapped; strings go through Fraction, which keeps numpy int parts: hence int().
-    if type(v) is Fraction:  # Farey points: skip the lookups below
-        u, d = v.as_integer_ratio()
-        if type(u) is int and type(d) is int:
-            return u, d
     v = v.item() if isinstance(v, np.generic) else v
     try:
         u, d = (v if hasattr(v, "as_integer_ratio") else Fraction(v)).as_integer_ratio()
@@ -189,30 +191,43 @@ def exp_sum(seq, f, x):
 def ls_lhs(seq, f, points):
     """The large-sieve left side: sum over x in points of |S(x)|^2.
 
-    Points are grouped by reduced denominator q; a group takes one DFT of
-    length qD while qD <= GROUPED_MAX_RATIO * N and kernel rows otherwise
-    (see the module docstring).  Duplicate points each add their term.
+    Points (rationals, or a farey.ReducedFractions) are grouped by reduced
+    denominator q; a group takes one DFT of length qD while qD <= GROUPED_MAX_RATIO * N
+    and kernel rows otherwise (see the module docstring).  Duplicates each count.
     """
     a, N = seq.values, seq.N
     (c0, c1, c2), D = _window(f, seq.M)
     D //= (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
-    groups = {}
-    for u, v in map(_exact, points):
-        groups.setdefault(v, []).append(u)
-    P = None
-    terms, rest = [], []
+    if isinstance(points, ReducedFractions):  # q -> int64 numerators, as they come
+        groups = points.numerators
+    else:  # q -> object array of the Python ints u, for each point u/q
+        groups = {}
+        for u, v in map(_exact, points):
+            groups.setdefault(v, []).append(u)
+        groups = {q: np.array(us, dtype=object) for q, us in groups.items()}
+    blocks, rest, terms, size = [], [], [], math.inf
     for q, us in groups.items():
-        m = q * D
-        if m > GROUPED_MAX_RATIO * N:
-            rest.extend((u, q) for u in us)
+        if (m := q * D) > GROUPED_MAX_RATIO * N:
+            rest.extend((u, q) for u in us.tolist())  # Python ints for the kernel
             continue
-        if P is None:  # int64 while no P(j) * g can overflow; the residues below qD always fit
-            fits = abs(c0) * N * N + abs(c1) * N + abs(c2) < 2**63
-            j = np.arange(N, dtype=np.int64 if fits else object)
-            P = ((c0 * j + c1) * j + c2) // g
-        r = (P % m).astype(np.intp)
-        B = np.bincount(r, a.real, minlength=m) + 1j * np.bincount(r, a.imag, minlength=m)
-        S = np.fft.ifft(B, norm="forward")[[u % m for u in us]]
+        if size + m + N > PHASE_BLOCK // 4:  # bins and residues: start a new block
+            blocks.append([])
+            size = 0
+        blocks[-1].append((m, us))
+        size += m + N
+    if blocks:  # int64 while no P(j) * g can overflow; the residues below qD always fit
+        fits = abs(c0) * N * N + abs(c1) * N + abs(c2) < 2**63
+        j = np.arange(N, dtype=np.int64 if fits else object)
+        P = ((c0 * j + c1) * j + c2) // g
+    for block in blocks:
+        ms, us = zip(*block)
+        o = list(accumulate(ms, initial=0))  # group offsets; o[-1] bins in all
+        m, off = (np.array(v, dtype=P.dtype)[:, None] for v in (ms, o[:-1]))
+        r = (P % m + off).ravel().astype(np.intp)
+        B = (np.bincount(r, np.tile(a.real, len(ms)), minlength=o[-1])
+             + 1j * np.bincount(r, np.tile(a.imag, len(ms)), minlength=o[-1]))
+        S = np.concatenate([np.fft.ifft(B[i:i + n], norm="forward") for n, i in zip(ms, o)])
+        S = S[np.concatenate([u % n + i for u, n, i in zip(us, ms, o)]).astype(np.intp)]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
     for row in _phase_rows(f, iter(rest), seq.M, N):
         s = (a * _e(row)).sum()

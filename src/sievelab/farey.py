@@ -5,9 +5,15 @@ fractions p/q with 0 <= p < q <= Q, in increasing order.  Its minimal gap
 modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
 1/(Q-1).  The additive bound (Q^2 + N) Z in bounds corresponds to the
 coarser convention delta^{-1} = Q^2.
+
+farey_pairs and farey_sequence list F(Q) in order; farey_by_denominator
+builds it as int64 numerator arrays per q, the form the sweeps pass to ls_lhs.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
+
+import numpy as np
 
 
 def farey_pairs(Q):
@@ -31,6 +37,28 @@ def farey_pairs(Q):
 def farey_sequence(Q):
     """F(Q) as a tuple of exact Fractions, from farey_pairs."""
     return tuple(Fraction(p, q) for p, q in farey_pairs(Q))
+
+
+class ReducedFractions:
+    """The p/q with 0 <= p < q, gcd(p, q) = 1, for each given q >= 1, by denominator:
+    ``numerators`` maps q (a Python int) to a read-only int64 array of its p,
+    increasing, the indices where gcd(arange(q), q) is 1.  len() is sum phi(q)."""
+
+    def __init__(self, denominators):
+        numerators = {int(q): np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in denominators}
+        for p in numerators.values():
+            p.flags.writeable = False
+        self.numerators = MappingProxyType(numerators)
+
+    def __len__(self):
+        return sum(map(len, self.numerators.values()))
+
+
+def farey_by_denominator(Q):
+    """F(Q) by denominator, as ReducedFractions for q = 1 .. Q, built in numpy."""
+    if Q < 1:
+        raise ValueError("Farey order must be >= 1, got %r" % (Q,))
+    return ReducedFractions(range(1, Q + 1))
 
 
 def min_gap_mod1(points):

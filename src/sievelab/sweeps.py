@@ -7,6 +7,7 @@ from numpy's PCG64 generator seeded per row through SeedSequence spawn
 keys, and rows are computed and emitted in grid order, one at a time.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,10 +18,12 @@ import numpy as np
 from . import __version__
 from . import bounds, dls
 from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, ls_lhs
-from .farey import farey_sequence
+from .farey import farey_by_denominator
 
 RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
+# Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
+N_MAX = 2**22  # 16 times the largest scale run, 2^18, so a row's arrays stay in tens of MB
 
 
 def _row_rng(seed, index):
@@ -51,7 +54,7 @@ def random_sequence(dist, M, N, rng, density=0.1):
 
 def _farey_with_gap(Q):
     # The minimal gap of F(Q) mod 1 is 1/(Q(Q-1)), between 1/Q and 1/(Q-1).
-    return farey_sequence(Q), Fraction(1, Q * (Q - 1)) if Q > 1 else Fraction(1)
+    return farey_by_denominator(Q), Fraction(1, Q * (Q - 1)) if Q > 1 else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +76,14 @@ def verify_classical(
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
-    if q_max < 2 or not 1 <= n_max <= 2**30:  # 2^30: the phase kernel's window limit
-        raise ValueError("need q_max >= 2 and 1 <= n_max <= 2^30, got %r and %r" % (q_max, n_max))
+    if q_max < 2 or not 1 <= n_max <= N_MAX:
+        raise ValueError("need q_max >= 2 and 1 <= n_max <= %d; got %r, %r" % (N_MAX, q_max, n_max))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
-    farey = {}  # F(Q) and its gap per distinct Q, for this call only
+    farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
     for i in range(instances):
         rng = _row_rng(seed, i)
         Q = int(rng.integers(2, q_max + 1))
@@ -88,9 +91,7 @@ def verify_classical(
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
         Z = seq.power()
-        if Q not in farey:
-            farey[Q] = _farey_with_gap(Q)
-        points, delta = farey[Q]
+        points, delta = farey(Q)
         lhs = ls_lhs(seq, f, points)
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
@@ -125,8 +126,8 @@ class SweepConfig:
         # never a row: status=domain_error is left to negative radicands.
         if not all(Q >= 1 for Q in self.q_values):
             raise ValueError("every Q must be >= 1")
-        if not all(1 <= N <= 2**30 for N in self.n_values):  # the phase kernel's window limit
-            raise ValueError("every N must be in 1 .. 2^30")
+        if not all(1 <= N <= N_MAX for N in self.n_values):
+            raise ValueError("every N must be in 1 .. %d" % N_MAX)
         if not all(alpha > 0 for alpha in self.alpha_values):
             raise ValueError("every alpha must be > 0")
         if not all(math.isfinite(eps) and eps > 0 for eps in self.eps_values):
@@ -177,24 +178,14 @@ def theorem2_sweep(config):
     a ratio for every entry of bounds.RHS.  F(Q) with its gap, and the
     exact Y = 2 max|g|, are built once per distinct argument in this call.
     """
-    farey = {}
-    y_exact = {}
+    farey = functools.cache(_farey_with_gap)
+    y_exact = functools.cache(lambda *key: 2 * dls.max_abs_g(*key))
     rows = []
-    grid = itertools.product(
-        config.q_values,
-        config.m_values,
-        config.n_values,
-        config.alpha_values,
-        config.ratios,
-        config.eps_values,
-    )
+    grid = itertools.product(config.q_values, config.m_values, config.n_values,
+                             config.alpha_values, config.ratios, config.eps_values)
     for index, (Q, M, N, alpha, ab, eps) in enumerate(grid):
-        if Q not in farey:
-            farey[Q] = _farey_with_gap(Q)
-        key = (M, N, ab.numerator, ab.denominator)
-        if key not in y_exact:
-            y_exact[key] = 2 * dls.max_abs_g(*key)
-        rows.append(_sweep_row(config, index, Q, M, N, alpha, ab, eps, *farey[Q], y_exact[key]))
+        y = y_exact(M, N, ab.numerator, ab.denominator)
+        rows.append(_sweep_row(config, index, Q, M, N, alpha, ab, eps, *farey(Q), y))
     return THEOREM2_COLUMNS, rows
 
 

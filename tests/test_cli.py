@@ -306,6 +306,30 @@ def test_refusals_come_before_any_row(monkeypatch):
         sweeps.SweepConfig(n_values=(16, 2**30 + 1))
 
 
+def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp_path):
+    # In process, with drawing and building a sequence made to fail: a run
+    # above the cap would otherwise allocate its N-length arrays.
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    monkeypatch.setattr(counterexample, "CoeffSeq", lambda **k: pytest.fail("a sequence was built"))
+    over = sweeps.N_MAX + 1
+    with pytest.raises(ValueError, match="n_max"):
+        sweeps.verify_classical(n_max=over)
+    with pytest.raises(ValueError, match="every N"):
+        sweeps.SweepConfig(n_values=(16, over))
+    with pytest.raises(ValueError, match="cap"):
+        counterexample.build(2, over + 1)
+    assert sweeps.verify_classical(instances=0, n_max=sweeps.N_MAX) == ([], True)
+    assert sweeps.SweepConfig(n_values=(sweeps.N_MAX,)).n_values == (sweeps.N_MAX,)
+    out = tmp_path / "report"
+    for argv in (["verify-classical", "--N", str(over)], ["theorem2-sweep", "--N", str(over)],
+                 ["counterexample", "--p", "2", "--N", str(over + 1)]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("sievelab %s: " % argv[0])
+        assert len(stderr.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_zero_instances_write_a_header_only_report():
     for command in ("dls-check", "verify-classical"):
         proc = run(command, "--instances", "0")

@@ -18,7 +18,7 @@ from sievelab.expsum import (
     phase_matrix,
     phases,
 )
-from sievelab.farey import farey_sequence
+from sievelab.farey import ReducedFractions, farey_by_denominator, farey_sequence
 from phase_reference import integer_values, max_phase_error, reference_rows, residues
 
 SQUARE = QuadraticAmplitude(1)
@@ -312,6 +312,61 @@ class TestGroupedLhs:
             assert dtypes == [dtype]  # every q <= 9 takes the DFT: no kernel rows
 
 
+class TestFareyByDenominator:
+    """ls_lhs on farey_by_denominator(Q) against farey_sequence(Q), bit for bit."""
+
+    AMPLITUDES = (LinearAmplitude(1, 0), SQUARE, QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6)))
+    Q = 24  # q D > 16 N takes kernel rows: every q > 16 at N = 1, q >= 19 for D = 6 at N = 7
+
+    @pytest.mark.parametrize("N", [1, 7, 64, 700])
+    @pytest.mark.parametrize("M", [0, -13, 5 * 10**9])  # 5e9: P(j) as Python ints
+    def test_matches_the_fractions(self, M, N):
+        rng = np.random.default_rng(N)
+        seq = random_seq(rng, M, N)
+        for f in self.AMPLITUDES:
+            want = ls_lhs(seq, f, farey_sequence(self.Q))
+            assert ls_lhs(seq, f, farey_by_denominator(self.Q)) == want
+
+    def test_some_groups_take_kernel_rows(self, bucket_sizes):
+        seq = random_seq(np.random.default_rng(3), 0, 7)
+        f = self.AMPLITUDES[2]
+        want = ls_lhs(seq, f, farey_sequence(self.Q))
+        assert ls_lhs(seq, f, farey_by_denominator(self.Q)) == want
+        # Each call fills one block of q D = 6q buckets for the q <= 18 alone,
+        # real and imaginary parts; q = 19 .. 24 take kernel rows.
+        assert bucket_sizes == [sum(6 * q for q in range(1, 19))] * 4
+
+    @pytest.mark.parametrize("block, calls", [(1, "per group"), (2**40, "one")])
+    def test_block_size_does_not_move_a_bit(self, monkeypatch, block, calls):
+        rng = np.random.default_rng(4)
+        for f in self.AMPLITUDES:
+            for M, N in ((0, 7), (-5, 64), (5 * 10**9, 64)):
+                seq = random_seq(rng, M, N)
+                want = ls_lhs(seq, f, farey_sequence(self.Q))
+                sizes = []
+                bincount = np.bincount
+                with monkeypatch.context() as mp:
+                    mp.setattr(expsum, "PHASE_BLOCK", block)
+                    mp.setattr(expsum.np, "bincount", lambda x, w, minlength:
+                               sizes.append(minlength) or bincount(x, w, minlength=minlength))
+                    assert ls_lhs(seq, f, farey_by_denominator(self.Q)) == want
+                _, D = expsum._window(f, M)
+                groups = [q for q in range(1, self.Q + 1) if q * D <= expsum.GROUPED_MAX_RATIO * N]
+                assert len(sizes) == 2 * (len(groups) if calls == "per group" else 1)
+
+    def test_int64_numerators_reach_the_kernel_as_ints(self):
+        # A float amplitude's D is near 2^55, so every group takes kernel rows;
+        # an int64 numerator times its ~2^60 coefficient would wrap or raise.
+        f = QuadraticAmplitude(0.7071067811865476, -0.3141592653589793, 0.1)
+        seq = random_seq(np.random.default_rng(5), -1000, 30)
+        fr = ReducedFractions([97, 98])
+        pts = [Fraction(p, q) for q in (97, 98) for p in range(q) if math.gcd(p, q) == 1]
+        assert expsum._window(f, -1000)[1] > 2**50
+        assert len(fr) == len(pts)
+        assert ls_lhs(seq, f, fr) == ls_lhs(seq, f, pts)
+        assert ls_lhs(seq, f, fr) == pytest.approx(loop_lhs(seq, f, pts), rel=1e-12)
+
+
 def test_reduced_denominator_property():
     # ls_lhs reduces D by gcd(D, P(0), P(1), P(2)) alone; the reference takes
     # the gcd over the whole window.  A point c/q takes q D buckets whenever
@@ -340,14 +395,18 @@ def test_reduced_denominator_property():
         assert D // math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))) == reduced
         seq, points = CoeffSeq.from_values(np.arange(1, N + 1) * 1j, M=M), [0, Fraction(1, 2)]
         want = loop_lhs(seq, f, points)
-        sizes = []
-        bincount = np.bincount
+        bins, sizes = [], []
+        bincount, ifft = np.bincount, np.fft.ifft
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(expsum.np, "bincount", lambda x, w, minlength: sizes.append(minlength)
+            mp.setattr(expsum.np, "bincount", lambda x, w, minlength: bins.append(minlength)
                        or bincount(x, w, minlength=minlength))
+            mp.setattr(expsum.np.fft, "ifft", lambda B, norm: sizes.append(len(B))
+                       or ifft(B, norm=norm))
             assert ls_lhs(seq, f, points) == pytest.approx(want, rel=1e-12, abs=1e-12 * N**4)
         guarded = [q * reduced for q in (1, 2) if q * reduced <= expsum.GROUPED_MAX_RATIO * N]
-        assert sizes == [m for m in guarded for _ in range(2)]  # real and imaginary parts
+        assert sizes == guarded  # one DFT of q D buckets per guarded q, in order
+        # Both groups fit one block: its buckets are filled together, real and imaginary parts.
+        assert bins == ([sum(guarded)] * 2 if guarded else [])
 
     check()
 

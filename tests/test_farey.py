@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievelab.arith import euler_phi
-from sievelab.farey import farey_pairs, farey_sequence, min_gap_mod1
+from sievelab.farey import farey_by_denominator, farey_pairs, farey_sequence, min_gap_mod1
 
 
 def farey_bruteforce(Q):
@@ -59,6 +60,32 @@ class TestFareySequence:
             pairs = list(farey_pairs(Q))
             assert pairs == [(x.numerator, x.denominator) for x in farey_bruteforce(Q)]
             assert pairs == [(x.numerator, x.denominator) for x in farey_sequence(Q)]
+
+
+class TestByDenominator:
+    def test_matches_pairs_grouped_by_q(self):
+        for Q in range(1, 61):
+            grouped = {}
+            for p, q in farey_pairs(Q):
+                grouped.setdefault(q, []).append(p)
+            fr = farey_by_denominator(Q)
+            assert {q: p.tolist() for q, p in fr.numerators.items()} == {
+                q: sorted(ps) for q, ps in grouped.items()
+            }
+            assert list(fr.numerators) == list(range(1, Q + 1))
+            assert all(type(q) is int and p.dtype == np.int64 for q, p in fr.numerators.items())
+            assert len(fr) == sum(euler_phi(q) for q in range(1, Q + 1)) == len(farey_sequence(Q))
+
+    def test_read_only(self):
+        fr = farey_by_denominator(5)
+        with pytest.raises(ValueError):
+            fr.numerators[5][0] = 2
+        with pytest.raises(TypeError):
+            fr.numerators[6] = np.arange(6)
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            farey_by_denominator(0)
 
 
 class TestMinGap:

@@ -20,7 +20,7 @@ def counting(monkeypatch, owner, name):
 
 
 def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
-    farey = counting(monkeypatch, sweeps, "farey_sequence")
+    farey = counting(monkeypatch, sweeps, "farey_by_denominator")
     max_g = counting(monkeypatch, sweeps.dls, "max_abs_g")
     config = sweeps.SweepConfig(q_values=(4, 8, 4), n_values=(8, 16), eps_values=(0.1, 0.5))
     _, rows = sweeps.theorem2_sweep(config)
@@ -34,17 +34,39 @@ def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
 
 
 def test_verify_classical_builds_each_order_once(monkeypatch):
-    farey = counting(monkeypatch, sweeps, "farey_sequence")
+    farey = counting(monkeypatch, sweeps, "farey_by_denominator")
     rows, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
     assert ok
     assert sorted(farey) == sorted({(r["Q"],) for r in rows})
 
 
 def test_sweep_gap_is_the_closed_form():
-    assert sweeps._farey_with_gap(1) == (farey_sequence(1), Fraction(1))
+    points, delta = sweeps._farey_with_gap(1)
+    assert {q: p.tolist() for q, p in points.numerators.items()} == {1: [0]}
+    assert delta == Fraction(1)
     for Q in range(2, 61):
         points, delta = sweeps._farey_with_gap(Q)
-        assert delta == min_gap_mod1(points)
+        assert len(points) == len(farey_sequence(Q))
+        assert delta == min_gap_mod1(farey_sequence(Q))
+
+
+def test_farey_points_are_not_converted_one_by_one(monkeypatch):
+    # F(Q) reaches ls_lhs by denominator: it is never listed in order, and the
+    # exact conversion of expsum sees the amplitudes' coefficients, not the points.
+    from sievelab import counterexample as cx, expsum, farey
+
+    for name in ("farey_pairs", "farey_sequence"):
+        monkeypatch.setattr(farey, name, lambda *a: pytest.fail("F(Q) listed as Fractions"))
+    exact = counting(monkeypatch, expsum, "_exact")
+
+    def conversions(Q):
+        exact.clear()
+        sweeps.theorem2_sweep(sweeps.SweepConfig(q_values=(Q,), n_values=(8,), eps_values=(0.1,)))
+        sweeps.verify_classical(instances=3, q_max=Q, n_max=8)
+        cx.demonstrate_failure(cx.build(3, 9))
+        return len(exact)
+
+    assert conversions(3) == conversions(40)  # |F(40)| = 490 points, |F(3)| = 4
 
 
 @pytest.mark.parametrize("density", [float("nan"), float("inf"), -0.1, 1.5])
