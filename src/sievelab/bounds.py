@@ -1,18 +1,23 @@
-"""Right-hand-side bound formulas, evaluated as plain arithmetic.
+"""Every bound formula, evaluated as plain arithmetic, and the check rule.
 
-The classical and Cohen-Selberg forms are honest inequalities with
-constant 1; everything else (the Gallagher-style trivial bound, the
-quadratic-amplitude bound and its Pi factor, the conjectured reference
-curve) carries an unspecified implied constant and is computed with
-constant 1 purely for ratio reporting.  RHS lists every right side a
-theorem2-sweep row reports, in column order; SLACK is the relative slack
-of every asserted inequality.
+The classical and Cohen-Selberg forms hold with constant 1 and the
+double large sieve's with (pi/2)^4; the rest (the Gallagher-style trivial
+bound, Pi and the quadratic-amplitude bound, Lemma 4's two bounds on the
+pair count, the conjectured curve) carry unspecified constants and are
+computed with constant 1 for ratio reporting.  Pi and Lemma 4's forms
+share one power helper, which reads inf past the float range.  RHS lists
+a theorem2-sweep row's right sides in column order; holds is the check rule.
 """
 
+import math
 from typing import NamedTuple
 
-# A checked inequality holds when lhs <= rhs * (1.0 + SLACK).
 SLACK = 1e-9
+
+
+def holds(lhs, rhs):
+    """Whether a checked inequality lhs <= rhs holds, at relative slack SLACK."""
+    return lhs <= rhs * (1.0 + SLACK)
 
 
 class NegativeRadicandError(ValueError):
@@ -53,20 +58,47 @@ def trivial_rhs(delta, alpha, M, N, Z):
     return (1.0 / float(delta) + float(alpha) * (abs(M) + N) ** 2) * Z
 
 
+def _power_bound(alpha, b, p, base, eps):
+    # (b/alpha + 1)^p (base + b/alpha)^eps, for Pi and both Lemma 4 forms.  A b/alpha
+    # (tiny alpha, huge b) or a power (huge eps) past the float range gives inf.
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % (eps,))
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    try:
+        b_over_alpha = float(b) / float(alpha)
+        return (b_over_alpha + 1.0) ** p * (base + b_over_alpha) ** eps
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def pi_factor(alpha, a, b, M, N, eps):
     """Pi = (b/alpha + 1)^(1/2 + eps) [N b (|M|+N) + |a| + b/alpha]^eps."""
-    if not float(alpha) > 0:
-        raise ValueError("alpha must be positive")
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    b_over_alpha = float(b) / float(alpha)
-    return (b_over_alpha + 1.0) ** (0.5 + eps) * (
-        N * b * (abs(M) + N) + abs(a) + b_over_alpha
-    ) ** eps
+    if b < 1 or N < 1:
+        raise ValueError("b and N must be >= 1")
+    return _power_bound(alpha, b, 0.5 + eps, N * b * (abs(M) + N) + abs(a), eps)
+
+
+def lemma4_bound(alpha, a, b, M, N, eps):
+    """(b/alpha + 1)[N b (|M|+N) + |a| + b/alpha]^eps, Lemma 4's statement form.
+
+    Constant 1; for ratio reporting only.
+    """
+    return _power_bound(alpha, b, 1, N * b * (abs(M) + N) + abs(a), eps)
+
+
+def lemma4_bound_proof_form(alpha, a, b, M, N, eps):
+    """(b/alpha + 1)(N b (|M|+N+|a|) + b/alpha)^eps, the proof's variant.
+
+    The placement of |a| differs from the statement form; both are
+    reported, neither is asserted.
+    """
+    return _power_bound(alpha, b, 1, N * b * (abs(M) + N + abs(a)), eps)
+
+
+def dls_rhs(A, B, X, Y):
+    """(pi/2)^4 A(delta) B(eps) (XY + 1), the double large sieve's right side."""
+    return (math.pi / 2.0) ** 4 * A * B * (X * Y + 1.0)
 
 
 def theorem2_rhs(Q, alpha, a, b, M, N, eps, Z):
@@ -74,12 +106,13 @@ def theorem2_rhs(Q, alpha, a, b, M, N, eps, Z):
 
     The radicand uses a/b exactly as in the theorem statement and may go
     negative for negative a/b with a small window; that is surfaced as a
-    domain error rather than clamped.
+    domain error rather than clamped.  Z = 0 gives 0, also where Pi is inf.
     """
     radicand = float(alpha) * N * (abs(M) + N + a / b) + 1.0
     if radicand < 0:
         raise NegativeRadicandError("negative radicand: alpha N (|M|+N+a/b) + 1 < 0")
-    return (Q * Q + Q * radicand ** 0.5) * pi_factor(alpha, a, b, M, N, eps) * Z
+    pi = pi_factor(alpha, a, b, M, N, eps)
+    return (Q * Q + Q * radicand ** 0.5) * pi * Z if Z else 0.0
 
 
 def conjecture_rhs(Q, N, Z):

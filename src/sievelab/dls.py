@@ -14,7 +14,8 @@ The pair count T for the difference polynomial g(x, y) = (x-y)(x+y+a/b)
 is computed for every base pair (m, n) of S x S at once, twice: a sorted
 scan of all b*g over S x S, O(N^2 log N), and a count of the factors
 k = u*v near b*g(m, n) per difference u = m'-n', O(N^3).  The two share
-only the argument check and must agree exactly.
+only the argument check and must agree exactly.  The right side above,
+Lemma 4's bound on T and the check rule live in bounds.
 """
 
 import math
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import SLACK
+from . import bounds
 
 LEMMA4_CAP = 500
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -108,23 +109,8 @@ def dls_check(inst):
     A = a_delta(inst)
     B = b_epsilon(inst)
     anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
-    rhs = (math.pi / 2.0) ** 4 * A * B.real * (inst.X * inst.Y + 1.0)
-    holds = lhs <= rhs * (1.0 + SLACK)
-    return DLSCheck(lhs=lhs, rhs=rhs, holds=bool(holds), anomaly=bool(anomaly))
-
-
-def g_eval(s, t, a, b):
-    """g(s, t) = (s - t)(s + t + a/b), exact."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if math.gcd(a, b) != 1:
-        raise ValueError("a/b must be reduced")
-    return (Fraction(s) - t) * (Fraction(s) + t + Fraction(a, b))
-
-
-def bg_eval(s, t, a, b):
-    """The integer form b*g(s, t) = (s - t)(b s + b t + a)."""
-    return (s - t) * (b * s + b * t + a)
+    rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
+    return DLSCheck(lhs=lhs, rhs=rhs, holds=bounds.holds(lhs, rhs), anomaly=bool(anomaly))
 
 
 def max_abs_g(M, N, a, b):
@@ -218,34 +204,3 @@ def lemma4_count_divisor(M, N, alpha, a, b):
         if r == 0 and j_min <= 0 <= j_max:
             total -= zero_in_window
     return total + total.T
-
-
-def _lemma4_bound(alpha, b, eps, base):
-    # (b/alpha + 1)(base + b/alpha)^eps, for both forms below.  A b/alpha
-    # (tiny alpha) or a power (huge eps) past the float range gives inf.
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and positive, got %r" % (eps,))
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    try:
-        b_over_alpha = float(b) / float(alpha)
-        return (b_over_alpha + 1.0) * (base + b_over_alpha) ** eps
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-
-
-def lemma4_bound(alpha, a, b, M, N, eps):
-    """(b/alpha + 1)[N b (|M|+N) + |a| + b/alpha]^eps, the statement form.
-
-    Constant 1; for ratio reporting only.
-    """
-    return _lemma4_bound(alpha, b, eps, N * b * (abs(M) + N) + abs(a))
-
-
-def lemma4_bound_proof_form(alpha, a, b, M, N, eps):
-    """(b/alpha + 1)(N b (|M|+N+|a|) + b/alpha)^eps, the proof's variant.
-
-    The placement of |a| differs from the statement form; both are
-    reported, neither is asserted.
-    """
-    return _lemma4_bound(alpha, b, eps, N * b * (abs(M) + N + abs(a)))

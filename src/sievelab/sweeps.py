@@ -24,6 +24,11 @@ RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 # Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
 N_MAX = 2**22  # 16 times the largest scale run, 2^18, so a row's arrays stay in tens of MB
+Q_MAX = 2**11  # F(Q) keeps ~0.3 Q^2 numerators; this covers 41^2 and the Q = 512 scale run
+VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every right side is a float
+# Most points per family in a dls-check instance, whose m x n, m x m and n x n
+# arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:
+DLS_SIZE_MAX = 2**11
 
 
 def _row_rng(seed, index):
@@ -76,8 +81,9 @@ def verify_classical(
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
-    if q_max < 2 or not 1 <= n_max <= N_MAX:
-        raise ValueError("need q_max >= 2 and 1 <= n_max <= %d; got %r, %r" % (N_MAX, q_max, n_max))
+    if not (2 <= q_max <= Q_MAX and 1 <= n_max <= N_MAX):
+        raise ValueError("need 2 <= q_max <= %d and 1 <= n_max <= %d; got %r, %r"
+                         % (Q_MAX, N_MAX, q_max, n_max))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     f = LinearAmplitude(1, 0)
@@ -95,7 +101,7 @@ def verify_classical(
         lhs = ls_lhs(seq, f, points)
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
-        ok = lhs <= rhs_sharp * (1.0 + bounds.SLACK) and lhs <= rhs_add * (1.0 + bounds.SLACK)
+        ok = bounds.holds(lhs, rhs_sharp) and bounds.holds(lhs, rhs_add)
         all_ok = all_ok and ok
         rows.append(dict(zip(VERIFY_COLUMNS, (
             i, seed, RNG_ID, __version__, dist, Q, M, N, Z, str(delta), lhs, rhs_sharp, rhs_add, ok
@@ -124,12 +130,14 @@ class SweepConfig:
     def __post_init__(self):
         # Checked before any row runs, so that a bad grid is an error and
         # never a row: status=domain_error is left to negative radicands.
-        if not all(Q >= 1 for Q in self.q_values):
-            raise ValueError("every Q must be >= 1")
+        if not all(1 <= Q <= Q_MAX for Q in self.q_values):
+            raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
         if not all(1 <= N <= N_MAX for N in self.n_values):
             raise ValueError("every N must be in 1 .. %d" % N_MAX)
-        if not all(alpha > 0 for alpha in self.alpha_values):
-            raise ValueError("every alpha must be > 0")
+        if not all(0 < alpha < VALUE_MAX for alpha in self.alpha_values):
+            raise ValueError("every alpha must be > 0 and below 2^64")
+        if not all(abs(v) < VALUE_MAX for v in (*self.m_values, *self.ratios)):
+            raise ValueError("every |M| and |a/b| must be below 2^64")
         if not all(math.isfinite(eps) and eps > 0 for eps in self.eps_values):
             raise ValueError("every eps must be finite and > 0")
 
@@ -214,14 +222,15 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     """dls_check over seeded random instances.  Returns (rows, all_hold).
 
     The arguments are checked before the first row: instances >= 0,
-    size_max >= 1 and finite scales with 0 < scale_min <= scale_max.
+    1 <= size_max <= DLS_SIZE_MAX, and 0 < scale_min <= scale_max with the
+    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
-    if size_max < 1:
-        raise ValueError("size_max must be >= 1, got %r" % (size_max,))
-    if not 0 < scale_min <= scale_max < math.inf:  # also refuses nan
-        raise ValueError("the scales must be finite with 0 < scale_min <= scale_max, got %r and %r"
+    if not 1 <= size_max <= DLS_SIZE_MAX:
+        raise ValueError("size_max must be in 1 .. %d, got %r" % (DLS_SIZE_MAX, size_max))
+    if not (0 < scale_min <= scale_max and math.isfinite(math.pi / 2 * scale_max * scale_max)):
+        raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
     rows = []
     for i in range(instances):
@@ -267,8 +276,8 @@ def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     """
     a, b = ratio.numerator, ratio.denominator
     constants = (
-        dls.lemma4_bound(alpha, a, b, M, N, eps),
-        dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
+        bounds.lemma4_bound(alpha, a, b, M, N, eps),
+        bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
         str(Fraction(alpha)), a, b, M, N, eps, __version__,
     )
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pair_reference import bg_eval
 from sievelab import bounds, counterexample as cx, dls, sweeps
 from sievelab.arith import dirichlet_approx, euler_phi
 from sievelab.expsum import (
@@ -120,7 +121,7 @@ def test_criterion_5_lemma4_oracle_equivalence():
                     # pair depends only on D = bg(m,n) - bg(m',n'); cover
                     # every difference achieved on the grid.
                     bg_vals = np.unique(
-                        [dls.bg_eval(s, t, a, b) for s in S for t in S]
+                        [bg_eval(s, t, a, b) for s in S for t in S]
                     )
                     diffs = np.unique(np.abs(bg_vals[:, None] - bg_vals[None, :]))
                     for d in (int(v) for v in diffs):

@@ -59,6 +59,34 @@ class TestPiFactor:
             bounds.pi_factor(1, 0, 1, 0, 10, 0)
 
 
+def test_power_forms_match_their_closed_forms_bit_for_bit():
+    # The shared helper keeps each form's own order of operations exactly.
+    for alpha, a, b, M, N, eps in [
+        (Fraction(1, 3), 0, 1, 0, 16, 0.05), (Fraction(1, 2), 1, 2, -3, 4, 0.25),
+        (Fraction(1, 12), -3, 4, -5, 30, 0.1), (Fraction(7, 5), 2, 3, 60, 256, 3.0),
+    ]:
+        r = float(b) / float(alpha)
+        pi = (r + 1.0) ** (0.5 + eps) * (N * b * (abs(M) + N) + abs(a) + r) ** eps
+        stmt = (r + 1.0) * (N * b * (abs(M) + N) + abs(a) + r) ** eps
+        proof = (r + 1.0) * (N * b * (abs(M) + N + abs(a)) + r) ** eps
+        assert bounds.pi_factor(alpha, a, b, M, N, eps).hex() == pi.hex()
+        assert bounds.lemma4_bound(alpha, a, b, M, N, eps).hex() == stmt.hex()
+        assert bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps).hex() == proof.hex()
+
+
+def test_holds_at_slack():
+    assert bounds.holds(1.0, 1.0) and bounds.holds(0.0, 0.0)
+    assert bounds.holds(1.0 + 0.5e-9, 1.0)
+    assert not bounds.holds(1.0 + 2e-9, 1.0)
+    assert bounds.holds(1e300, math.inf)
+    assert not bounds.holds(math.nan, 1.0) and not bounds.holds(1.0, math.nan)
+
+
+def test_dls_rhs():
+    assert bounds.dls_rhs(1.0, 1.0, 1.0, 1.0) == (math.pi / 2) ** 4 * 2.0
+    assert bounds.dls_rhs(2.0, 3.0, 1e200, 1e200) == math.inf
+
+
 class TestTheorem2:
     def test_small_example(self):
         val = bounds.theorem2_rhs(2, 1, 0, 1, 0, 4, 1e-9, 1)
@@ -73,6 +101,15 @@ class TestTheorem2:
         pi = (b / alpha + 1) ** (0.5 + eps) * (N * b * (abs(M) + N) + abs(a) + b / alpha) ** eps
         expected = (Q ** 2 + Q * math.sqrt(alpha * N * (abs(M) + N + a / b) + 1)) * pi * Z
         assert bounds.theorem2_rhs(Q, alpha, a, b, M, N, eps, Z) == pytest.approx(expected)
+
+    def test_pi_past_the_float_range_is_inf(self):
+        assert bounds.theorem2_rhs(4, Fraction(1, 3), 0, 1, 0, 16, 700.0, 2.5) == math.inf
+        assert bounds.theorem2_rhs(4, Fraction(1, 10 ** 400), 0, 1, 0, 16, 0.1, 2.5) == math.inf
+        assert bounds.theorem2_rhs(4, Fraction(1, 3), -1, 10 ** 400, 0, 16, 0.1, 2.5) == math.inf
+        # Z = 0 (an all-zero sequence) gives 0, never inf * 0 = nan.
+        assert bounds.theorem2_rhs(4, Fraction(1, 3), 0, 1, 0, 16, 700.0, 0.0) == 0.0
+        with pytest.raises(ValueError, match="eps"):
+            bounds.theorem2_rhs(4, Fraction(1, 3), 0, 1, 0, 16, math.inf, 0.0)
 
     def test_negative_radicand(self):
         with pytest.raises(ValueError):

@@ -320,14 +320,94 @@ def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp
         counterexample.build(2, over + 1)
     assert sweeps.verify_classical(instances=0, n_max=sweeps.N_MAX) == ([], True)
     assert sweeps.SweepConfig(n_values=(sweeps.N_MAX,)).n_values == (sweeps.N_MAX,)
-    out = tmp_path / "report"
     for argv in (["verify-classical", "--N", str(over)], ["theorem2-sweep", "--N", str(over)],
                  ["counterexample", "--p", "2", "--N", str(over + 1)]):
-        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert_refused_in_process(argv, capsys, tmp_path)
+
+
+def assert_refused_in_process(argv, capsys, tmp_path):
+    # As assert_refused, through cli.main: exit 2, one stderr line, no report.
+    out = tmp_path / "report"
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(argv + extra) == 2
         stdout, stderr = capsys.readouterr()
         assert stdout == "" and stderr.startswith("sievelab %s: " % argv[0])
         assert len(stderr.splitlines()) == 1
     assert os.listdir(tmp_path) == []
+
+
+BIG = str(sweeps.VALUE_MAX)
+
+
+@pytest.mark.parametrize("option", [
+    ["--M", BIG], ["--M=-" + BIG], ["--alpha", BIG], ["--alpha", "1/3," + BIG],
+    ["--ratio", BIG], ["--ratio=-" + BIG], ["--ratio", str(10 ** 400)],
+])
+def test_grid_values_past_the_float_cap_are_refused(option, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    assert_refused_in_process(["theorem2-sweep", "--Q", "4", "--N", "16", *option],
+                              capsys, tmp_path)
+
+
+@pytest.mark.parametrize("field", ["m_values", "alpha_values", "ratios"])
+def test_grid_values_just_below_the_float_cap_give_rows(field):
+    below = sweeps.VALUE_MAX - 1
+    grid = {"m_values": (below,), "alpha_values": (Fraction(below),), "ratios": (Fraction(below),)}
+    config = sweeps.SweepConfig(q_values=(4,), n_values=(16,), eps_values=(0.1,),
+                                **{field: grid[field]})
+    _, rows = sweeps.theorem2_sweep(config)
+    assert rows and all(r["status"] == "ok" for r in rows)
+    assert all(0.0 < r["rhs_theorem2"] < float("inf") for r in rows)
+
+
+@pytest.mark.parametrize("option", [
+    ["--ratio", "0", "--eps", "700"],
+    ["--ratio=-1/" + str(10 ** 400)],
+    ["--alpha", "1/" + str(10 ** 400)],
+])
+def test_right_sides_past_the_float_range_read_inf(option, capsys):
+    # Pi overflows (huge eps, huge b, tiny alpha): the row is written, with
+    # rhs_theorem2 = inf and ratio 0, and the run exits 0.
+    assert cli.main(["theorem2-sweep", "--Q", "4", "--N", "16", "--alpha", "1/3", *option]) == 0
+    stdout, stderr = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(stdout)))
+    assert rows and stderr == ""
+    assert {(r["rhs_theorem2"], r["ratio_theorem2"], r["status"]) for r in rows} == {
+        ("inf", "0.0", "ok")}
+
+
+def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, tmp_path):
+    assert sweeps.Q_MAX >= max(counterexample.COUNTEREXAMPLE_P_CAP ** 2, 512)
+    monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
+    over = sweeps.Q_MAX + 1
+    with pytest.raises(ValueError, match="q_max"):
+        sweeps.verify_classical(q_max=over)
+    with pytest.raises(ValueError, match="every Q"):
+        sweeps.SweepConfig(q_values=(4, over))
+    assert sweeps.SweepConfig(q_values=(sweeps.Q_MAX,)).q_values == (sweeps.Q_MAX,)
+    assert sweeps.verify_classical(instances=0, q_max=sweeps.Q_MAX) == ([], True)
+    for argv in (["verify-classical", "--Q", str(over)], ["theorem2-sweep", "--Q", str(over)]):
+        assert_refused_in_process(argv, capsys, tmp_path)
+
+
+def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys, tmp_path):
+    # Never run above the caps: an instance is dense in m x n.
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match="size_max"):
+        sweeps.dls_random_sweep(size_max=sweeps.DLS_SIZE_MAX + 1)
+    with pytest.raises(ValueError, match="scale_max"):
+        sweeps.dls_random_sweep(scale_min=1.0, scale_max=2e154)
+    assert sweeps.dls_random_sweep(instances=0, size_max=sweeps.DLS_SIZE_MAX) == ([], True)
+    for option in (["--size-max", str(sweeps.DLS_SIZE_MAX + 1)], ["--scale-max", "2e154"],
+                   ["--scale-min", "1e200", "--scale-max", "1e200"]):
+        assert_refused_in_process(["dls-check", "--instances", "3", *option], capsys, tmp_path)
+
+
+def test_dls_largest_scale_below_the_cap_runs_without_warnings():
+    # pyproject.toml turns a RuntimeWarning (numpy overflow) into an error here.
+    rows, all_hold = sweeps.dls_random_sweep(instances=3, scale_min=1e154, scale_max=1e154)
+    assert all_hold and len(rows) == 3
+    assert all(r["lhs"] == r["lhs"] and r["rhs"] == float("inf") for r in rows)
 
 
 def test_zero_instances_write_a_header_only_report():

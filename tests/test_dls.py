@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievelab import dls
+from pair_reference import bg_eval, g_eval
+from sievelab import bounds, dls
 from sievelab.sweeps import dls_random_sweep
 
 
@@ -136,18 +137,18 @@ def test_tuple_and_array_instances_raise_alike(change, message):
 
 class TestGEval:
     def test_diagonal_zero(self):
-        assert dls.g_eval(4, 4, 1, 3) == 0
+        assert g_eval(4, 4, 1, 3) == 0
 
     def test_hand_example(self):
-        assert dls.g_eval(5, 2, 1, 2) == Fraction(45, 2)
-        assert dls.bg_eval(5, 2, 1, 2) == 45
+        assert g_eval(5, 2, 1, 2) == Fraction(45, 2)
+        assert bg_eval(5, 2, 1, 2) == 45
 
     def test_integer_case(self):
-        assert dls.g_eval(4, 1, 0, 1) == 15
+        assert g_eval(4, 1, 0, 1) == 15
 
     def test_reduced_only(self):
         with pytest.raises(ValueError):
-            dls.g_eval(1, 2, 2, 4)
+            g_eval(1, 2, 2, 4)
 
     def test_max_abs_g(self):
         for M, N, a, b in [
@@ -155,7 +156,7 @@ class TestGEval:
             (-20, 15, -5, 3), (-3, 7, -1, 2), (4, 1, 1, 2), (-9, 1, -7, 5),
         ]:
             S = range(M + 1, M + N + 1)
-            expected = max(abs(dls.g_eval(s, t, a, b)) for s in S for t in S)
+            expected = max(abs(g_eval(s, t, a, b)) for s in S for t in S)
             got = dls.max_abs_g(M, N, a, b)
             assert isinstance(got, Fraction) and got == expected
 
@@ -191,7 +192,7 @@ def per_k_reference(M, N, alpha, a, b):
     table = np.zeros((N, N), dtype=np.int64)
     for i, m in enumerate(S):
         for j, n in enumerate(S):
-            c = dls.bg_eval(m, n, a, b)
+            c = bg_eval(m, n, a, b)
             ks = range(math.ceil(c - thr), math.floor(c + thr) + 1)
             table[i, j] = sum(pairs_with_bg(k) for k in ks if k != 0)
     return table
@@ -240,7 +241,7 @@ class TestLemma4Counters:
     def test_int64_overflow_refused(self):
         # b*g reaches about 3.7e19 here; int64 arithmetic would wrap it.
         M = 2 ** 62
-        assert abs(dls.bg_eval(M + 1, M + 2, 1, 4)) > 2 ** 63
+        assert abs(bg_eval(M + 1, M + 2, 1, 4)) > 2 ** 63
         for counter in (dls.lemma4_count_bruteforce, dls.lemma4_count_divisor):
             with pytest.raises(ValueError, match="int64"):
                 counter(M, 2, 1, 1, 4)
@@ -284,43 +285,48 @@ class TestLemma4Counters:
                         for mp in (1, 5, 12):
                             for npp in (2, 7, 12):
                                 lhs = abs(
-                                    dls.g_eval(m, n, a, b) - dls.g_eval(mp, npp, a, b)
+                                    g_eval(m, n, a, b) - g_eval(mp, npp, a, b)
                                 ) <= 1 / (2 * alpha)
                                 rhs = abs(
-                                    dls.bg_eval(m, n, a, b) - dls.bg_eval(mp, npp, a, b)
+                                    bg_eval(m, n, a, b) - bg_eval(mp, npp, a, b)
                                 ) <= Fraction(b) / (2 * alpha)
                                 assert lhs == rhs
 
 
+# Lemma 4's two bounds on T, and Theorem 2's Pi, which bounds.py evaluates
+# through the same power helper: one validation and one overflow rule.
+POWER_FORMS = [bounds.lemma4_bound, bounds.lemma4_bound_proof_form, bounds.pi_factor]
+
+
 class TestLemma4Bound:
     def test_eps_limit(self):
-        assert dls.lemma4_bound(1, 0, 1, 0, 10, 1e-9) == pytest.approx(2.0, rel=1e-6)
+        assert bounds.lemma4_bound(1, 0, 1, 0, 10, 1e-9) == pytest.approx(2.0, rel=1e-6)
 
     def test_half(self):
-        assert dls.lemma4_bound(Fraction(1, 2), 1, 2, 0, 5, 0.5) == pytest.approx(
+        assert bounds.lemma4_bound(Fraction(1, 2), 1, 2, 0, 5, 0.5) == pytest.approx(
             5 * math.sqrt(55)
         )
 
     def test_eps_one(self):
-        assert dls.lemma4_bound(1, 0, 1, 0, 10, 1) == pytest.approx(202.0)
+        assert bounds.lemma4_bound(1, 0, 1, 0, 10, 1) == pytest.approx(202.0)
 
     def test_proof_form_differs_with_a(self):
-        stmt = dls.lemma4_bound(1, 5, 1, 0, 10, 0.5)
-        proof = dls.lemma4_bound_proof_form(1, 5, 1, 0, 10, 0.5)
+        stmt = bounds.lemma4_bound(1, 5, 1, 0, 10, 0.5)
+        proof = bounds.lemma4_bound_proof_form(1, 5, 1, 0, 10, 0.5)
         assert stmt != proof
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dls.lemma4_bound(1, 0, 1, 0, 10, 0)
+            bounds.lemma4_bound(1, 0, 1, 0, 10, 0)
 
     @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    @pytest.mark.parametrize("form", POWER_FORMS)
     def test_eps_must_be_finite_and_positive(self, form, eps):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             form(1, 0, 1, 0, 10, eps)
 
     @pytest.mark.parametrize("alpha", [0, -1, Fraction(-1, 3), math.nan])
-    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    @pytest.mark.parametrize("form", POWER_FORMS)
     def test_alpha_must_be_positive(self, form, alpha):
         with pytest.raises(ValueError, match="alpha must be positive"):
             form(alpha, 0, 1, 0, 10, 0.5)
@@ -329,10 +335,15 @@ class TestLemma4Bound:
         "alpha, eps",
         [(1, 1e6), (Fraction(1, 10 ** 310), 0.5), (Fraction(1, 10 ** 400), 0.5), (Fraction(1, 10 ** 30), 20.0)],
     )
-    @pytest.mark.parametrize("form", [dls.lemma4_bound, dls.lemma4_bound_proof_form])
+    @pytest.mark.parametrize("form", POWER_FORMS)
     def test_overflow_is_inf(self, form, alpha, eps):
         # A power (huge eps) or b/alpha (tiny alpha) past the float range.
         assert form(alpha, -3, 4, -5, 10, eps) == math.inf
+
+    @pytest.mark.parametrize("form", POWER_FORMS)
+    def test_b_past_the_float_range_is_inf(self, form):
+        assert form(1, -1, 10 ** 400, 0, 10, 0.5) == math.inf
+        assert form(Fraction(1, 3), 1, 2 ** 1030, 0, 10, 0.5) == math.inf
 
 
 def test_lemma4_instance_validation():

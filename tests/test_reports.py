@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import sievelab
-from sievelab import dls, reports, sweeps
+from sievelab import bounds, dls, reports, sweeps
 from sievelab.farey import farey_pairs
 
 
@@ -325,8 +325,8 @@ def test_property_farey_report_matches_dict_rows():
 
 def lemma4_dict_rows(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     a, b = ratio.numerator, ratio.denominator
-    bound_stmt = dls.lemma4_bound(alpha, a, b, M, N, eps)
-    bound_proof = dls.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
+    bound_stmt = bounds.lemma4_bound(alpha, a, b, M, N, eps)
+    bound_proof = bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps)
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
     divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
     S = range(M + 1, M + N + 1)
