@@ -103,13 +103,15 @@ def dls_check(inst):
     """Both sides of the double large sieve inequality with (pi/2)^4.
 
     The rhs uses Re B(eps); if B(eps) has a relatively large imaginary
-    part the instance is flagged as anomalous instead of asserted.
+    part, or either side is not finite (an rhs past the float range checks
+    nothing), the instance is flagged as anomalous instead of asserted.
     """
     lhs = bilinear_sum_sq(inst)
     A = a_delta(inst)
     B = b_epsilon(inst)
-    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
     rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
+    finite = math.isfinite(lhs) and math.isfinite(rhs)
+    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0) or not finite
     return DLSCheck(lhs=lhs, rhs=rhs, holds=bounds.holds(lhs, rhs), anomaly=bool(anomaly))
 
 

@@ -3,11 +3,14 @@
 The point set of interest is the Farey sequence of order Q: all reduced
 fractions p/q with 0 <= p < q <= Q, in increasing order.  Its minimal gap
 modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
-1/(Q-1).  The additive bound (Q^2 + N) Z in bounds corresponds to the
-coarser convention delta^{-1} = Q^2.
+1/(Q-1); the sweeps take that closed form.  The additive bound
+(Q^2 + N) Z in bounds corresponds to the coarser convention delta^{-1} = Q^2.
 
-farey_pairs and farey_sequence list F(Q) in order; farey_by_denominator
-builds it as int64 numerator arrays per q, the form the sweeps pass to ls_lhs.
+farey_blocks lists F(Q) in order as int64 (p, q) arrays, a block of about
+max(BLOCK, Q) points at a time, with no per-point Python work; the farey
+report is written from it and farey_sequence is built from it.
+farey_by_denominator builds F(Q) as int64 numerator arrays per q, the form
+the sweeps pass to ls_lhs.
 """
 
 from fractions import Fraction
@@ -15,28 +18,46 @@ from types import MappingProxyType
 
 import numpy as np
 
+# farey_blocks gives a block at least this many candidate points (reports
+# also format at most this many rows per % call).
+BLOCK = 2 ** 11
+# The largest order farey_blocks lists: its blocks cost O(Q) memory, and
+# sorting a block by float p/q is exact while Q^2 << 2^52.
+FAREY_ORDER_MAX = 2 ** 16
 
-def farey_pairs(Q):
-    """Yield (p, q) for every reduced p/q with 0 <= p < q <= Q, in increasing order.
 
-    Generated by the classical neighbor recurrence: from consecutive terms
-    a/b, c/d the next term is (kc - a)/(kd - b) with k = (Q + b) // d.
-    Neighbors satisfy bc - ad = 1, so their gap is exactly 1/(bd).
-    Integer-only and O(|F(Q)|).
+def farey_blocks(Q):
+    """Yield F(Q) in increasing order as (p, q) int64 arrays, block by block.
+
+    With C = max(1, Q(Q+1) // (2 max(BLOCK, Q))) <= Q, block k holds the
+    reduced p/q in [k/C, (k+1)/C): for each q, p runs from ceil(qk/C) to
+    ceil(q(k+1)/C) - 1, so no block is empty and each costs O(Q) plus its
+    points.  A block is sorted by the float p/q, which is exact: distinct
+    points of F(Q) differ by at least 1/Q^2 >= 2^-32, far above the 2^-53
+    rounding error of p/q, and correctly rounded division is monotone.
+    ValueError, on the first next(), for Q outside 1 .. FAREY_ORDER_MAX.
     """
-    if Q < 1:
-        raise ValueError("Farey order must be >= 1, got %r" % (Q,))
-    a, b, c, d = 0, 1, 1, Q
-    yield a, b
-    while c < d:
-        yield c, d
-        k = (Q + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+    if not 1 <= Q <= FAREY_ORDER_MAX:
+        raise ValueError("Farey order must be in 1 .. %d, got %r" % (FAREY_ORDER_MAX, Q))
+    C = max(1, Q * (Q + 1) // (2 * max(BLOCK, Q)))
+    qs = np.arange(1, Q + 1, dtype=np.int64)
+    hi = np.zeros_like(qs)  # ceil(q k / C) at k = 0
+    for k in range(1, C + 1):
+        lo, hi = hi, -(-qs * k // C)
+        counts = hi - lo
+        q = np.repeat(qs, counts)
+        starts = np.cumsum(counts) - counts  # where each q's run of p begins
+        p = np.arange(len(q), dtype=np.int64) + np.repeat(lo - starts, counts)
+        keep = np.gcd(p, q) == 1
+        p, q = p[keep], q[keep]
+        order = np.argsort(p / q)
+        yield p[order], q[order]
 
 
 def farey_sequence(Q):
-    """F(Q) as a tuple of exact Fractions, from farey_pairs."""
-    return tuple(Fraction(p, q) for p, q in farey_pairs(Q))
+    """F(Q) as a tuple of exact Fractions, from farey_blocks."""
+    return tuple(Fraction(p, q) for ps, qs in farey_blocks(Q)
+                 for p, q in zip(ps.tolist(), qs.tolist()))
 
 
 class ReducedFractions:
@@ -59,19 +80,3 @@ def farey_by_denominator(Q):
     if Q < 1:
         raise ValueError("Farey order must be >= 1, got %r" % (Q,))
     return ReducedFractions(range(1, Q + 1))
-
-
-def min_gap_mod1(points):
-    """min over j != k of ||x_j - x_k||, with ||x|| = distance to nearest int.
-
-    Exact when the points are Fractions.  The wraparound gap between the
-    largest and smallest point (mod 1) is included.  The drivers take the
-    closed form 1/(Q(Q-1)); this O(K log K) scan is the tests' oracle for it.
-    """
-    pts = sorted(x % 1 for x in points)
-    if len(pts) < 2:
-        raise ValueError("min_gap_mod1 needs at least 2 points")
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    gaps.append(1 + pts[0] - pts[-1])
-    # Circular gaps; the mod-1 metric folds anything above 1/2 back down.
-    return min(min(g, 1 - g) for g in gaps)

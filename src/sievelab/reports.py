@@ -7,9 +7,9 @@ A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
 pipe (/dev/null, a FIFO) is written in place, and a path that names the
 file stdout has open (/dev/stdout, or the target of a >> redirect) is
-written through sys.stdout.  write_farey and write_lemma4 render each row
-of the farey and lemma4 reports into one %-template per format, which
-holds the cells that are the same in every row, and write in chunks.
+written through sys.stdout.  write_farey and write_lemma4 render their
+reports from one %-template per format, which holds the cells that are the
+same in every row, by the block of rows: farey.BLOCK rows to one % call.
 """
 
 import contextlib
@@ -17,9 +17,9 @@ import csv
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain
 
-from .farey import farey_pairs
+from . import farey
 
 _FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
 # Three ints, a float and the gap "1/bd", left empty on the last row.
@@ -110,44 +110,60 @@ def _template(fmt, columns, cells, constants=()):
     raise ValueError("unknown format %r" % (fmt,))
 
 
-def _write_template(path, fmt, template, values, last_row):
-    """head, row % v + sep for each v of values but the last, last_row % (the
-    last v), then tail; 1024 rows a write.  The first v is drawn before the
-    output is opened, so values that fail at once leave it untouched."""
+def _write_rows(out, row_sep, columns, n):
+    # The first n rows of the cell columns, farey.BLOCK rows to a % on one flat tuple.
+    k = len(columns)
+    for s in range(0, n, farey.BLOCK):
+        m = min(farey.BLOCK, n - s)
+        flat = [None] * (k * m)
+        for j, column in enumerate(columns):
+            flat[j::k] = column[s:s + m]
+        out.write(row_sep * m % tuple(flat))
+
+
+def _write_blocks(path, fmt, template, blocks, last_row):
+    """head, row + sep for each row of blocks (tuples of equally long cell
+    columns) but the last, last_row % that one, then tail.  The first block is
+    drawn before the output is opened, so a bad argument leaves it untouched."""
     head, row, sep, tail = template
-    row_sep, values = row + sep, iter(values)
-    v = next(values)
+    blocks = iter(blocks)
+    block = next(blocks)
     with output(path, newline="" if fmt == "csv" else None) as out:
         out.write(head)
-        while chunk := list(islice(values, 1024)):
-            out.write("".join([row_sep % w for w in [v, *chunk[:-1]]]))
-            v = chunk[-1]
-        out.write(last_row % v + tail)
+        for following in blocks:
+            _write_rows(out, row + sep, block, len(block[0]))
+            block = following
+        n = len(block[0]) - 1
+        _write_rows(out, row + sep, block, n)
+        out.write(last_row % tuple(column[n] for column in block) + tail)
 
 
-def _farey_values(pairs):
-    # (index, p, q, p/q, bd) for each point a/b and the next c/d; the last point has no bd.
-    i, (p, q) = 0, next(pairs)
-    for c, d in pairs:
-        yield i, p, q, p / q, q * d
-        i, p, q = i + 1, c, d
-    yield i, p, q, p / q
+def _farey_columns(Q):
+    # (index, p, q, p/q, bd) per block of F(Q), with bd from each a/b and the next c/d:
+    # a block waits for the next one's first d, and the last point's bd, 0, is not written.
+    blocks = farey.farey_blocks(Q)
+    i, (p, q) = 0, next(blocks)
+    for c, d in chain(blocks, [(None, [0])]):
+        gaps = (q[:-1] * q[1:]).tolist() + [int(q[-1] * d[0])]
+        yield range(i, i + len(p)), p.tolist(), q.tolist(), (p / q).tolist(), gaps
+        i, p, q = i + len(p), c, d
 
 
 def write_farey(Q, path=None, fmt="csv"):
-    """Each point a/b of F(Q) and its gap 1/(bd) to the next c/d, streamed from farey_pairs."""
+    """Each point a/b of F(Q) and its gap 1/(bd) to the next c/d, by the
+    block of farey.farey_blocks; the last row's gap is empty."""
     template = _template(fmt, _FAREY_COLUMNS, _FAREY_CELLS.get(fmt))
-    last_row = template[1].replace("1/%d", "")
-    _write_template(path, fmt, template, _farey_values(farey_pairs(Q)), last_row)
+    last_row = template[1].replace("1/%d", "%.0s")  # %.0s writes its cell as nothing
+    _write_blocks(path, fmt, template, _farey_columns(Q), last_row)
 
 
 def write_lemma4(table, columns, path=None, fmt="csv"):
     """A sweeps.Lemma4Table in the given columns, with the bytes write_rows
     gives on its dict rows: m, n, both counts and agree vary per row, and
-    the table's constant cells sit in the template."""
+    the table's constant cells sit in the template.  One block per m."""
     template = _template(fmt, columns, ("%d", "%d", "%d", "%d", "%s"), table.constants)
     S = table.S
-    rows = chain.from_iterable(
-        zip(repeat(m), S, t.tolist(), u.tolist(), map(_AGREE.__getitem__, (t == u).tolist()))
+    blocks = (
+        ([m] * len(S), S, t.tolist(), u.tolist(), list(map(_AGREE.__getitem__, (t == u).tolist())))
         for m, t, u in zip(S, table.brute, table.divisor))
-    _write_template(path, fmt, template, rows, template[1])
+    _write_blocks(path, fmt, template, blocks, template[1])

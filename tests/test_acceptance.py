@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from farey_reference import min_gap_mod1
 from pair_reference import bg_eval
 from sievelab import bounds, counterexample as cx, dls, sweeps
 from sievelab.arith import dirichlet_approx, euler_phi
@@ -21,7 +22,7 @@ from sievelab.expsum import (
     exp_sum,
     phase_matrix,
 )
-from sievelab.farey import farey_sequence, min_gap_mod1
+from sievelab.farey import farey_sequence
 
 GOLDEN = Path(__file__).parent / "data" / "theorem2_golden.csv"
 GOLDEN_SEED = 20260823

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import sievelab
-from sievelab import cli, counterexample, sweeps
+from sievelab import bounds, cli, counterexample, dls, farey, sweeps
 
 SIEVELAB = [sys.executable, "-m", "sievelab.cli"]
 
@@ -52,7 +52,7 @@ class TestFareyCommand:
         assert "order" in proc.stderr.lower() or "farey" in proc.stderr.lower()
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize("order", ["0", "-3", str(farey.FAREY_ORDER_MAX + 1)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bad_order_leaves_out_file(self, order, fmt, tmp_path):
         out = tmp_path / "report"
@@ -63,6 +63,16 @@ class TestFareyCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert out.read_text() == "old report\n"
         assert os.listdir(tmp_path) == ["report"]  # no temp file left behind
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_order_above_the_cap_is_refused_before_any_block(self, fmt, monkeypatch, capsys):
+        # Never run at the cap: F(2^16) has about 1.3e9 rows.
+        monkeypatch.setattr(farey, "np", None)  # any array built would raise AttributeError
+        argv = ["farey", "--order", str(farey.FAREY_ORDER_MAX + 1), "--format", fmt]
+        assert cli.main(argv) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("sievelab farey: ") and "order" in stderr
+        assert len(stderr.splitlines()) == 1
 
     def test_json_format(self):
         proc = run("farey", "--order", "3", "--format", "json")
@@ -405,9 +415,11 @@ def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys,
 
 def test_dls_largest_scale_below_the_cap_runs_without_warnings():
     # pyproject.toml turns a RuntimeWarning (numpy overflow) into an error here.
+    # The right side overflows, so each row is an anomaly: it checks nothing.
     rows, all_hold = sweeps.dls_random_sweep(instances=3, scale_min=1e154, scale_max=1e154)
-    assert all_hold and len(rows) == 3
+    assert not all_hold and len(rows) == 3
     assert all(r["lhs"] == r["lhs"] and r["rhs"] == float("inf") for r in rows)
+    assert all(r["holds"] and r["anomaly"] for r in rows)
 
 
 def test_zero_instances_write_a_header_only_report():
@@ -487,10 +499,36 @@ def test_unwritable_out_is_usage_error(command, tmp_path):
     assert os.listdir(tmp_path) == []  # no temp file left behind
 
 
+def dls_check_without_finiteness(inst):
+    # dls.dls_check as it was before a non-finite side was flagged.
+    lhs, A, B = dls.bilinear_sum_sq(inst), dls.a_delta(inst), dls.b_epsilon(inst)
+    rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
+    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
+    return dls.DLSCheck(lhs, rhs, bounds.holds(lhs, rhs), bool(anomaly))
+
+
 class TestDlsCheckCommand:
     def test_defaults_hold(self):
         proc = run("dls-check", "--instances", "50", "--out", os.devnull)
         assert proc.returncode == 0
+
+    def test_right_side_past_the_float_range_fails_the_run(self):
+        proc = run("dls-check", "--instances", "3", "--scale-min", "1e154", "--scale-max", "1e154")
+        assert proc.returncode == 1
+        assert proc.stderr == "dls-check: inequality failed or anomaly flagged\n"
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert len(rows) == 3
+        assert all(float(r["lhs"]) < float("inf") and r["rhs"] == "inf" for r in rows)
+        assert {(r["holds"], r["anomaly"]) for r in rows} == {("true", "true")}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_finite_runs_keep_their_bytes(self, fmt, monkeypatch, capsys):
+        argv = ["dls-check", "--instances", "200", "--seed", "3", "--format", fmt]
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out
+        monkeypatch.setattr(dls, "dls_check", dls_check_without_finiteness)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == got
 
 
 class TestLemma4Command:

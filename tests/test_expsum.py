@@ -306,9 +306,10 @@ class TestGroupedLhs:
         rng = np.random.default_rng(18)
         for M, dtype in ((3 * 10**9, np.int64), (5 * 10**9, object)):
             seq = random_seq(rng, M, 64)
-            want = loop_lhs(seq, SQUARE, farey_sequence(9))
+            points = farey_sequence(9)  # built before the spy is read: F(Q) uses np.arange too
+            want = loop_lhs(seq, SQUARE, points)
             dtypes.clear()
-            assert ls_lhs(seq, SQUARE, farey_sequence(9)) == pytest.approx(want, rel=1e-12)
+            assert ls_lhs(seq, SQUARE, points) == pytest.approx(want, rel=1e-12)
             assert dtypes == [dtype]  # every q <= 9 takes the DFT: no kernel rows
 
 

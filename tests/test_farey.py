@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sievelab.arith import euler_phi
-from sievelab.farey import farey_by_denominator, farey_pairs, farey_sequence, min_gap_mod1
+from farey_reference import farey_pairs, min_gap_mod1
+from sievelab import farey
+from sievelab.farey import farey_by_denominator, farey_sequence
 
 
 def farey_bruteforce(Q):
@@ -60,6 +62,41 @@ class TestFareySequence:
             pairs = list(farey_pairs(Q))
             assert pairs == [(x.numerator, x.denominator) for x in farey_bruteforce(Q)]
             assert pairs == [(x.numerator, x.denominator) for x in farey_sequence(Q)]
+
+
+def block_count(Q):
+    return max(1, Q * (Q + 1) // (2 * max(farey.BLOCK, Q)))
+
+
+class TestFareyBlocks:
+    @pytest.mark.parametrize("block", [1, 40, 2 ** 11])
+    def test_blocks_match_the_recurrence(self, block, monkeypatch):
+        # A few points a block: many blocks of about Q points for every Q here.
+        monkeypatch.setattr(farey, "BLOCK", block)
+        edges = 0  # blocks k > 0 whose first point is k/C
+        for Q in range(1, 121):
+            blocks = list(farey.farey_blocks(Q))
+            C = block_count(Q)
+            assert len(blocks) == C
+            for k, (p, q) in enumerate(blocks):
+                assert p.dtype == q.dtype == np.int64 and len(p) > 0
+                # Block k is [k/C, (k+1)/C); points on its left edge are its own.
+                assert (C * p >= k * q).all() and (C * p < (k + 1) * q).all()
+                edges += k > 0 and C * p[0] == k * q[0]
+            pairs = [(x, y) for p, q in blocks for x, y in zip(p.tolist(), q.tolist())]
+            assert pairs == list(farey_pairs(Q))
+        if block < 120:
+            assert edges > 100
+
+    @pytest.mark.parametrize("Q", [0, -3, farey.FAREY_ORDER_MAX + 1])
+    def test_order_outside_the_range(self, Q, monkeypatch):
+        monkeypatch.setattr(farey, "np", None)  # refused before any array is built
+        with pytest.raises(ValueError, match="order"):
+            next(farey.farey_blocks(Q))
+
+    def test_float_order_is_exact_below_the_cap(self):
+        # Distinct points differ by at least 1/Q^2; p/q rounds by at most 2^-53.
+        assert farey.FAREY_ORDER_MAX ** 2 <= 2 ** 32
 
 
 class TestByDenominator:

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 import sievelab
-from sievelab import bounds, dls, reports, sweeps
-from sievelab.farey import farey_pairs
+from farey_reference import farey_pairs
+from sievelab import bounds, dls, farey, reports, sweeps
 
 
 # The writers as they were before they streamed: the byte-for-byte oracles.
@@ -192,7 +192,7 @@ def test_property_writers_match_oracle(tmp_path):
     check()
 
 
-# The farey report, streamed from farey_pairs, against write_rows on the dict
+# The farey report, written from farey_blocks, against write_rows on the dict
 # rows the farey command built before it streamed.
 
 FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
@@ -235,6 +235,19 @@ def test_farey_report_matches_dict_rows(Q, fmt, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["got." + fmt, "want." + fmt]
 
 
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_farey_report_across_small_blocks(block, fmt, tmp_path, monkeypatch):
+    # Blocks of about Q points, formatted `block` rows per %: every block
+    # edge, some on a point k/C, and the last row's own template.
+    monkeypatch.setattr(farey, "BLOCK", block)
+    for Q in (1, 2, 3, 4, 7, 12, 60, 120):
+        got = tmp_path / ("got." + fmt)
+        reports.write_farey(Q, str(got), fmt)
+        assert got.read_bytes() == farey_oracle_bytes(Q, fmt, tmp_path)
+        assert_farey_stdout_matches(Q, fmt)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_farey_report_to_dev_stdout(fmt, tmp_path):
@@ -261,13 +274,15 @@ def test_farey_report_through_named_pipe(fmt, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_farey_report_failure_leaves_old_file(fmt, tmp_path, monkeypatch):
-    def failing_pairs(Q):
-        for k, pair in enumerate(farey_pairs(Q)):
-            if k == 5000:
-                raise RuntimeError("boom")
-            yield pair
+    blocks = farey.farey_blocks
 
-    monkeypatch.setattr(reports, "farey_pairs", failing_pairs)
+    def failing_blocks(Q):
+        for k, block in enumerate(blocks(Q)):
+            if k == 5:  # about 6000 points in: rows are already written
+                raise RuntimeError("boom")
+            yield block
+
+    monkeypatch.setattr(farey, "farey_blocks", failing_blocks)
     path = tmp_path / ("report." + fmt)
     path.write_text("old report\n")
     with pytest.raises(RuntimeError, match="boom"):
@@ -290,7 +305,7 @@ def test_farey_report_memory_does_not_grow_with_q(fmt):
     assert peaks[1] < 1.5 * peaks[0]
 
 
-@pytest.mark.parametrize("Q", [0, -3])
+@pytest.mark.parametrize("Q", [0, -3, farey.FAREY_ORDER_MAX + 1])
 def test_farey_report_bad_order_opens_nothing(Q, tmp_path, capsys):
     path = tmp_path / "report.csv"
     path.write_text("old report\n")
@@ -382,6 +397,14 @@ def cap_table_and_rows():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_lemma4_report_at_the_cap_matches_dict_rows(fmt, tmp_path, cap_table_and_rows):
     assert_lemma4_matches_dict_rows(CAP_ARGS, fmt, tmp_path, stdout=False, built=cap_table_and_rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [{"N": 1}, {"N": 7, "M": -3, "alpha": Fraction(1, 2)}])
+def test_lemma4_report_across_several_percent_calls(args, fmt, tmp_path, monkeypatch):
+    # Two rows per %: each m of N = 7 takes four calls, the last one a single row.
+    monkeypatch.setattr(farey, "BLOCK", 2)
+    assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
 
 
 def test_lemma4_report_writes_disagreeing_counters(tmp_path):

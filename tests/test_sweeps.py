@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from farey_reference import min_gap_mod1
 from sievelab import sweeps
-from sievelab.farey import farey_sequence, min_gap_mod1
+from sievelab.farey import farey_sequence
 
 
 def counting(monkeypatch, owner, name):
@@ -55,7 +56,7 @@ def test_farey_points_are_not_converted_one_by_one(monkeypatch):
     # exact conversion of expsum sees the amplitudes' coefficients, not the points.
     from sievelab import counterexample as cx, expsum, farey
 
-    for name in ("farey_pairs", "farey_sequence"):
+    for name in ("farey_blocks", "farey_sequence"):
         monkeypatch.setattr(farey, name, lambda *a: pytest.fail("F(Q) listed as Fractions"))
     exact = counting(monkeypatch, expsum, "_exact")
 
