@@ -25,16 +25,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds
+from . import bounds, expsum
 
 LEMMA4_CAP = 500
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_all = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
 
 
 @dataclass(frozen=True)
 class DLSInstance:
     """Two weighted point families inside [-X/2, X/2] and [-Y/2, Y/2], kept
-    as float64 points and complex128 weights (a tuple is converted once, here)."""
+    as float64 points and complex128 weights (a tuple is converted once, here).
+    NaN or infinity anywhere is refused."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -46,14 +48,17 @@ class DLSInstance:
     def __post_init__(self):
         for name, dtype in (("xs", float), ("ys", float), ("aw", complex), ("bw", complex)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not (self.X > 0 and self.Y > 0):
-            raise ValueError("X and Y must be positive")
+        if not (0 < self.X < math.inf and 0 < self.Y < math.inf):
+            raise ValueError("X and Y must be positive and finite")
         if len(self.xs) != len(self.aw) or len(self.ys) != len(self.bw):
             raise ValueError("weight lists must match point lists in length")
-        if (np.abs(self.xs) > self.X / 2).any():
+        # A NaN or infinite point fails these comparisons too.
+        if not _all(np.abs(self.xs) <= self.X / 2):
             raise ValueError("x point outside [-X/2, X/2]")
-        if (np.abs(self.ys) > self.Y / 2).any():
+        if not _all(np.abs(self.ys) <= self.Y / 2):
             raise ValueError("y point outside [-Y/2, Y/2]")
+        if not (_all(np.isfinite(self.aw)) and _all(np.isfinite(self.bw))):
+            raise ValueError("weights must be finite (no NaN or infinity)")
 
     @property
     def delta(self):
@@ -64,32 +69,35 @@ class DLSInstance:
         return 1.0 / self.X
 
 
-def _kernel_array(diffs):
-    return np.maximum(1.0 - np.abs(diffs), 0.0)
+def _kernel_forms(points, widths, weights, signed):
+    """w @ Lambda((p_j - p_l) / width) @ v for each instance's points p, width
+    and weights: w = v = |weights| (A), or w = weights, v = conj(w) if signed (B).
 
-
-def bilinear_sum_sq(inst):
-    """|sum_m sum_n a_m b_n e(x_m y_n)|^2."""
-    phases = np.exp(2j * np.pi * np.outer(inst.xs, inst.ys))
-    s = inst.aw @ phases @ inst.bw
-    return float(abs(s) ** 2)
-
-
-def a_delta(inst):
-    """A(delta) = sum over x-pairs of |a_m||a_r| Lambda((x_m - x_r)/delta)."""
-    xs, mods = inst.xs, np.abs(inst.aw)
-    kern = _kernel_array((xs[:, None] - xs[None, :]) / inst.delta)
-    return float(mods @ kern @ mods)
-
-
-def b_epsilon(inst):
-    """B(eps) = sum over y-pairs of b_n conj(b_r) Lambda((y_n - y_r)/eps).
-
-    Signed products, as displayed; mathematically real by kernel symmetry.
+    The instances with equal len(p) share one stacked matmul
+    (K,1,s) @ (K,s,s) @ (K,s,1), which numpy runs as one gemv and one dot per
+    item, the calls it makes for one instance alone: each value is bit-equal
+    to a batch of one.  A group's kernel holds the sum of its s^2 cells.
     """
-    ys, bw = inst.ys, inst.bw
-    kern = _kernel_array((ys[:, None] - ys[None, :]) / inst.eps)
-    return complex(bw @ kern @ bw.conj())
+    groups = {}  # a dict, not np.unique, whose first call costs ~1 MB RSS
+    for k, p in enumerate(points):
+        groups.setdefault(len(p), []).append(k)
+    out = [None] * len(points)
+    for ks in groups.values():
+        p = np.array([points[k] for k in ks])
+        w = np.array([weights[k] for k in ks])
+        # For B, Lambda is written into the real part of a complex kernel:
+        # the cast that w @ (float kernel) makes, without the float copy.
+        kern = np.zeros(p.shape + p.shape[1:], w.dtype if signed else float)
+        lam = kern.real
+        np.subtract(p[:, :, None], p[:, None, :], out=lam)
+        lam /= np.array([widths[k] for k in ks])[:, None, None]
+        np.abs(lam, out=lam)
+        np.maximum(np.subtract(1.0, lam, out=lam), 0.0, out=lam)
+        v = w.conj() if signed else np.abs(w)
+        w = w if signed else v
+        for k, value in zip(ks, (w[:, None, :] @ kern @ v[:, :, None]).ravel().tolist()):
+            out[k] = value
+    return out
 
 
 class DLSCheck(NamedTuple):
@@ -99,36 +107,52 @@ class DLSCheck(NamedTuple):
     anomaly: bool
 
 
-def dls_check(inst):
-    """Both sides of the double large sieve inequality with (pi/2)^4.
+def dls_checks(instances):
+    """Both sides of the double large sieve inequality with (pi/2)^4, for
+    each instance of a list, in order; dls_check is the batch of one.
 
-    The rhs uses Re B(eps); if B(eps) has a relatively large imaginary
-    part, or either side is not finite (an rhs past the float range checks
-    nothing), the instance is flagged as anomalous instead of asserted.
+    The lhs |sum_m sum_n a_m b_n e(x_m y_n)|^2 is one m x n product per
+    instance.  A(delta) correlates the |a_m| over the x-pairs and B(eps) the
+    signed b_n conj(b_r) over the y-pairs, both stacked by size.  The rhs
+    uses Re B(eps); if B(eps) has a relatively large imaginary part, or
+    either side is not finite (an rhs past the float range checks nothing),
+    the instance is flagged as anomalous instead of asserted.
     """
-    lhs = bilinear_sum_sq(inst)
-    A = a_delta(inst)
-    B = b_epsilon(inst)
-    rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
-    finite = math.isfinite(lhs) and math.isfinite(rhs)
-    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0) or not finite
-    return DLSCheck(lhs=lhs, rhs=rhs, holds=bounds.holds(lhs, rhs), anomaly=bool(anomaly))
+    A = _kernel_forms([i.xs for i in instances], [i.delta for i in instances],
+                      [i.aw for i in instances], signed=False)
+    B = _kernel_forms([i.ys for i in instances], [i.eps for i in instances],
+                      [i.bw for i in instances], signed=True)
+    checks = []
+    for inst, a, b in zip(instances, A, B):
+        lhs = float(abs(inst.aw @ expsum._e(inst.xs[:, None] * inst.ys) @ inst.bw) ** 2)
+        rhs = bounds.dls_rhs(a, b.real, inst.X, inst.Y)
+        finite = math.isfinite(lhs) and math.isfinite(rhs)
+        anomaly = abs(b.imag) > 1e-9 * max(abs(b), 1.0) or not finite
+        checks.append(DLSCheck(lhs, rhs, bounds.holds(lhs, rhs), anomaly))
+    return checks
+
+
+def dls_check(inst):
+    """dls_checks of one instance."""
+    return dls_checks([inst])[0]
 
 
 def max_abs_g(M, N, a, b):
     """2 * max |g| is the exact Y needed for the double large sieve sweep.
 
-    For a fixed difference u = s - t, |g| is maximal at an extreme value
-    of s + t, so an O(N) scan over u suffices.  The scan runs on b*|g| in
-    integers; the output is the exact Fraction.
+    For a fixed difference u = |s - t| < N, |g| is largest at an extreme of
+    s + t, 2M + 2 + u or 2(M + N) - u, where b*|g| is |q(u)| for a quadratic
+    q(u) = u (b (s + t) + a).  On the integers 0 .. N-1 a quadratic takes
+    its extremes at an end or next to its vertex, so four u per quadratic
+    suffice.  In integers; the output is the exact Fraction.
     """
     best = 0
-    for u in range(0, N):
-        lo = 2 * M + 2 + u  # smallest s+t given |s-t| = u
-        hi = 2 * (M + N) - u
-        cand = u * max(abs(b * lo + a), abs(b * hi + a))
-        if cand > best:
-            best = cand
+    for c, sign in ((2 * M + 2, 1), (2 * (M + N), -1)):
+        # q(u) = sign b u^2 + (b c + a) u, with its vertex at -(b c + a) / (2 sign b).
+        vertex = -(b * c + a) // (2 * sign * b)
+        for u in (0, N - 1, vertex, vertex + 1):
+            u = min(max(u, 0), N - 1)
+            best = max(best, abs(u * (b * (c + sign * u) + a)))
     return Fraction(best, b)
 
 

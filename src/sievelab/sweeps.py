@@ -29,6 +29,9 @@ VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every rig
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
 # arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:
 DLS_SIZE_MAX = 2**11
+# A dls-check chunk holds at most this many point-pair cells of one family
+# (sum of m^2, and of n^2), so each stacked kernel stays below 8 MB:
+DLS_CHUNK_CELLS = 2**20
 
 
 def _row_rng(seed, index):
@@ -206,15 +209,21 @@ DLS_COLUMNS = [
 ]
 
 
-def _dls_instance(rng, size_max, scale_min, scale_max):
-    X = float(rng.uniform(scale_min, scale_max))
-    Y = float(rng.uniform(scale_min, scale_max))
+def _dls_instance(rng, size_max, lo, hi):
+    # The stream of uniform(lo, hi) twice, integers(1, size_max + 1) twice,
+    # uniform(-X/2, X/2, m), uniform(-Y/2, Y/2, n) and standard_normal four
+    # times (m, m, n, n), with fewer calls: numpy's uniform(low, high) is
+    # low + (high - low) * random(), and standard_normal keeps no state.
+    X = lo + (hi - lo) * rng.random()
+    Y = lo + (hi - lo) * rng.random()
     m = int(rng.integers(1, size_max + 1))
     n = int(rng.integers(1, size_max + 1))
-    xs = rng.uniform(-X / 2, X / 2, m)
-    ys = rng.uniform(-Y / 2, Y / 2, n)
-    aw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    bw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = rng.random(m + n)
+    z = rng.standard_normal(2 * (m + n))
+    xs = -X / 2 + (X / 2 + X / 2) * u[:m]
+    ys = -Y / 2 + (Y / 2 + Y / 2) * u[m:]
+    aw = z[:m] + 1j * z[m:2 * m]
+    bw = z[2 * m:2 * m + n] + 1j * z[2 * m + n:]
     return dls.DLSInstance(xs=xs, ys=ys, aw=aw, bw=bw, X=X, Y=Y)
 
 
@@ -223,7 +232,9 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
 
     The arguments are checked before the first row: instances >= 0,
     1 <= size_max <= DLS_SIZE_MAX, and 0 < scale_min <= scale_max with the
-    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.
+    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.  Rows are
+    drawn and checked DLS_CHUNK_CELLS // size_max^2 at a time (at least
+    one), by dls.dls_checks.
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
@@ -233,12 +244,14 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
     rows = []
-    for i in range(instances):
-        inst = _dls_instance(_row_rng(seed, i), size_max, scale_min, scale_max)
-        check = dls.dls_check(inst)
-        rows.append(dict(zip(DLS_COLUMNS, (
-            i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y, *check
-        ))))
+    step = max(1, DLS_CHUNK_CELLS // size_max**2)
+    for start in range(0, instances, step):
+        chunk = [_dls_instance(_row_rng(seed, i), size_max, float(scale_min), float(scale_max))
+                 for i in range(start, min(start + step, instances))]
+        for i, (inst, check) in enumerate(zip(chunk, dls.dls_checks(chunk)), start):
+            rows.append(dict(zip(DLS_COLUMNS, (
+                i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y, *check
+            ))))
     all_hold = all(r["holds"] and not r["anomaly"] for r in rows)
     return rows, all_hold
 

@@ -1,0 +1,76 @@
+"""The double large sieve sums one instance at a time: the oracle for sievelab.dls.
+
+`dls.dls_checks` stacks A(delta) and B(eps) of equal-sized instances into
+one matmul and writes e(t) as cos + i sin; these are the direct per-instance
+forms it replaced, which it must match bit for bit.  `reference_rows` draws
+dls-check rows with one numpy call per drawn quantity, as the sweep used to.
+"""
+
+import math
+
+import numpy as np
+
+from sievelab import __version__, bounds, dls
+from sievelab.sweeps import DLS_COLUMNS, RNG_ID, _row_rng
+
+
+def _kernel_array(diffs):
+    return np.maximum(1.0 - np.abs(diffs), 0.0)
+
+
+def bilinear_sum_sq(inst):
+    """|sum_m sum_n a_m b_n e(x_m y_n)|^2."""
+    phases = np.exp(2j * np.pi * np.outer(inst.xs, inst.ys))
+    s = inst.aw @ phases @ inst.bw
+    return float(abs(s) ** 2)
+
+
+def a_delta(inst):
+    """A(delta) = sum over x-pairs of |a_m||a_r| Lambda((x_m - x_r)/delta)."""
+    xs, mods = inst.xs, np.abs(inst.aw)
+    kern = _kernel_array((xs[:, None] - xs[None, :]) / inst.delta)
+    return float(mods @ kern @ mods)
+
+
+def b_epsilon(inst):
+    """B(eps) = sum over y-pairs of b_n conj(b_r) Lambda((y_n - y_r)/eps)."""
+    ys, bw = inst.ys, inst.bw
+    kern = _kernel_array((ys[:, None] - ys[None, :]) / inst.eps)
+    return complex(bw @ kern @ bw.conj())
+
+
+def dls_check(inst, finite_rule=True):
+    """Both sides with (pi/2)^4 and the anomaly flag; finite_rule=False leaves
+    out the flag for a side that is not finite, as before that rule existed."""
+    lhs = bilinear_sum_sq(inst)
+    A = a_delta(inst)
+    B = b_epsilon(inst)
+    rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
+    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
+    if finite_rule:
+        anomaly = anomaly or not (math.isfinite(lhs) and math.isfinite(rhs))
+    return dls.DLSCheck(lhs=lhs, rhs=rhs, holds=bounds.holds(lhs, rhs), anomaly=bool(anomaly))
+
+
+def draw_instance(rng, size_max, scale_min, scale_max):
+    X = float(rng.uniform(scale_min, scale_max))
+    Y = float(rng.uniform(scale_min, scale_max))
+    m = int(rng.integers(1, size_max + 1))
+    n = int(rng.integers(1, size_max + 1))
+    xs = rng.uniform(-X / 2, X / 2, m)
+    ys = rng.uniform(-Y / 2, Y / 2, n)
+    aw = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    bw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return dls.DLSInstance(xs=xs, ys=ys, aw=aw, bw=bw, X=X, Y=Y)
+
+
+def reference_rows(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
+    """The rows of sweeps.dls_random_sweep, one instance and one check at a time."""
+    rows = []
+    for i in range(instances):
+        inst = draw_instance(_row_rng(seed, i), size_max, scale_min, scale_max)
+        rows.append(dict(zip(DLS_COLUMNS, (
+            i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y,
+            *dls_check(inst),
+        ))))
+    return rows

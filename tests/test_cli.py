@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import dls_reference
 import sievelab
-from sievelab import bounds, cli, counterexample, dls, farey, sweeps
+from sievelab import cli, counterexample, dls, farey, sweeps
 
 SIEVELAB = [sys.executable, "-m", "sievelab.cli"]
 
@@ -499,12 +500,10 @@ def test_unwritable_out_is_usage_error(command, tmp_path):
     assert os.listdir(tmp_path) == []  # no temp file left behind
 
 
-def dls_check_without_finiteness(inst):
-    # dls.dls_check as it was before a non-finite side was flagged.
-    lhs, A, B = dls.bilinear_sum_sq(inst), dls.a_delta(inst), dls.b_epsilon(inst)
-    rhs = bounds.dls_rhs(A, B.real, inst.X, inst.Y)
-    anomaly = abs(B.imag) > 1e-9 * max(abs(B), 1.0)
-    return dls.DLSCheck(lhs, rhs, bounds.holds(lhs, rhs), bool(anomaly))
+def dls_checks_without_finiteness(instances, calls):
+    # dls.dls_checks as it was before a non-finite side was flagged.
+    calls.append(len(instances))
+    return [dls_reference.dls_check(inst, finite_rule=False) for inst in instances]
 
 
 class TestDlsCheckCommand:
@@ -526,9 +525,11 @@ class TestDlsCheckCommand:
         argv = ["dls-check", "--instances", "200", "--seed", "3", "--format", fmt]
         assert cli.main(argv) == 0
         got = capsys.readouterr().out
-        monkeypatch.setattr(dls, "dls_check", dls_check_without_finiteness)
+        calls = []
+        monkeypatch.setattr(dls, "dls_checks", lambda insts: dls_checks_without_finiteness(insts, calls))
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == got
+        assert sum(calls) == 200  # the sweep's path ran the old rule on every row
 
 
 class TestLemma4Command:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pair_reference import bg_eval, g_eval
-from sievelab import bounds, dls
+import dls_reference as ref
+from pair_reference import bg_eval, g_eval, max_abs_g_scan
+from sievelab import bounds, dls, sweeps
 from sievelab.sweeps import dls_random_sweep
 
 
@@ -15,49 +16,62 @@ def unit_instance(xs, ys, X, Y, aw=None, bw=None):
     return dls.DLSInstance(xs=tuple(xs), ys=tuple(ys), aw=aw, bw=bw, X=X, Y=Y)
 
 
+# The three sums of one instance, as dls_checks evaluates them.
+def bilinear_sum_sq(inst):
+    return dls.dls_check(inst).lhs
+
+
+def a_delta(inst):
+    return dls._kernel_forms([inst.xs], [inst.delta], [inst.aw], signed=False)[0]
+
+
+def b_epsilon(inst):
+    return dls._kernel_forms([inst.ys], [inst.eps], [inst.bw], signed=True)[0]
+
+
 class TestBilinearSum:
     def test_trivial_1x1(self):
-        assert dls.bilinear_sum_sq(unit_instance([0.0], [0.0], 1, 1)) == pytest.approx(1.0)
+        assert bilinear_sum_sq(unit_instance([0.0], [0.0], 1, 1)) == pytest.approx(1.0)
 
     def test_four_term_hand_sum(self):
         inst = unit_instance([0.0, 0.5], [0.0, 1.0], 1, 2)
         # 1 + 1 + 1 + e(1/2) = 2, squared modulus 4
-        assert dls.bilinear_sum_sq(inst) == pytest.approx(4.0)
+        assert bilinear_sum_sq(inst) == pytest.approx(4.0)
 
     def test_zero_weights(self):
         inst = unit_instance([0.1, 0.2], [0.3], 1, 1, aw=[0, 0])
-        assert dls.bilinear_sum_sq(inst) == 0.0
+        assert bilinear_sum_sq(inst) == 0.0
 
 
 class TestCorrelations:
     def test_a_delta_single(self):
         inst = unit_instance([0.0], [0.0], 1, 1, aw=[2.0])
-        assert dls.a_delta(inst) == pytest.approx(4.0)
+        assert a_delta(inst) == pytest.approx(4.0)
 
     def test_a_delta_separated(self):
         inst = unit_instance([-2.0, 2.0], [0.0], 8, 1)
         assert inst.delta == pytest.approx(8 / 9)
-        assert dls.a_delta(inst) == pytest.approx(2.0)
+        assert a_delta(inst) == pytest.approx(2.0)
 
     def test_a_delta_coincident(self):
         inst = unit_instance([0.3, 0.3], [0.0], 1, 1)
-        assert dls.a_delta(inst) == pytest.approx(4.0)
+        assert a_delta(inst) == pytest.approx(4.0)
 
     def test_b_epsilon_single(self):
         inst = unit_instance([0.0], [0.0], 1, 1, bw=[1 + 1j])
-        assert dls.b_epsilon(inst) == pytest.approx(2.0)
+        assert b_epsilon(inst) == pytest.approx(2.0)
 
     def test_b_epsilon_cancellation(self):
         inst = unit_instance([0.0], [0.2, 0.2], 1, 1, bw=[1.0, -1.0])
-        assert dls.b_epsilon(inst) == pytest.approx(0.0)
+        assert b_epsilon(inst) == pytest.approx(0.0)
 
     def test_b_epsilon_separated(self):
         inst = unit_instance([0.0], [-20.0, 20.0], 1, 50)
-        assert dls.b_epsilon(inst) == pytest.approx(2.0)
+        assert b_epsilon(inst) == pytest.approx(2.0)
 
     def test_b_epsilon_real_for_symmetric_real_weights(self):
         inst = unit_instance([0.0], [-0.4, -0.1, 0.1, 0.4], 1, 1, bw=[1.0, 2.0, 2.0, 1.0])
-        assert abs(dls.b_epsilon(inst).imag) < 1e-12
+        assert abs(b_epsilon(inst).imag) < 1e-12
 
 
 class TestDLSCheck:
@@ -98,6 +112,16 @@ def drawn_arrays(seed):
     }
 
 
+def first(value):
+    # A copy of an array with its first entry replaced by value.
+    def poke(array):
+        array = array.copy()
+        array[0] = value
+        return array
+
+    return poke
+
+
 def as_tuples(fields):
     return {k: tuple(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()}
 
@@ -126,13 +150,109 @@ def test_tuple_and_array_instances_check_bit_equal(seed):
         ({"bw": np.ones(40)}, "weight lists must match"),
         ({"X": 1e-3}, r"x point outside \[-X/2, X/2\]"),
         ({"Y": 1e-3}, r"y point outside \[-Y/2, Y/2\]"),
+        ({"X": math.inf}, "X and Y must be positive and finite"),
+        ({"Y": -math.inf}, "X and Y must be positive and finite"),
+        ({"X": math.nan}, "X and Y must be positive and finite"),
+        ({"xs": first(math.nan)}, r"x point outside \[-X/2, X/2\]"),
+        ({"ys": first(-math.inf)}, r"y point outside \[-Y/2, Y/2\]"),
+        ({"aw": first(math.inf)}, "weights must be finite"),
+        ({"bw": first(complex(0.0, math.nan))}, "weights must be finite"),
+        ({"bw": first(complex(-math.inf, 1.0))}, "weights must be finite"),
     ],
 )
 def test_tuple_and_array_instances_raise_alike(change, message):
-    fields = {**drawn_arrays(3), **change}
+    fields = drawn_arrays(3)
+    fields.update({k: v(fields[k]) if callable(v) else v for k, v in change.items()})
     for given in (fields, as_tuples(fields)):
         with pytest.raises(ValueError, match=message):
             dls.DLSInstance(**given)
+
+
+def random_instance(rng, m, n):
+    X, Y = rng.uniform(0.25, 100.0, 2)
+    return dls.DLSInstance(
+        xs=rng.uniform(-X / 2, X / 2, m), ys=rng.uniform(-Y / 2, Y / 2, n),
+        aw=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        bw=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        X=float(X), Y=float(Y),
+    )
+
+
+def hex_sums(instances):
+    """Each instance's A, B and check as dls_checks evaluates them, in hex."""
+    A = dls._kernel_forms([i.xs for i in instances], [i.delta for i in instances],
+                          [i.aw for i in instances], signed=False)
+    B = dls._kernel_forms([i.ys for i in instances], [i.eps for i in instances],
+                          [i.bw for i in instances], signed=True)
+    checks = dls.dls_checks(instances)
+    return [(a.hex(), b.real.hex(), b.imag.hex(), c.lhs.hex(), c.rhs.hex(), c.holds, c.anomaly)
+            for a, b, c in zip(A, B, checks)]
+
+
+def hex_reference(instances):
+    rows = []
+    for inst in instances:
+        a, b, c = ref.a_delta(inst), ref.b_epsilon(inst), ref.dls_check(inst)
+        rows.append((a.hex(), b.real.hex(), b.imag.hex(), c.lhs.hex(), c.rhs.hex(), c.holds, c.anomaly))
+    return rows
+
+
+class TestBatchedAgainstReference:
+    # dls_checks stacks equal sizes into one matmul; every value must be the
+    # per-instance one, bit for bit, wherever an instance sits in a batch.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_size_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        # Few sizes, so that most groups hold several instances, and a few
+        # sizes that no other instance shares.
+        sizes = [tuple(rng.integers(1, 5, 2)) for _ in range(40)]
+        sizes += [tuple(rng.integers(1, 80, 2)) for _ in range(10)]
+        instances = [random_instance(rng, m, n) for m, n in sizes]
+        expected = hex_reference(instances)
+        assert hex_sums(instances) == expected
+        assert [hex_sums([inst])[0] for inst in instances] == expected
+        assert hex_sums(instances[::-1]) == expected[::-1]
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(11)
+        for m, n in ((1, 1), (3, 7), (50, 50)):
+            inst = random_instance(rng, m, n)
+            assert hex_sums([inst]) == hex_reference([inst])
+            assert dls.dls_check(inst) == dls.dls_checks([inst])[0]
+
+    def test_sizes_one_and_the_cap(self):
+        rng = np.random.default_rng(12)
+        cap = sweeps.DLS_SIZE_MAX
+        instances = [random_instance(rng, m, n) for m, n in ((cap, 1), (1, 1), (1, cap), (1, 1))]
+        assert hex_sums(instances) == hex_reference(instances)
+
+    def test_empty_batch(self):
+        assert dls.dls_checks([]) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"instances": 500, "seed": 2},
+        {"instances": 200, "seed": 3},
+        {"instances": 2000, "seed": 401},
+        {"instances": 300, "size_max": 1, "seed": 4},
+        {"instances": 40, "size_max": 300, "seed": 5},
+        {"instances": 3, "scale_min": 1e154, "scale_max": 1e154},
+        {"instances": 50, "scale_min": 1, "scale_max": 3, "seed": 6},
+    ],
+)
+def test_sweep_rows_equal_the_reference_rows(kwargs):
+    # Merged draws and batched sums leave every row as it was drawn and
+    # checked one call at a time.
+    assert dls_random_sweep(**kwargs)[0] == ref.reference_rows(**kwargs)
+
+
+@pytest.mark.parametrize("cells", [1, 2500, 10**4, 2**40])
+def test_sweep_rows_do_not_depend_on_the_chunk(cells, monkeypatch):
+    rows = dls_random_sweep(instances=120, size_max=10, seed=8)
+    monkeypatch.setattr(sweeps, "DLS_CHUNK_CELLS", cells)
+    assert dls_random_sweep(instances=120, size_max=10, seed=8) == rows
 
 
 class TestGEval:
@@ -159,6 +279,25 @@ class TestGEval:
             expected = max(abs(g_eval(s, t, a, b)) for s in S for t in S)
             got = dls.max_abs_g(M, N, a, b)
             assert isinstance(got, Fraction) and got == expected
+
+    def test_max_abs_g_matches_the_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # Negative M and a put the zero of b (s + t) + a inside the window,
+        # where |g| has its interior extremes; N = 1 has only u = 0.
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(
+            M=st.integers(-600, 100) | st.integers(-2**70, 2**70), N=st.integers(1, 400),
+            a=st.integers(-3000, 3000), b=st.integers(1, 40),
+        )
+        def check(M, N, a, b):
+            hypothesis.assume(math.gcd(a, b) == 1)
+            assert dls.max_abs_g(M, N, a, b) == max_abs_g_scan(M, N, a, b)
+
+        check()
+        for M, N, a, b in [(0, 1, 0, 1), (-1, 1, 0, 1), (-5, 1, -7, 3), (-20, 40, -1, 1), (-3, 5, 13, 2)]:
+            assert dls.max_abs_g(M, N, a, b) == max_abs_g_scan(M, N, a, b)
 
 
 def per_k_reference(M, N, alpha, a, b):
