@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds, expsum
+from . import bounds
 
 LEMMA4_CAP = 500
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_all = np.logical_and.reduce  # ndarray.all without its Python-level wrapper
+_all, _max = np.logical_and.reduce, np.maximum.reduce  # ndarray.all, .max without wrappers
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class DLSInstance:
             raise ValueError("X and Y must be positive and finite")
         if len(self.xs) != len(self.aw) or len(self.ys) != len(self.bw):
             raise ValueError("weight lists must match point lists in length")
-        # A NaN or infinite point fails these comparisons too.
-        if not _all(np.abs(self.xs) <= self.X / 2):
+        # The largest |point| is NaN or inf, and fails, if any point is.
+        if not _max(np.abs(self.xs), initial=0.0) <= self.X / 2:
             raise ValueError("x point outside [-X/2, X/2]")
-        if not _all(np.abs(self.ys) <= self.Y / 2):
+        if not _max(np.abs(self.ys), initial=0.0) <= self.Y / 2:
             raise ValueError("y point outside [-Y/2, Y/2]")
         if not (_all(np.isfinite(self.aw)) and _all(np.isfinite(self.bw))):
             raise ValueError("weights must be finite (no NaN or infinity)")
@@ -84,17 +84,12 @@ def _kernel_forms(points, widths, weights, signed):
     out = [None] * len(points)
     for ks in groups.values():
         p = np.array([points[k] for k in ks])
+        kern = p[:, :, None] - p[:, None, :]
+        kern /= np.array([widths[k] for k in ks])[:, None, None]
+        np.abs(kern, out=kern)
+        np.maximum(np.subtract(1.0, kern, out=kern), 0.0, out=kern)
         w = np.array([weights[k] for k in ks])
-        # For B, Lambda is written into the real part of a complex kernel:
-        # the cast that w @ (float kernel) makes, without the float copy.
-        kern = np.zeros(p.shape + p.shape[1:], w.dtype if signed else float)
-        lam = kern.real
-        np.subtract(p[:, :, None], p[:, None, :], out=lam)
-        lam /= np.array([widths[k] for k in ks])[:, None, None]
-        np.abs(lam, out=lam)
-        np.maximum(np.subtract(1.0, lam, out=lam), 0.0, out=lam)
-        v = w.conj() if signed else np.abs(w)
-        w = w if signed else v
+        w, v = (w, w.conj()) if signed else (np.abs(w),) * 2
         for k, value in zip(ks, (w[:, None, :] @ kern @ v[:, :, None]).ravel().tolist()):
             out[k] = value
     return out
@@ -124,7 +119,7 @@ def dls_checks(instances):
                       [i.bw for i in instances], signed=True)
     checks = []
     for inst, a, b in zip(instances, A, B):
-        lhs = float(abs(inst.aw @ expsum._e(inst.xs[:, None] * inst.ys) @ inst.bw) ** 2)
+        lhs = float(abs(inst.aw @ np.exp(2j * np.pi * (inst.xs[:, None] * inst.ys)) @ inst.bw) ** 2)
         rhs = bounds.dls_rhs(a, b.real, inst.X, inst.Y)
         finite = math.isfinite(lhs) and math.isfinite(rhs)
         anomaly = abs(b.imag) > 1e-9 * max(abs(b), 1.0) or not finite

@@ -29,9 +29,9 @@ VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every rig
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
 # arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:
 DLS_SIZE_MAX = 2**11
-# A dls-check chunk holds at most this many point-pair cells of one family
-# (sum of m^2, and of n^2), so each stacked kernel stays below 8 MB:
-DLS_CHUNK_CELLS = 2**20
+# dls-check draws and checks DLS_CHUNK_CELLS // size_max^2 rows at a time (at
+# least one), so a stacked kernel holds at most 2^19 cells (4 MB as floats):
+DLS_CHUNK_CELLS = 2**19
 
 
 def _row_rng(seed, index):
@@ -211,30 +211,27 @@ DLS_COLUMNS = [
 
 def _dls_instance(rng, size_max, lo, hi):
     # The stream of uniform(lo, hi) twice, integers(1, size_max + 1) twice,
-    # uniform(-X/2, X/2, m), uniform(-Y/2, Y/2, n) and standard_normal four
-    # times (m, m, n, n), with fewer calls: numpy's uniform(low, high) is
-    # low + (high - low) * random(), and standard_normal keeps no state.
-    X = lo + (hi - lo) * rng.random()
-    Y = lo + (hi - lo) * rng.random()
-    m = int(rng.integers(1, size_max + 1))
-    n = int(rng.integers(1, size_max + 1))
-    u = rng.random(m + n)
-    z = rng.standard_normal(2 * (m + n))
+    # uniform(-X/2, X/2, m), uniform(-Y/2, Y/2, n) and standard_normal(m),
+    # (m), (n), (n), in fewer calls: uniform(low, high) is low + (high - low)
+    # * random(), and standard_normal keeps no state between calls.
+    X, Y = lo + (hi - lo) * rng.random(), lo + (hi - lo) * rng.random()
+    m, n = int(rng.integers(1, size_max + 1)), int(rng.integers(1, size_max + 1))
+    u, z = rng.random(m + n), rng.standard_normal(2 * (m + n))
     xs = -X / 2 + (X / 2 + X / 2) * u[:m]
     ys = -Y / 2 + (Y / 2 + Y / 2) * u[m:]
-    aw = z[:m] + 1j * z[m:2 * m]
-    bw = z[2 * m:2 * m + n] + 1j * z[2 * m + n:]
+    iz = 1j * z
+    aw = z[:m] + iz[m:2 * m]
+    bw = z[2 * m:2 * m + n] + iz[2 * m + n:]
     return dls.DLSInstance(xs=xs, ys=ys, aw=aw, bw=bw, X=X, Y=Y)
 
 
 def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
-    """dls_check over seeded random instances.  Returns (rows, all_hold).
+    """dls.dls_checks over seeded random instances, a chunk of rows at a
+    time.  Returns (rows, all_hold).
 
     The arguments are checked before the first row: instances >= 0,
     1 <= size_max <= DLS_SIZE_MAX, and 0 < scale_min <= scale_max with the
-    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.  Rows are
-    drawn and checked DLS_CHUNK_CELLS // size_max^2 at a time (at least
-    one), by dls.dls_checks.
+    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
