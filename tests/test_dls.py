@@ -99,11 +99,11 @@ class TestDLSCheck:
             unit_instance([0.0], [0.0], 0, 1)
 
 
-def drawn_arrays(seed):
+def drawn_arrays(seed, sizes=None):
     # An instance as _dls_instance draws it: float64 points, complex128 weights.
     rng = np.random.default_rng(seed)
     X, Y = rng.uniform(0.25, 100.0, 2)
-    m, n = rng.integers(1, 30, 2)
+    m, n = rng.integers(1, 30, 2) if sizes is None else sizes
     return {
         "xs": rng.uniform(-X / 2, X / 2, m), "ys": rng.uniform(-Y / 2, Y / 2, n),
         "aw": rng.standard_normal(m) + 1j * rng.standard_normal(m),
@@ -168,14 +168,8 @@ def test_tuple_and_array_instances_raise_alike(change, message):
             dls.DLSInstance(**given)
 
 
-def random_instance(rng, m, n):
-    X, Y = rng.uniform(0.25, 100.0, 2)
-    return dls.DLSInstance(
-        xs=rng.uniform(-X / 2, X / 2, m), ys=rng.uniform(-Y / 2, Y / 2, n),
-        aw=rng.standard_normal(m) + 1j * rng.standard_normal(m),
-        bw=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        X=float(X), Y=float(Y),
-    )
+def drawn_instances(seed, sizes):
+    return [dls.DLSInstance(**drawn_arrays((seed, k), size)) for k, size in enumerate(sizes)]
 
 
 def hex_sums(instances):
@@ -207,23 +201,20 @@ class TestBatchedAgainstReference:
         # sizes that no other instance shares.
         sizes = [tuple(rng.integers(1, 5, 2)) for _ in range(40)]
         sizes += [tuple(rng.integers(1, 80, 2)) for _ in range(10)]
-        instances = [random_instance(rng, m, n) for m, n in sizes]
+        instances = drawn_instances(seed, sizes)
         expected = hex_reference(instances)
         assert hex_sums(instances) == expected
         assert [hex_sums([inst])[0] for inst in instances] == expected
         assert hex_sums(instances[::-1]) == expected[::-1]
 
     def test_batch_of_one(self):
-        rng = np.random.default_rng(11)
-        for m, n in ((1, 1), (3, 7), (50, 50)):
-            inst = random_instance(rng, m, n)
+        for inst in drawn_instances(11, [(1, 1), (3, 7), (50, 50)]):
             assert hex_sums([inst]) == hex_reference([inst])
             assert dls.dls_check(inst) == dls.dls_checks([inst])[0]
 
     def test_sizes_one_and_the_cap(self):
-        rng = np.random.default_rng(12)
         cap = sweeps.DLS_SIZE_MAX
-        instances = [random_instance(rng, m, n) for m, n in ((cap, 1), (1, 1), (1, cap), (1, 1))]
+        instances = drawn_instances(12, [(cap, 1), (1, 1), (1, cap), (1, 1)])
         assert hex_sums(instances) == hex_reference(instances)
 
     def test_empty_batch(self):
