@@ -3,9 +3,9 @@
 Subcommands: farey, verify-classical, theorem2-sweep, counterexample,
 dls-check, lemma4.  Exit codes: 0 on success (all checked inequalities
 hold), 1 when a checked inequality fails, 2 on usage or domain errors
-and on an --out that cannot be written.  A theorem2-sweep grid is
-checked before the first row runs.  Each driver's defaults, report
-columns and distributions are written once, in sweeps.
+and on an --out that is empty or cannot be written.  A theorem2-sweep
+grid is checked before the first row runs.  Each driver's defaults,
+report columns and distributions are written once, in sweeps.
 """
 
 import argparse
@@ -76,7 +76,7 @@ def build_parser():
     p = _subcommand(
         sub, "theorem2-sweep", "ratio sweep of the quadratic-amplitude bound (never pass/fail)"
     )
-    # Every dest is a SweepConfig field.
+    # Every dest is a keyword option of sweeps.theorem2_sweep.
     p.add_argument("--Q", dest="q_values", type=_int_list)
     p.add_argument("--N", dest="n_values", type=_int_list)
     p.add_argument("--M", dest="m_values", type=_int_list)
@@ -125,7 +125,7 @@ def _cmd_farey(args):
 
 
 def _cmd_theorem2_sweep(args):
-    columns, rows = sweeps.theorem2_sweep(sweeps.SweepConfig(**_options(args)))
+    columns, rows = sweeps.theorem2_sweep(**_options(args))
     reports.write_rows(rows, columns, args.out, args.format)
     return 0
 
@@ -201,6 +201,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        if args.out == "":  # refused before any work: it names no file
+            raise ValueError("--out must not be empty")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print("sievelab %s: %s" % (args.command, exc), file=sys.stderr)

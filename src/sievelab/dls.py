@@ -32,7 +32,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _all, _max = np.logical_and.reduce, np.maximum.reduce  # ndarray.all, .max without wrappers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DLSInstance:
     """Two weighted point families inside [-X/2, X/2] and [-Y/2, Y/2], kept
     as float64 points and complex128 weights (a tuple is converted once, here).

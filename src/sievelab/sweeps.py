@@ -115,36 +115,6 @@ def verify_classical(
 # ---------------------------------------------------------------------------
 # theorem2-sweep
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid for the quadratic-amplitude ratio sweep."""
-
-    q_values: tuple = (4, 8, 16, 32)
-    n_values: tuple = (16, 64, 256)
-    m_values: tuple = (0,)
-    alpha_values: tuple = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
-    ratios: tuple = (Fraction(0), Fraction(1, 2))
-    eps_values: tuple = (0.05, 0.1, 0.25, 0.5)
-    dist: str = "gaussian"
-    density: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        # Checked before any row runs, so that a bad grid is an error and
-        # never a row: status=domain_error is left to negative radicands.
-        if not all(1 <= Q <= Q_MAX for Q in self.q_values):
-            raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
-        if not all(1 <= N <= N_MAX for N in self.n_values):
-            raise ValueError("every N must be in 1 .. %d" % N_MAX)
-        if not all(0 < alpha < VALUE_MAX for alpha in self.alpha_values):
-            raise ValueError("every alpha must be > 0 and below 2^64")
-        if not all(abs(v) < VALUE_MAX for v in (*self.m_values, *self.ratios)):
-            raise ValueError("every |M| and |a/b| must be below 2^64")
-        if not all(math.isfinite(eps) and eps > 0 for eps in self.eps_values):
-            raise ValueError("every eps must be finite and > 0")
-
-
 THEOREM2_COLUMNS = [
     "row", "seed", "rng", "version", "dist", "Q", "M", "N", "alpha", "a", "b", "eps", "Z",
     "delta_exact", "y_paper", "y_exact", "lhs",
@@ -154,49 +124,56 @@ THEOREM2_COLUMNS = [
 ]
 
 
-def _sweep_row(config, index, Q, M, N, alpha, ab, eps, points, delta, y_exact):
-    rng = _row_rng(config.seed, index)
-    a, b = ab.numerator, ab.denominator
-    f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
-    seq = random_sequence(config.dist, M, N, rng, config.density)
-    Z = seq.power()
-    lhs = ls_lhs(seq, f, points)
-    params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
-    y_paper = 2 * abs(M) * N + N * N + N * ab
-    row = dict(zip(THEOREM2_COLUMNS, (
-        index, config.seed, RNG_ID, __version__, config.dist, Q, M, N, str(alpha), a, b, eps, Z,
-        str(delta), float(y_paper), float(y_exact), lhs,
-    )), status="ok")
-    for name, formula in bounds.RHS.items():
-        try:
-            rhs = formula(params)
-        except bounds.NegativeRadicandError:
-            rhs = None
-            row["status"] = "domain_error"
-        row["rhs_" + name] = rhs
-        if rhs is None or (lhs == 0.0 and rhs == 0.0):
-            row["ratio_" + name] = None
-        else:
-            row["ratio_" + name] = lhs / rhs
-    return row
-
-
-def theorem2_sweep(config):
+def theorem2_sweep(
+    q_values=(4, 8, 16, 32), n_values=(16, 64, 256), m_values=(0,),
+    alpha_values=(Fraction(1, 3), Fraction(1, 2), Fraction(1)),
+    ratios=(Fraction(0), Fraction(1, 2)), eps_values=(0.05, 0.1, 0.25, 0.5),
+    dist="gaussian", density=0.1, seed=0,
+):
     """Ratio sweep over the grid; never asserts the quadratic bound.
 
     Returns (THEOREM2_COLUMNS, rows): the report columns and one dict per
     row, in grid order (Q, M, N, alpha, ratio, eps), with a right side and
-    a ratio for every entry of bounds.RHS.  F(Q) with its gap, and the
-    exact Y = 2 max|g|, are built once per distinct argument in this call.
+    a ratio for every entry of bounds.RHS.  The grid is checked before the
+    first row, so that a bad grid is an error and never a row:
+    status=domain_error is left to negative radicands.  F(Q) with its gap
+    is built once per distinct Q in this call; y_exact is 2 dls.max_abs_g.
     """
+    if not all(1 <= Q <= Q_MAX for Q in q_values):
+        raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
+    if not all(1 <= N <= N_MAX for N in n_values):
+        raise ValueError("every N must be in 1 .. %d" % N_MAX)
+    if not all(0 < alpha < VALUE_MAX for alpha in alpha_values):
+        raise ValueError("every alpha must be > 0 and below 2^64")
+    if not all(abs(v) < VALUE_MAX for v in (*m_values, *ratios)):
+        raise ValueError("every |M| and |a/b| must be below 2^64")
+    if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
+        raise ValueError("every eps must be finite and > 0")
     farey = functools.cache(_farey_with_gap)
-    y_exact = functools.cache(lambda *key: 2 * dls.max_abs_g(*key))
     rows = []
-    grid = itertools.product(config.q_values, config.m_values, config.n_values,
-                             config.alpha_values, config.ratios, config.eps_values)
+    grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)
     for index, (Q, M, N, alpha, ab, eps) in enumerate(grid):
-        y = y_exact(M, N, ab.numerator, ab.denominator)
-        rows.append(_sweep_row(config, index, Q, M, N, alpha, ab, eps, *farey(Q), y))
+        points, delta = farey(Q)
+        a, b = ab.numerator, ab.denominator
+        f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
+        seq = random_sequence(dist, M, N, _row_rng(seed, index), density)
+        Z = seq.power()
+        lhs = ls_lhs(seq, f, points)
+        params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
+        y_paper = 2 * abs(M) * N + N * N + N * ab
+        row = dict(zip(THEOREM2_COLUMNS, (
+            index, seed, RNG_ID, __version__, dist, Q, M, N, str(alpha), a, b, eps, Z,
+            str(delta), float(y_paper), float(2 * dls.max_abs_g(M, N, a, b)), lhs,
+        )), status="ok")
+        for name, formula in bounds.RHS.items():
+            try:
+                rhs = formula(params)
+            except bounds.NegativeRadicandError:
+                rhs = None
+                row["status"] = "domain_error"
+            row["rhs_" + name] = rhs
+            row["ratio_" + name] = None if rhs is None or (lhs == 0.0 and rhs == 0.0) else lhs / rhs
+        rows.append(row)
     return THEOREM2_COLUMNS, rows
 
 

@@ -171,8 +171,7 @@ def _load_golden():
 def test_criterion_8_theorem2_ratio_regression():
     with Budget(8, 120.0, "sweep ratios reproduce the golden table; max ratio stable"):
         golden = _load_golden()
-        cfg = sweeps.SweepConfig(eps_values=(0.1,), seed=GOLDEN_SEED)
-        _, rows = sweeps.theorem2_sweep(cfg)
+        _, rows = sweeps.theorem2_sweep(eps_values=(0.1,), seed=GOLDEN_SEED)
         assert len(rows) == len(golden) == 72
         ratio_cols = [c for c in sweeps.THEOREM2_COLUMNS if c.startswith("ratio_")]
         for got, want in zip(rows, golden):

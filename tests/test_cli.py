@@ -221,7 +221,7 @@ class TestTheorem2Sweep:
         (["lemma4", "--N", "8"], "lemma4_table", ((), {"N": 8})),
         (["verify-classical", "--seed", "7"], "verify_classical", ((), {"seed": 7})),
         (["dls-check", "--size-max", "9"], "dls_random_sweep", ((), {"size_max": 9})),
-        (["theorem2-sweep"], "theorem2_sweep", ((sweeps.SweepConfig(),), {})),
+        (["theorem2-sweep"], "theorem2_sweep", ((), {})),
     ],
     ids=["lemma4", "verify-classical", "dls-check", "theorem2-sweep"],
 )
@@ -314,7 +314,28 @@ def test_refusals_come_before_any_row(monkeypatch):
         with pytest.raises(ValueError, match=name):
             sweeps.verify_classical(**{name: value})
     with pytest.raises(ValueError, match="every N"):
-        sweeps.SweepConfig(n_values=(16, 2**30 + 1))
+        sweeps.theorem2_sweep(n_values=(16, 2**30 + 1))
+
+
+@pytest.mark.parametrize("command", [
+    ["farey", "--order", "3"],
+    ["verify-classical", "--instances", "2"],
+    ["theorem2-sweep", "--Q", "4", "--N", "8"],
+    ["counterexample", "--p", "3", "--N", "9"],
+    ["dls-check", "--instances", "2"],
+    ["lemma4", "--N", "4"],
+])
+def test_empty_out_is_refused_before_any_work(command, monkeypatch, capsys, tmp_path):
+    # An empty path names no file: the run neither computes nor writes, and
+    # no <cwd>.<pid>.tmp appears beside the working directory.
+    monkeypatch.setitem(cli._HANDLERS, command[0], lambda args: pytest.fail("the command ran"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(command + ["--out", ""]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr == "sievelab %s: --out must not be empty\n" % command[0]
+    assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
 def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp_path):
@@ -326,11 +347,11 @@ def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp
     with pytest.raises(ValueError, match="n_max"):
         sweeps.verify_classical(n_max=over)
     with pytest.raises(ValueError, match="every N"):
-        sweeps.SweepConfig(n_values=(16, over))
+        sweeps.theorem2_sweep(n_values=(16, over))
     with pytest.raises(ValueError, match="cap"):
         counterexample.build(2, over + 1)
     assert sweeps.verify_classical(instances=0, n_max=sweeps.N_MAX) == ([], True)
-    assert sweeps.SweepConfig(n_values=(sweeps.N_MAX,)).n_values == (sweeps.N_MAX,)
+    assert sweeps.theorem2_sweep(q_values=(), n_values=(sweeps.N_MAX,))[1] == []  # no row drawn
     for argv in (["verify-classical", "--N", str(over)], ["theorem2-sweep", "--N", str(over)],
                  ["counterexample", "--p", "2", "--N", str(over + 1)]):
         assert_refused_in_process(argv, capsys, tmp_path)
@@ -364,9 +385,8 @@ def test_grid_values_past_the_float_cap_are_refused(option, monkeypatch, capsys,
 def test_grid_values_just_below_the_float_cap_give_rows(field):
     below = sweeps.VALUE_MAX - 1
     grid = {"m_values": (below,), "alpha_values": (Fraction(below),), "ratios": (Fraction(below),)}
-    config = sweeps.SweepConfig(q_values=(4,), n_values=(16,), eps_values=(0.1,),
-                                **{field: grid[field]})
-    _, rows = sweeps.theorem2_sweep(config)
+    _, rows = sweeps.theorem2_sweep(q_values=(4,), n_values=(16,), eps_values=(0.1,),
+                                    **{field: grid[field]})
     assert rows and all(r["status"] == "ok" for r in rows)
     assert all(0.0 < r["rhs_theorem2"] < float("inf") for r in rows)
 
@@ -394,8 +414,8 @@ def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, 
     with pytest.raises(ValueError, match="q_max"):
         sweeps.verify_classical(q_max=over)
     with pytest.raises(ValueError, match="every Q"):
-        sweeps.SweepConfig(q_values=(4, over))
-    assert sweeps.SweepConfig(q_values=(sweeps.Q_MAX,)).q_values == (sweeps.Q_MAX,)
+        sweeps.theorem2_sweep(q_values=(4, over))
+    assert sweeps.theorem2_sweep(q_values=(sweeps.Q_MAX,), m_values=())[1] == []
     assert sweeps.verify_classical(instances=0, q_max=sweeps.Q_MAX) == ([], True)
     for argv in (["verify-classical", "--Q", str(over)], ["theorem2-sweep", "--Q", str(over)]):
         assert_refused_in_process(argv, capsys, tmp_path)

@@ -5,6 +5,7 @@ from sievelab import counterexample as cx
 from sievelab.arith import euler_phi
 from sievelab.expsum import ls_lhs
 from sievelab.farey import farey_sequence
+from ramanujan_reference import ramanujan_lhs
 
 
 class TestBuild:
@@ -93,6 +94,14 @@ class TestDemonstrateFailure:
         assert rep.modulus_term_Q == 486.0
         assert rep.naive_rhs == 2430.0
         assert not rep.lower_bound_exceeds_naive
+
+    @pytest.mark.parametrize("p, N", [(3, 81), (5, 1000), (7, 700)])
+    def test_full_lhs_is_the_exact_integer(self, p, N):
+        # a_n = p on p | n, f(n) = n^2: the Ramanujan-sum form in Python ints.
+        values = [p if n % p == 0 else 0 for n in range(1, N + 1)]
+        exact = ramanujan_lhs(values, [n * n for n in range(1, N + 1)], p * p)
+        assert isinstance(exact, int)
+        assert cx.demonstrate_failure(cx.build(p, N)).lhs_full == pytest.approx(exact, rel=1e-15)
 
     def test_p2_small(self):
         rep = cx.demonstrate_failure(cx.build(2, 8))

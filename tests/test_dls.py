@@ -90,6 +90,13 @@ class TestDLSCheck:
         rows, all_hold = dls_random_sweep(instances=100, size_max=20, seed=77)
         assert all_hold
 
+    def test_instances_compare_by_identity(self):
+        # eq=False, as CoeffSeq: a field-wise == on arrays would be ambiguous
+        # and hash() would fail on them.
+        a, b = (unit_instance([0.1, -0.2], [0.3, 0.4], 1, 1) for _ in range(2))
+        assert a == a and a != b
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             unit_instance([0.9], [0.0], 1, 1)  # x outside [-X/2, X/2]

@@ -20,6 +20,7 @@ from sievelab.expsum import (
 )
 from sievelab.farey import ReducedFractions, farey_by_denominator, farey_sequence
 from phase_reference import integer_values, max_phase_error, reference_rows, residues
+from ramanujan_reference import ramanujan_lhs
 
 SQUARE = QuadraticAmplitude(1)
 
@@ -577,6 +578,21 @@ def reference_lhs(seq, f, points):
     a = np.asarray(seq.values)
     rows = reference_rows(f, points, seq.M, seq.N)
     return math.fsum(abs((a * np.exp(2j * np.pi * row)).sum()) ** 2 for row in rows)
+
+
+@pytest.mark.parametrize("f", [LinearAmplitude(1), SQUARE,
+                               QuadraticAmplitude(Fraction(1, 2), Fraction(1, 2))],
+                         ids=["n", "n^2", "(n^2+n)/2"])
+@pytest.mark.parametrize("M", [0, -37, 5])
+@pytest.mark.parametrize("Q, N", [(16, 100), (30, 12), (7, 257)])
+def test_ls_lhs_on_farey_equals_the_ramanujan_sum(f, M, Q, N):
+    # Integer-valued f: the reduced D is 1, and the left side over F(Q) is
+    # sum_d d M(Q // d) E_d, with no phase taken.
+    seq = random_seq(np.random.default_rng(Q * N + M), M, N)
+    P, D = integer_values(f, M, N)
+    assert D == 1
+    want = ramanujan_lhs(seq.values.tolist(), P, Q)
+    assert ls_lhs(seq, f, farey_by_denominator(Q)) == pytest.approx(want, rel=1e-12)
 
 
 def reference_dual(c, f, points, M, N):

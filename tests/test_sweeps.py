@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,16 +23,58 @@ def counting(monkeypatch, owner, name):
 
 def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
     farey = counting(monkeypatch, sweeps, "farey_by_denominator")
-    max_g = counting(monkeypatch, sweeps.dls, "max_abs_g")
-    config = sweeps.SweepConfig(q_values=(4, 8, 4), n_values=(8, 16), eps_values=(0.1, 0.5))
-    _, rows = sweeps.theorem2_sweep(config)
+    grid = dict(q_values=(4, 8, 4), n_values=(8, 16), eps_values=(0.1, 0.5))
+    _, rows = sweeps.theorem2_sweep(**grid)
     assert len(rows) == 3 * 2 * 3 * 2 * 2
     assert sorted(farey) == [(4,), (8,)]
-    # One per (M, N, a, b): the three alphas and two eps values share it.
-    assert len(max_g) == 1 * 2 * 2
     # Nothing is kept between calls.
-    sweeps.theorem2_sweep(config)
+    sweeps.theorem2_sweep(**grid)
     assert len(farey) == 4
+
+
+def no_work(monkeypatch):
+    monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+
+
+Q_MESSAGE = "every Q must be in 1 .. %d" % sweeps.Q_MAX
+N_MESSAGE = "every N must be in 1 .. %d" % sweeps.N_MAX
+ALPHA_MESSAGE = "every alpha must be > 0 and below 2^64"
+VALUE_MESSAGE = "every |M| and |a/b| must be below 2^64"
+EPS_MESSAGE = "every eps must be finite and > 0"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"q_values": (4, 0)}, Q_MESSAGE),
+    ({"q_values": (sweeps.Q_MAX + 1,)}, Q_MESSAGE),
+    ({"n_values": (0,)}, N_MESSAGE),
+    ({"n_values": (16, sweeps.N_MAX + 1)}, N_MESSAGE),
+    ({"alpha_values": (Fraction(0),)}, ALPHA_MESSAGE),
+    ({"alpha_values": (Fraction(1, 3), Fraction(2**64))}, ALPHA_MESSAGE),
+    ({"m_values": (-2**64,)}, VALUE_MESSAGE),
+    ({"ratios": (Fraction(1, 2), Fraction(2**64))}, VALUE_MESSAGE),
+    ({"eps_values": (0.0,)}, EPS_MESSAGE),
+    ({"eps_values": (0.1, math.nan)}, EPS_MESSAGE),
+    ({"eps_values": (math.inf,)}, EPS_MESSAGE),
+])
+def test_theorem2_grid_is_checked_before_any_work(grid, message, monkeypatch):
+    no_work(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        sweeps.theorem2_sweep(**grid)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("grid", [
+    {"q_values": (1, sweeps.Q_MAX), "m_values": ()},
+    {"q_values": (), "n_values": (1, sweeps.N_MAX)},
+    {"q_values": (), "alpha_values": (Fraction(1, 10**400), Fraction(2**64 - 1))},
+    {"q_values": (), "m_values": (1 - 2**64, 2**64 - 1), "ratios": (Fraction(1 - 2**64),)},
+    {"q_values": (), "eps_values": (5e-324, 1.7976931348623157e308)},
+])
+def test_theorem2_grid_caps_are_accepted(grid, monkeypatch):
+    # An empty grid checks its values and returns no row.
+    no_work(monkeypatch)
+    assert sweeps.theorem2_sweep(**grid) == (sweeps.THEOREM2_COLUMNS, [])
 
 
 def test_verify_classical_builds_each_order_once(monkeypatch):
@@ -62,7 +105,7 @@ def test_farey_points_are_not_converted_one_by_one(monkeypatch):
 
     def conversions(Q):
         exact.clear()
-        sweeps.theorem2_sweep(sweeps.SweepConfig(q_values=(Q,), n_values=(8,), eps_values=(0.1,)))
+        sweeps.theorem2_sweep(q_values=(Q,), n_values=(8,), eps_values=(0.1,))
         sweeps.verify_classical(instances=3, q_max=Q, n_max=8)
         cx.demonstrate_failure(cx.build(3, 9))
         return len(exact)
