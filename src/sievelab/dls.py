@@ -104,7 +104,7 @@ class DLSCheck(NamedTuple):
 
 def dls_checks(instances):
     """Both sides of the double large sieve inequality with (pi/2)^4, for
-    each instance of a list, in order; dls_check is the batch of one.
+    each instance of a list, in order.
 
     The lhs |sum_m sum_n a_m b_n e(x_m y_n)|^2 is one m x n product per
     instance.  A(delta) correlates the |a_m| over the x-pairs and B(eps) the
@@ -125,11 +125,6 @@ def dls_checks(instances):
         anomaly = abs(b.imag) > 1e-9 * max(abs(b), 1.0) or not finite
         checks.append(DLSCheck(lhs, rhs, bounds.holds(lhs, rhs), anomaly))
     return checks
-
-
-def dls_check(inst):
-    """dls_checks of one instance."""
-    return dls_checks([inst])[0]
 
 
 def max_abs_g(M, N, a, b):
@@ -213,11 +208,10 @@ def lemma4_count_divisor(M, N, alpha, a, b):
     up, down = centres + t, t - centres
     zero_in_window = np.abs(centres) <= t
     for u in range(1, N):
-        r = (a + b * u) % (2 * b)  # v = r + 2b j
+        # v = r + 2b j; both ends of v are = r (mod 2b), 2b(N - 1 - u) apart, so j_min <= j_max.
+        r = (a + b * u) % (2 * b)
         j_min = -((r - (2 * b * (M + 1) + b * u + a)) // (2 * b))
         j_max = (2 * b * (M + N) - b * u + a - r) // (2 * b)
-        if j_min > j_max:
-            continue
         step = 2 * b * u  # u v advances by this as j does by 1
         lo = np.maximum(-((down + r * u) // step), j_min)
         hi = np.minimum((up - r * u) // step, j_max)

@@ -64,11 +64,6 @@ def _window(f, M):
     return (A, 2 * A * n + B, (A * n + B) * n + C), D
 
 
-def _value(f, n):  # f(n), rounded once: n = u/d and D f(n) are taken exactly
-    ((A, B, C), D), (u, d) = _window(f, -1), _exact(n)
-    return ((A * u + B * d) * u + C * d * d) / (D * d * d)
-
-
 def _finite_array(values):
     a = np.array(values, dtype=complex)
     if not np.isfinite(a).all():
@@ -121,8 +116,6 @@ class QuadraticAmplitude:
         """(alpha, beta, gamma), as given."""
         return (self.alpha, self.beta, self.gamma)
 
-    __call__ = _value
-
 
 @dataclass(frozen=True)
 class LinearAmplitude:
@@ -138,8 +131,6 @@ class LinearAmplitude:
     def coeffs(self):
         """(0, beta, gamma): the quadratic coefficients of f."""
         return (0, self.beta, self.gamma)
-
-    __call__ = _value
 
 
 def _check_window(N):

@@ -4,7 +4,8 @@ Lemma-4-style pair-count table.
 
 Every driver is deterministic given its configuration: randomness comes
 from numpy's PCG64 generator seeded per row through SeedSequence spawn
-keys, and rows are computed and emitted in grid order, one at a time.
+keys.  Random rows are drawn in grid order (dls-check draws and checks
+them a chunk at a time), and each driver returns all its rows to the writer.
 """
 
 import functools
@@ -38,6 +39,13 @@ def _row_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _check_dist(dist, density):
+    if dist not in DISTS:
+        raise ValueError("unknown distribution %r" % (dist,))
+    if dist == "sparse" and not 0.0 <= density <= 1.0:  # also refuses nan
+        raise ValueError("sparse density must be finite and in [0, 1], got %r" % (density,))
+
+
 def random_sequence(dist, M, N, rng, density=0.1):
     """A random coefficient sequence of the named distribution, one of DISTS.
 
@@ -45,18 +53,14 @@ def random_sequence(dist, M, N, rng, density=0.1):
     sparse: gaussian values kept with the given density, which must lie in
     [0, 1] (density 0 gives the all-zero sequence).
     """
+    _check_dist(dist, density)
     if dist == "unit":
         phases = rng.uniform(0.0, 1.0, N)
         values = np.exp(2j * np.pi * phases)
-    elif dist == "gaussian":
-        values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    elif dist == "sparse":
-        if not 0.0 <= density <= 1.0:  # also refuses nan
-            raise ValueError("sparse density must be finite and in [0, 1], got %r" % (density,))
-        values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        values *= rng.uniform(0.0, 1.0, N) < density
     else:
-        raise ValueError("unknown distribution %r" % (dist,))
+        values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        if dist == "sparse":
+            values *= rng.uniform(0.0, 1.0, N) < density
     return CoeffSeq(M=M, N=N, values=values)
 
 
@@ -89,6 +93,7 @@ def verify_classical(
                          % (Q_MAX, N_MAX, q_max, n_max))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
+    _check_dist(dist, density)
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
@@ -149,6 +154,7 @@ def theorem2_sweep(
         raise ValueError("every |M| and |a/b| must be below 2^64")
     if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ValueError("every eps must be finite and > 0")
+    _check_dist(dist, density)
     farey = functools.cache(_farey_with_gap)
     rows = []
     grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)

@@ -23,6 +23,11 @@ class TestClassicalAndSharp:
             bounds.sharp_rhs(-0.5, 5, 1)
         with pytest.raises(ValueError):
             bounds.sharp_rhs(2.0, 0, 1)  # 1/2 - 1 + 0 < 0
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            bounds.additive_rhs(0, 5, 1)
+        for delta in (0, -0.5, Fraction(-1, 3), math.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                bounds.trivial_rhs(delta, 1, 0, 5, 1)
 
 
 class TestAdditive:

@@ -255,6 +255,7 @@ def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch,
         ("verify-classical", "--instances", "3", "--rhs-scale", "inf"),
         ("verify-classical", "--instances", "3", "--rhs-scale", "0"),
         ("verify-classical", "--instances", "3", "--rhs-scale", "-1"),
+        ("verify-classical", "--instances", "0", "--dist", "sparse", "--density", "nan"),
     ],
 )
 def test_bad_density_or_rhs_scale_is_refused(command, tmp_path):
@@ -444,8 +445,10 @@ def test_dls_largest_scale_below_the_cap_runs_without_warnings():
 
 
 def test_zero_instances_write_a_header_only_report():
-    for command in ("dls-check", "verify-classical"):
-        proc = run(command, "--instances", "0")
+    # The density is read only for sparse, so a NaN one goes with the other distributions.
+    for argv in (["dls-check"], ["verify-classical"],
+                 ["verify-classical", "--dist", "gaussian", "--density", "nan"]):
+        proc = run(*argv, "--instances", "0")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("\n") == 1
 

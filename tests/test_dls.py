@@ -18,7 +18,7 @@ def unit_instance(xs, ys, X, Y, aw=None, bw=None):
 
 # The three sums of one instance, as dls_checks evaluates them.
 def bilinear_sum_sq(inst):
-    return dls.dls_check(inst).lhs
+    return dls.dls_checks([inst])[0].lhs
 
 
 def a_delta(inst):
@@ -76,14 +76,14 @@ class TestCorrelations:
 
 class TestDLSCheck:
     def test_unit_instance(self):
-        check = dls.dls_check(unit_instance([0.0], [0.0], 1, 1))
+        check = dls.dls_checks([unit_instance([0.0], [0.0], 1, 1)])[0]
         assert check.lhs == pytest.approx(1.0)
         assert check.rhs == pytest.approx((math.pi / 2) ** 4 * 2.0)
         assert check.holds and not check.anomaly
 
     def test_zero_weights_hold(self):
         inst = unit_instance([0.0], [0.0], 1, 1, aw=[0.0], bw=[0.0])
-        check = dls.dls_check(inst)
+        check = dls.dls_checks([inst])[0]
         assert check.lhs == 0.0 and check.rhs == 0.0 and check.holds
 
     def test_random_instances_hold(self):
@@ -142,7 +142,7 @@ def test_tuple_and_array_instances_check_bit_equal(seed):
         assert (inst.xs.dtype, inst.ys.dtype) == (np.float64, np.float64)
         assert (inst.aw.dtype, inst.bw.dtype) == (np.complex128, np.complex128)
     def bits(inst):
-        check = dls.dls_check(inst)
+        check = dls.dls_checks([inst])[0]
         return check.lhs.hex(), check.rhs.hex(), check.holds, check.anomaly
 
     assert bits(from_arrays) == bits(from_tuples)
@@ -217,7 +217,6 @@ class TestBatchedAgainstReference:
     def test_batch_of_one(self):
         for inst in drawn_instances(11, [(1, 1), (3, 7), (50, 50)]):
             assert hex_sums([inst]) == hex_reference([inst])
-            assert dls.dls_check(inst) == dls.dls_checks([inst])[0]
 
     def test_sizes_one_and_the_cap(self):
         cap = sweeps.DLS_SIZE_MAX

@@ -119,6 +119,36 @@ def test_sparse_density_outside_the_unit_interval_is_refused(density):
         sweeps.random_sequence("sparse", 0, 4, sweeps._row_rng(0, 0), density)
 
 
+NAN = float("nan")
+DENSITY_MESSAGE = "sparse density must be finite and in [0, 1], got nan"
+DIST_MESSAGE = "unknown distribution 'bogus'"
+
+
+@pytest.mark.parametrize("driver, kwargs, message", [
+    ("theorem2_sweep", {"q_values": (sweeps.Q_MAX,), "n_values": (16,), "dist": "sparse",
+                        "density": NAN}, DENSITY_MESSAGE),
+    ("theorem2_sweep", {"q_values": (), "dist": "sparse", "density": NAN}, DENSITY_MESSAGE),
+    ("theorem2_sweep", {"q_values": (), "dist": "bogus"}, DIST_MESSAGE),
+    ("verify_classical", {"instances": 3, "dist": "sparse", "density": NAN}, DENSITY_MESSAGE),
+    ("verify_classical", {"instances": 0, "dist": "sparse", "density": NAN}, DENSITY_MESSAGE),
+    ("verify_classical", {"instances": 0, "dist": "bogus"}, DIST_MESSAGE),
+], ids=["theorem2-q-max", "theorem2-no-row", "theorem2-bogus",
+        "verify-3-rows", "verify-no-row", "verify-bogus"])
+def test_dist_and_density_are_checked_before_any_work(driver, kwargs, message, monkeypatch):
+    # random_sequence's own messages, at the driver's entry: before F(Q) or a row, even with no row.
+    no_work(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        getattr(sweeps, driver)(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_density_is_read_only_for_sparse(monkeypatch):
+    sweeps.random_sequence("gaussian", 0, 4, sweeps._row_rng(0, 0), NAN)
+    no_work(monkeypatch)
+    assert sweeps.theorem2_sweep(q_values=(), dist="gaussian", density=NAN)[1] == []
+    assert sweeps.verify_classical(instances=0, dist="unit", density=NAN) == ([], True)
+
+
 def test_lemma4_table_has_one_row_per_base_pair():
     # len() is the report's row count, N^2, as a caller of the list of rows read it.
     table, agree = sweeps.lemma4_table(7, M=-3, alpha=Fraction(1, 2), ratio=Fraction(-1, 3))
