@@ -10,6 +10,7 @@ report columns and distributions are written once, in sweeps.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -46,6 +47,7 @@ def _subcommand(sub, name, text):
     return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
 
 
+@functools.cache  # one parser per process, built at first use: callers must not mutate it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sievelab",

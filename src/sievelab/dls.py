@@ -29,7 +29,19 @@ from . import bounds
 
 LEMMA4_CAP = 500
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_all, _max = np.logical_and.reduce, np.maximum.reduce  # ndarray.all, .max without wrappers
+
+
+def _check(X, Y, m, n, xs, ys, aw, bw):
+    if not all(0 < v < math.inf for v in (*X, *Y)):
+        raise ValueError("X and Y must be positive and finite")
+    if not (len(xs) == len(aw) == sum(m) and len(ys) == len(bw) == sum(n)):
+        raise ValueError("weight lists must match point lists in length")
+    if not (np.abs(xs) <= np.repeat(np.divide(X, 2), m)).all():
+        raise ValueError("x point outside [-X/2, X/2]")
+    if not (np.abs(ys) <= np.repeat(np.divide(Y, 2), n)).all():
+        raise ValueError("y point outside [-Y/2, Y/2]")
+    if not (np.isfinite(aw).all() and np.isfinite(bw).all()):
+        raise ValueError("weights must be finite (no NaN or infinity)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,17 +60,19 @@ class DLSInstance:
     def __post_init__(self):
         for name, dtype in (("xs", float), ("ys", float), ("aw", complex), ("bw", complex)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not (0 < self.X < math.inf and 0 < self.Y < math.inf):
-            raise ValueError("X and Y must be positive and finite")
-        if len(self.xs) != len(self.aw) or len(self.ys) != len(self.bw):
-            raise ValueError("weight lists must match point lists in length")
-        # The largest |point| is NaN or inf, and fails, if any point is.
-        if not _max(np.abs(self.xs), initial=0.0) <= self.X / 2:
-            raise ValueError("x point outside [-X/2, X/2]")
-        if not _max(np.abs(self.ys), initial=0.0) <= self.Y / 2:
-            raise ValueError("y point outside [-Y/2, Y/2]")
-        if not (_all(np.isfinite(self.aw)) and _all(np.isfinite(self.bw))):
-            raise ValueError("weights must be finite (no NaN or infinity)")
+        _check([self.X], [self.Y], [len(self.xs)], [len(self.ys)],
+               self.xs, self.ys, self.aw, self.bw)
+
+    @classmethod
+    def chunk(cls, X, Y, m, n, xs, ys, aw, bw):
+        """Instances k = 0, 1, ... of X[k], Y[k] and views of the next m[k] x and n[k] y
+        points of float64 xs, ys and complex128 aw, bw, all checked at once by _check."""
+        _check(X, Y, m, n, xs, ys, aw, bw)
+        x, y = np.cumsum([0, *m]).tolist(), np.cumsum([0, *n]).tolist()
+        out = [object.__new__(cls) for _ in x[1:]]
+        for inst, Xk, Yk, i, i1, j, j1 in zip(out, X, Y, x, x[1:], y, y[1:]):
+            vars(inst).update(xs=xs[i:i1], ys=ys[j:j1], aw=aw[i:i1], bw=bw[j:j1], X=Xk, Y=Yk)
+        return out
 
     @property
     def delta(self):

@@ -4,8 +4,8 @@ Lemma-4-style pair-count table.
 
 Every driver is deterministic given its configuration: randomness comes
 from numpy's PCG64 generator seeded per row through SeedSequence spawn
-keys.  Random rows are drawn in grid order (dls-check draws and checks
-them a chunk at a time), and each driver returns all its rows to the writer.
+keys, in grid order; dls-check draws row by row but computes and checks
+its rows a chunk at a time.  Each driver returns all its rows to the writer.
 """
 
 import functools
@@ -192,20 +192,24 @@ DLS_COLUMNS = [
 ]
 
 
-def _dls_instance(rng, size_max, lo, hi):
-    # The stream of uniform(lo, hi) twice, integers(1, size_max + 1) twice,
-    # uniform(-X/2, X/2, m), uniform(-Y/2, Y/2, n) and standard_normal(m),
-    # (m), (n), (n), in fewer calls: uniform(low, high) is low + (high - low)
-    # * random(), and standard_normal keeps no state between calls.
-    X, Y = lo + (hi - lo) * rng.random(), lo + (hi - lo) * rng.random()
-    m, n = int(rng.integers(1, size_max + 1)), int(rng.integers(1, size_max + 1))
-    u, z = rng.random(m + n), rng.standard_normal(2 * (m + n))
-    xs = -X / 2 + (X / 2 + X / 2) * u[:m]
-    ys = -Y / 2 + (Y / 2 + Y / 2) * u[m:]
-    iz = 1j * z
-    aw = z[:m] + iz[m:2 * m]
-    bw = z[2 * m:2 * m + n] + iz[2 * m + n:]
-    return dls.DLSInstance(xs=xs, ys=ys, aw=aw, bw=bw, X=X, Y=Y)
+def _dls_chunk(seed, rows, size_max, lo, hi):
+    # Row i's stream is the one of uniform(lo, hi) twice, integers(1, size_max + 1) twice,
+    # uniform(-X/2, X/2, m), (-Y/2, Y/2, n) and standard_normal(m), (m), (n), (n), in fewer
+    # calls (standard_normal keeps no state); uniform's low + (high - low) * u runs once a chunk.
+    drawn = []
+    for i in rows:
+        rng = _row_rng(seed, i)
+        X, Y = lo + (hi - lo) * rng.random(), lo + (hi - lo) * rng.random()
+        m, n = int(rng.integers(1, size_max + 1)), int(rng.integers(1, size_max + 1))
+        u, z = rng.random(m + n), rng.standard_normal(2 * (m + n))
+        drawn.append((X, Y, m, n, u[:m], u[m:], z[:m], z[m:-2 * n], z[-2 * n:-n], z[-n:]))
+    X, Y, m, n, *drawn = zip(*drawn)
+    ux, uy, a_re, a_im, b_re, b_im = map(np.concatenate, drawn)
+    del drawn  # the rows' own arrays, before the arithmetic's temporaries
+    Xr, Yr = np.repeat(X, m), np.repeat(Y, n)
+    xs = -Xr / 2 + (Xr / 2 + Xr / 2) * ux
+    ys = -Yr / 2 + (Yr / 2 + Yr / 2) * uy
+    return dls.DLSInstance.chunk(X, Y, m, n, xs, ys, a_re + 1j * a_im, b_re + 1j * b_im)
 
 
 def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
@@ -226,14 +230,14 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     rows = []
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
     for start in range(0, instances, step):
-        chunk = [_dls_instance(_row_rng(seed, i), size_max, float(scale_min), float(scale_max))
-                 for i in range(start, min(start + step, instances))]
+        chunk = _dls_chunk(seed, range(start, min(start + step, instances)),
+                           size_max, float(scale_min), float(scale_max))
         for i, (inst, check) in enumerate(zip(chunk, dls.dls_checks(chunk)), start):
             rows.append(dict(zip(DLS_COLUMNS, (
                 i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y, *check
             ))))
-    all_hold = all(r["holds"] and not r["anomaly"] for r in rows)
-    return rows, all_hold
+        del chunk, inst  # before the next chunk is drawn: it holds the chunk's arrays
+    return rows, all(r["holds"] and not r["anomaly"] for r in rows)
 
 
 # ---------------------------------------------------------------------------

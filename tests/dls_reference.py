@@ -1,9 +1,10 @@
 """The double large sieve sums one instance at a time: the oracle for sievelab.dls.
 
 `dls.dls_checks` stacks A(delta) and B(eps) of equal-sized instances into
-one matmul and writes e(t) as cos + i sin; these are the direct per-instance
-forms it replaced, which it must match bit for bit.  `reference_rows` draws
-dls-check rows with one numpy call per drawn quantity, as the sweep used to.
+one matmul; these are the direct per-instance forms it replaced, which it
+must match bit for bit.  Both write e(t) as np.exp(2j*pi*t).
+`reference_rows` draws dls-check rows one instance at a time, with one
+numpy call per drawn quantity, as the sweep used to.
 """
 
 import math

@@ -617,3 +617,39 @@ def test_star_import_resolves_every_export():
     namespace = {}
     exec("from sievelab import *", namespace)  # AttributeError on a stale name
     assert set(sievelab.__all__) <= set(namespace)
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        # A parser built at import would call the poisoned constructor.
+        code = ("import argparse; argparse.ArgumentParser = None; import sievelab.cli as c; "
+                "print(c.build_parser.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    @staticmethod
+    def lemma4_rows(capsys, *argv):
+        assert cli.main(["lemma4", *argv]) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        assert {r["M"] for r in self.lemma4_rows(capsys, "--N", "4", "--M", "3")} == {"3"}
+        rows = self.lemma4_rows(capsys, "--N", "4")
+        assert {r["M"] for r in rows} == {"0"} and rows[0]["m"] == "1"
+
+    @pytest.mark.parametrize("argv", [["lemma4"], ["lemma4", "--N", "x"], ["no-such-command"],
+                                      ["--version"], ["lemma4", "--help"]])
+    def test_calls_after_an_exit_still_parse(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        capsys.readouterr()
+        assert len(self.lemma4_rows(capsys, "--N", "3", "--alpha", "1/12")) == 9
+
+    def test_negative_ratio_on_a_reused_parser(self, capsys):
+        for _ in range(2):
+            rows = self.lemma4_rows(capsys, "--N", "5", "--ratio", "-3/4")
+            assert {(r["a"], r["b"]) for r in rows} == {("-3", "4")}

@@ -148,31 +148,73 @@ def test_tuple_and_array_instances_check_bit_equal(seed):
     assert bits(from_arrays) == bits(from_tuples)
 
 
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        ({"X": 0.0}, "X and Y must be positive"),
-        ({"Y": float("nan")}, "X and Y must be positive"),
-        ({"aw": np.ones(40)}, "weight lists must match"),
-        ({"bw": np.ones(40)}, "weight lists must match"),
-        ({"X": 1e-3}, r"x point outside \[-X/2, X/2\]"),
-        ({"Y": 1e-3}, r"y point outside \[-Y/2, Y/2\]"),
-        ({"X": math.inf}, "X and Y must be positive and finite"),
-        ({"Y": -math.inf}, "X and Y must be positive and finite"),
-        ({"X": math.nan}, "X and Y must be positive and finite"),
-        ({"xs": first(math.nan)}, r"x point outside \[-X/2, X/2\]"),
-        ({"ys": first(-math.inf)}, r"y point outside \[-Y/2, Y/2\]"),
-        ({"aw": first(math.inf)}, "weights must be finite"),
-        ({"bw": first(complex(0.0, math.nan))}, "weights must be finite"),
-        ({"bw": first(complex(-math.inf, 1.0))}, "weights must be finite"),
-    ],
-)
+# Each bad field with the message DLSInstance gives for it.
+BAD_FIELDS = [
+    ({"X": 0.0}, "X and Y must be positive"),
+    ({"Y": float("nan")}, "X and Y must be positive"),
+    ({"aw": np.ones(40)}, "weight lists must match"),
+    ({"bw": np.ones(40)}, "weight lists must match"),
+    ({"X": 1e-3}, r"x point outside \[-X/2, X/2\]"),
+    ({"Y": 1e-3}, r"y point outside \[-Y/2, Y/2\]"),
+    ({"X": math.inf}, "X and Y must be positive and finite"),
+    ({"Y": -math.inf}, "X and Y must be positive and finite"),
+    ({"X": math.nan}, "X and Y must be positive and finite"),
+    ({"xs": first(math.nan)}, r"x point outside \[-X/2, X/2\]"),
+    ({"ys": first(-math.inf)}, r"y point outside \[-Y/2, Y/2\]"),
+    ({"aw": first(math.inf)}, "weights must be finite"),
+    ({"bw": first(complex(0.0, math.nan))}, "weights must be finite"),
+    ({"bw": first(complex(-math.inf, 1.0))}, "weights must be finite"),
+]
+
+
+@pytest.mark.parametrize("change, message", BAD_FIELDS)
 def test_tuple_and_array_instances_raise_alike(change, message):
     fields = drawn_arrays(3)
     fields.update({k: v(fields[k]) if callable(v) else v for k, v in change.items()})
     for given in (fields, as_tuples(fields)):
         with pytest.raises(ValueError, match=message):
             dls.DLSInstance(**given)
+
+
+def chunk_of(rows):
+    # The arguments of DLSInstance.chunk for rows of DLSInstance fields.
+    cat = {k: np.concatenate([np.asarray(r[k]) for r in rows]) for k in ("xs", "ys", "aw", "bw")}
+    return dict(X=[r["X"] for r in rows], Y=[r["Y"] for r in rows],
+                m=[len(r["xs"]) for r in rows], n=[len(r["ys"]) for r in rows], **cat)
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("change, message", BAD_FIELDS)
+def test_chunk_raises_as_the_instance_does(change, message, at):
+    rows = [drawn_arrays((at, k)) for k in range(7)]
+    bad = rows[at]
+    bad.update({k: v(bad[k]) if callable(v) else v for k, v in change.items()})
+    with pytest.raises(ValueError, match=message) as alone:
+        dls.DLSInstance(**bad)
+    with pytest.raises(ValueError, match=message) as chunked:
+        dls.DLSInstance.chunk(**chunk_of(rows))
+    assert str(chunked.value) == str(alone.value)
+
+
+def test_chunk_sizes_must_cover_the_arrays():
+    args = chunk_of([drawn_arrays(k) for k in range(3)])
+    args["m"][1] += 1
+    with pytest.raises(ValueError, match="weight lists must match"):
+        dls.DLSInstance.chunk(**args)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_chunk_instances_are_bit_equal_to_single_ones(seed):
+    rows = [drawn_arrays((seed, k)) for k in range(9)]
+    rows.append(drawn_arrays((seed, 9), (1, 1)))
+    for inst, fields in zip(dls.DLSInstance.chunk(**chunk_of(rows)), rows, strict=True):
+        alone = dls.DLSInstance(**fields)
+        for k in ("xs", "ys", "aw", "bw"):
+            a, b = getattr(inst, k), getattr(alone, k)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (inst.X, inst.Y) == (alone.X, alone.Y)
+        assert type(inst.X) is type(alone.X) is float
+        assert dls.dls_checks([inst]) == dls.dls_checks([alone])
 
 
 def drawn_instances(seed, sizes):
