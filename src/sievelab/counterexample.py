@@ -9,7 +9,6 @@ which outgrows (Q^2 + N) Z once N is large against Q^(3/2).
 import math
 from dataclasses import dataclass
 
-from .arith import euler_phi
 from .bounds import additive_rhs
 from .expsum import CoeffSeq, QuadraticAmplitude, ls_lhs
 from .farey import ReducedFractions, farey_by_denominator
@@ -62,11 +61,6 @@ def modulus_term(inst, q):
     if q < 1 or q > inst.Q:
         raise ValueError("q must satisfy 1 <= q <= Q")
     return ls_lhs(inst.seq, SQUARE, ReducedFractions([q]))
-
-
-def modulus_term_closed_form(inst):
-    """phi(p^2) N^2, the exact value of the q = Q term."""
-    return euler_phi(inst.Q) * inst.N ** 2
 
 
 @dataclass

@@ -12,8 +12,9 @@ floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums times
 j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits, a
 float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
 phase is within 2^-52 of the exact one for any M while N <= 2^30.
-exp_sum, dual_lhs and phase_matrix take e(row) as cos + i sin, summed
-pairwise; duality_norm_check solves the Gram matrices of phase_matrix.
+Every e(t) is np.exp(2j pi t); exp_sum and the kernel rows of ls_lhs sum a
+row's terms pairwise, and duality_norm_check solves the Gram matrices of
+phase_matrix.
 
 The large-sieve left side groups its points by reduced denominator q; a
 farey.ReducedFractions, such as farey_by_denominator(Q), comes grouped.  Its
@@ -163,20 +164,10 @@ def _phase_rows(f, xs, M, N):  # phases on an iterator of exact pairs (u, v)
         yield from rows
 
 
-def _e(rows):
-    # cos and sin written into one complex array: bit-equal to
-    # np.exp(2j * np.pi * rows), without its complex temporaries.
-    z = np.empty(rows.shape, dtype=complex)
-    w = 2 * np.pi * rows
-    np.cos(w, out=z.real)
-    np.sin(w, out=z.imag)
-    return z
-
-
 def exp_sum(seq, f, x):
     """S(x) = sum_n a_n e(x f(n)), with the phases of ``phases``."""
     (row,) = phases(f, [x], seq.M, seq.N)
-    return complex((seq.values * _e(row)).sum())
+    return complex((seq.values * np.exp(2j * np.pi * row)).sum())
 
 
 def ls_lhs(seq, f, points):
@@ -221,7 +212,7 @@ def ls_lhs(seq, f, points):
         S = S[np.concatenate([u % n + i for u, n, i in zip(us, ms, o)]).astype(np.intp)]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
     for row in _phase_rows(f, iter(rest), seq.M, N):
-        s = (a * _e(row)).sum()
+        s = (a * np.exp(2j * np.pi * row)).sum()
         terms.append(s.real * s.real + s.imag * s.imag)
     return math.fsum(terms)
 
@@ -237,14 +228,14 @@ def dual_lhs(dual, f, points, M, N):
         )
     acc = np.zeros(N, dtype=complex)
     for c, row in zip(coeffs, phases(f, pts, M, N)):
-        acc += c * _e(row)
+        acc += c * np.exp(2j * np.pi * row)
     return math.fsum((acc.real * acc.real + acc.imag * acc.imag).tolist())
 
 
 def phase_matrix(f, points, M, N):
     """The K x N matrix t_{kn} = e(x_k f(n)) as a numpy array."""
     pts = list(points)
-    return _e(np.array(list(phases(f, pts, M, N))).reshape(len(pts), N))
+    return np.exp(2j * np.pi * np.array(list(phases(f, pts, M, N))).reshape(len(pts), N))
 
 
 class DualityCheck(NamedTuple):

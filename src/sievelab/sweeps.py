@@ -46,6 +46,11 @@ def _check_dist(dist, density):
         raise ValueError("sparse density must be finite and in [0, 1], got %r" % (density,))
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %r" % (seed,))
+
+
 def random_sequence(dist, M, N, rng, density=0.1):
     """A random coefficient sequence of the named distribution, one of DISTS.
 
@@ -94,6 +99,7 @@ def verify_classical(
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     _check_dist(dist, density)
+    _check_seed(seed)
     f = LinearAmplitude(1, 0)
     rows = []
     all_ok = True
@@ -155,6 +161,7 @@ def theorem2_sweep(
     if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ValueError("every eps must be finite and > 0")
     _check_dist(dist, density)
+    _check_seed(seed)
     farey = functools.cache(_farey_with_gap)
     rows = []
     grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)
@@ -217,8 +224,8 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     time.  Returns (rows, all_hold).
 
     The arguments are checked before the first row: instances >= 0,
-    1 <= size_max <= DLS_SIZE_MAX, and 0 < scale_min <= scale_max with the
-    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite.
+    1 <= size_max <= DLS_SIZE_MAX, 0 < scale_min <= scale_max with the
+    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite, and seed >= 0.
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
@@ -227,6 +234,7 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     if not (0 < scale_min <= scale_max and math.isfinite(math.pi / 2 * scale_max * scale_max)):
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
+    _check_seed(seed)
     rows = []
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
     for start in range(0, instances, step):

@@ -422,6 +422,21 @@ def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, 
         assert_refused_in_process(argv, capsys, tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-classical", "--instances", "0"],
+    ["verify-classical", "--Q", "2048", "--instances", "3"],
+    ["theorem2-sweep", "--Q", "2048", "--N", "16"],
+    ["dls-check", "--instances", "0"],
+    ["dls-check", "--instances", "3"],
+])
+def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
+    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    assert_refused_in_process(argv + ["--seed", "-1"], capsys, tmp_path)
+    assert cli.main(argv + ["--seed=-7"]) == 2
+    assert capsys.readouterr().err == "sievelab %s: seed must be >= 0, got -7\n" % argv[0]
+
+
 def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys, tmp_path):
     # Never run above the caps: an instance is dense in m x n.
     monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))

@@ -555,12 +555,6 @@ class TestPhaseKernel:
         assert phase_matrix(SQUARE, [0.5, 1e-300], 3, 0).shape == (2, 0)
         assert phase_matrix(SQUARE, [], 3, 10).shape == (0, 10)
 
-    def test_e_is_bit_equal_to_complex_exp(self):
-        t = np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1 - 2.0**-53])
-        t = np.concatenate([t, np.random.default_rng(23).uniform(0, 1, 10**4)])
-        for rows in (t, t.reshape(2, -1)):
-            assert expsum._e(rows).tobytes() == np.exp(2j * np.pi * rows).tobytes()
-
 
 def reference_lhs(seq, f, points):
     a = np.asarray(seq.values)
