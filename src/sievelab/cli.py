@@ -133,20 +133,8 @@ def _cmd_theorem2_sweep(args):
 
 
 def _cmd_counterexample(args):
-    inst = counterexample.build(args.p, args.N)
-    report = counterexample.demonstrate_failure(inst)
-    if report.lower_bound_exceeds_naive:
-        print(
-            "failure demonstrated: %d > %d"
-            % (round(report.modulus_term_Q), round(report.naive_rhs))
-        )
-    else:
-        print("naive bound not violated at this size")
-    print(
-        "p=%d Q=%d N=%d Z=%d lhs_full=%.6g modulus_term_Q=%.6g naive_rhs=%.6g"
-        % (report.p, report.Q, report.N, round(report.Z), report.lhs_full,
-           report.modulus_term_Q, report.naive_rhs)
-    )
+    report = counterexample.demonstrate_failure(counterexample.build(args.p, args.N))
+    print(report.summary())
     if args.out:
         with reports.output(args.out) as fh:
             json.dump(dataclasses.asdict(report), fh, indent=2)

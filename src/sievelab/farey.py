@@ -63,10 +63,14 @@ def farey_sequence(Q):
 class ReducedFractions:
     """The p/q with 0 <= p < q, gcd(p, q) = 1, for each given q >= 1, by denominator:
     ``numerators`` maps q (a Python int) to a read-only int64 array of its p,
-    increasing, the indices where gcd(arange(q), q) is 1.  len() is sum phi(q)."""
+    increasing, the indices where gcd(arange(q), q) is 1.  len() is sum phi(q).
+    A q below 1 is a ValueError."""
 
     def __init__(self, denominators):
-        numerators = {int(q): np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in denominators}
+        qs = [int(q) for q in denominators]
+        if min(qs, default=1) < 1:
+            raise ValueError("every denominator must be >= 1, got q = %d" % min(qs))
+        numerators = {q: np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in qs}
         for p in numerators.values():
             p.flags.writeable = False
         self.numerators = MappingProxyType(numerators)

@@ -409,7 +409,7 @@ def test_right_sides_past_the_float_range_read_inf(option, capsys):
 
 
 def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, tmp_path):
-    assert sweeps.Q_MAX >= max(counterexample.COUNTEREXAMPLE_P_CAP ** 2, 512)
+    assert sweeps.Q_MAX >= max(43 ** 2, 512)  # the counterexample's p <= 43, the Q = 512 scale run
     monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
     over = sweeps.Q_MAX + 1
     with pytest.raises(ValueError, match="q_max"):
@@ -420,6 +420,19 @@ def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, 
     assert sweeps.verify_classical(instances=0, q_max=sweeps.Q_MAX) == ([], True)
     for argv in (["verify-classical", "--Q", str(over)], ["theorem2-sweep", "--Q", str(over)]):
         assert_refused_in_process(argv, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("p", [47, 2**61 - 1])
+def test_counterexample_q_above_the_cap_is_refused_before_any_work(p, monkeypatch, capsys,
+                                                                  tmp_path):
+    # Q = p^2 is capped by sweeps.Q_MAX; 2^61 - 1 is prime, and checked against the cap first.
+    for name in ("is_prime", "CoeffSeq", "farey_by_denominator", "ReducedFractions"):
+        monkeypatch.setattr(counterexample, name, lambda *a, _n=name, **k: pytest.fail(_n + " ran"))
+    assert_refused_in_process(["counterexample", "--p", str(p), "--N", "47"], capsys, tmp_path)
+    assert cli.main(["counterexample", "--p", str(p), "--N", "47"]) == 2
+    assert capsys.readouterr().err == (
+        "sievelab counterexample: p = %d exceeds the cap: Q = p^2 must not exceed %d\n"
+        % (p, sweeps.Q_MAX))
 
 
 @pytest.mark.parametrize("argv", [
@@ -479,6 +492,18 @@ class TestCounterexampleCommand:
         assert payload["lower_bound_exceeds_naive"] is True
         assert payload["modulus_term_Q"] == 3936600.0
 
+    def test_failure_demonstrated_by_the_full_sum(self, tmp_path):
+        # Only the full sum exceeds the bound: 9702 > 8748; the q = 9 term is phi(9) 27^2 = 4374.
+        out = tmp_path / "cx.json"
+        proc = run("counterexample", "--p", "3", "--N", "27", "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == (
+            "failure demonstrated by the full sum: 9702 > 8748\n"
+            "p=3 Q=9 N=27 Z=81 lhs_full=9702 modulus_term_Q=4374 naive_rhs=8748\n")
+        payload = json.loads(out.read_text())
+        assert list(payload)[-1] == "full_exceeds_naive" and payload["full_exceeds_naive"] is True
+        assert payload["lower_bound_exceeds_naive"] is False
+
     def test_no_failure_at_small_size(self):
         proc = run("counterexample", "--p", "3", "--N", "9")
         assert proc.returncode == 0
@@ -490,13 +515,14 @@ class TestCounterexampleCommand:
         assert "not prime" in proc.stderr
 
     def test_p_above_cap_refused(self, tmp_path):
-        cap = counterexample.COUNTEREXAMPLE_P_CAP
         out = tmp_path / "cx.json"
-        proc = run("counterexample", "--p", "101", "--N", "101", "--out", str(out))
-        assert cap < 101
+        proc = run("counterexample", "--p", "47", "--N", "47", "--out", str(out))
+        assert 47 ** 2 > sweeps.Q_MAX
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "sievelab counterexample: p = 101 exceeds the cap %d on |F(p^2)|\n" % cap
+        assert proc.stderr == (
+            "sievelab counterexample: p = 47 exceeds the cap: Q = p^2 must not exceed %d\n"
+            % sweeps.Q_MAX)
         assert os.listdir(tmp_path) == []
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sievelab import counterexample as cx
+from sievelab import counterexample as cx, sweeps
 from sievelab.arith import euler_phi
 from sievelab.expsum import ls_lhs
 from sievelab.farey import farey_sequence
@@ -31,14 +31,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             cx.build(3, 10)
 
-    def test_cap_on_p(self):
-        cap = cx.COUNTEREXAMPLE_P_CAP
-        assert cap >= 7  # the README's and the bench's configs
-        assert cx.build(cap, cap).Q == cap * cap
-        with pytest.raises(ValueError, match="cap"):
-            cx.build(cap + 2, cap + 2)
-        with pytest.raises(ValueError, match="cap"):
-            cx.build(2 ** 61 - 1, 2 ** 61 - 1)  # prime; refused before any work
+    def test_cap_on_p(self, monkeypatch):
+        # Q = p^2 is capped by sweeps.Q_MAX, as in the sweeps: 43^2 = 1849 <= 2048 < 47^2.
+        assert cx.build(43, 43).Q == 43 * 43 <= sweeps.Q_MAX
+        monkeypatch.setattr(cx, "is_prime", lambda p: pytest.fail("is_prime ran"))
+        message = "cap: Q = p\\^2 must not exceed %d" % sweeps.Q_MAX
+        for p in (47, 2 ** 61 - 1):  # both prime; refused before any work
+            with pytest.raises(ValueError, match=message):
+                cx.build(p, p)
 
 
 class TestModulusTerm:
@@ -85,14 +85,14 @@ class TestDemonstrateFailure:
         rep = cx.demonstrate_failure(cx.build(3, 810))
         assert rep.modulus_term_Q == 3936600.0
         assert rep.naive_rhs == 2165130.0
-        assert rep.lower_bound_exceeds_naive
+        assert rep.lower_bound_exceeds_naive and rep.full_exceeds_naive
         assert rep.lhs_full >= rep.modulus_term_Q
 
     def test_small_instance_does_not(self):
         rep = cx.demonstrate_failure(cx.build(3, 9))
         assert rep.modulus_term_Q == 486.0
         assert rep.naive_rhs == 2430.0
-        assert not rep.lower_bound_exceeds_naive
+        assert not rep.lower_bound_exceeds_naive and not rep.full_exceeds_naive
 
     @pytest.mark.parametrize("p, N", [(3, 81), (5, 1000), (7, 700)])
     def test_full_lhs_is_the_exact_integer(self, p, N):
@@ -101,6 +101,28 @@ class TestDemonstrateFailure:
         exact = ramanujan_lhs(values, [n * n for n in range(1, N + 1)], p * p)
         assert isinstance(exact, int)
         assert cx.demonstrate_failure(cx.build(p, N)).lhs_full == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize("p, n_full, n_term", [
+        (3, 27, 84), (5, 80, 210), (7, 196, 483), (11, 693, 1628), (13, 1092, 2600)])
+    def test_frontier(self, p, n_full, n_term):
+        # The smallest multiple N of p at which the full sum, and the q = p^2 term,
+        # exceeds (Q^2 + N) Z; at p = 13, N = 1092 the full sum is only 1.0002 times it.
+        assert cx.demonstrate_failure(cx.build(p, n_full)).full_exceeds_naive
+        assert not cx.demonstrate_failure(cx.build(p, n_full - p)).full_exceeds_naive
+        assert cx.demonstrate_failure(cx.build(p, n_term)).lower_bound_exceeds_naive
+        assert not cx.demonstrate_failure(cx.build(p, n_term - p)).lower_bound_exceeds_naive
+
+    @pytest.mark.parametrize("p, N, verdict", [
+        (3, 810, "failure demonstrated: 3936600 > 2165130"),
+        (3, 27, "failure demonstrated by the full sum: 9702 > 8748"),
+        (3, 9, "naive bound not violated at this size"),
+    ])
+    def test_summary(self, p, N, verdict):
+        rep = cx.demonstrate_failure(cx.build(p, N))
+        first, second = rep.summary().split("\n")
+        assert first == verdict
+        assert second == ("p=%d Q=%d N=%d Z=%d lhs_full=%.6g modulus_term_Q=%.6g naive_rhs=%.6g"
+                          % (p, p * p, N, N * p, rep.lhs_full, rep.modulus_term_Q, rep.naive_rhs))
 
     def test_p2_small(self):
         rep = cx.demonstrate_failure(cx.build(2, 8))

@@ -124,6 +124,13 @@ class TestByDenominator:
         with pytest.raises(ValueError):
             farey_by_denominator(0)
 
+    @pytest.mark.parametrize("denominators, q", [([0], 0), ([-3], -3), ([2, 0, 5], 0),
+                                                 (np.array([4, -1]), -1)])
+    def test_denominator_below_one_is_refused(self, denominators, q):
+        # Unrefused, [0] would divide by zero in ls_lhs and [-3] give bincount a negative length.
+        with pytest.raises(ValueError, match="got q = %d$" % q):
+            farey.ReducedFractions(denominators)
+
 
 class TestMinGap:
     def test_symmetric_pair(self):
