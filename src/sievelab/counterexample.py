@@ -48,7 +48,7 @@ def build(p, N):
     if not 0 < N <= N_MAX or N % p != 0:
         raise ValueError("N must be a positive multiple of p = %d within the cap %d" % (p, N_MAX))
     values = ([0] * (p - 1) + [p]) * (N // p)
-    return CounterexampleInstance(p=p, Q=p * p, N=N, seq=CoeffSeq(M=0, N=N, values=values))
+    return CounterexampleInstance(p=p, Q=p * p, N=N, seq=CoeffSeq(values=values))
 
 
 def modulus_term(inst, q):

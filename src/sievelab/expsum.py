@@ -2,16 +2,16 @@
 
 Everything revolves around S(x) = sum_{n=M+1}^{M+N} a_n e(x f(n)) with
 e(t) = exp(2 pi i t).  Each input is converted once, where it enters: a
-CoeffSeq holds its a_n, and dual_lhs its weights, as a read-only finite
-complex128 copy; an amplitude reads its coefficients, and every function a
-point x = u/v, as an exact rational, a pair of Python ints (a float is a
-dyadic one).  ``_window`` writes D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in
-integers, the one integer form of f.  On it, one kernel, ``phases``,
-reduces every phase x f(n) modulo 1: it splits each
-floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums times
-j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits, a
-float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
-phase is within 2^-52 of the exact one for any M while N <= 2^30.
+CoeffSeq holds its a_n, N of them, and dual_lhs its weights, as a read-only
+finite complex128 copy; an amplitude reads its coefficients, and every
+function a point x = u/v, as an exact rational, a pair of Python ints (a
+float is a dyadic one).  ``_window`` reads M by operator.index and writes
+D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers, the one integer form of f.
+On it, one kernel, ``phases``, reduces every phase x f(n) modulo 1: it splits
+each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums
+times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits,
+a float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each phase
+is within 2^-52 of the exact one for any M while N <= 2^30.
 Every e(t) is np.exp(2j pi t); exp_sum and the kernel rows of ls_lhs sum a
 row's terms pairwise, and duality_norm_check solves the Gram matrices of
 phase_matrix.
@@ -32,6 +32,7 @@ bit-equal to one fill per group.  exp_sum's rows are the DFT's reference.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -61,7 +62,7 @@ def _window(f, M):
     """((c0, c1, c2), D), integers with D > 0 and D f(M+1+j) = (c0 j + c1) j + c2."""
     (A, a), (B, b), (C, c) = map(_exact, f.coeffs)
     D = math.lcm(a, b, c)
-    A, B, C, n = A * (D // a), B * (D // b), C * (D // c), M + 1
+    A, B, C, n = A * (D // a), B * (D // b), C * (D // c), operator.index(M) + 1
     return (A, 2 * A * n + B, (A * n + B) * n + C), D
 
 
@@ -73,23 +74,20 @@ def _finite_array(values):
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class CoeffSeq:
-    """Coefficients a_n on n = M+1 .. M+N: a read-only, finite complex128 copy."""
+    """Coefficients a_n on n = M+1 .. M+N: a read-only, finite complex128 copy.
+    N is the number of values; an N given must equal it."""
 
-    M: int
-    N: int
+    M: int = 0
+    N: int = None
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _finite_array(self.values))
-        if self.N < 1 or self.values.shape != (self.N,):
-            raise ValueError("need N >= 1 values: N = %r, shape %r" % (self.N, self.values.shape))
-
-    @classmethod
-    def from_values(cls, values, M=0):
-        vals = tuple(values)
-        return cls(M=M, N=len(vals), values=vals)
+        object.__setattr__(self, "values", a := _finite_array(self.values))
+        if a.ndim != 1 or not a.size or self.N not in (None, a.size):
+            raise ValueError("need N >= 1 values: N = %r, shape %r" % (self.N, a.shape))
+        object.__setattr__(self, "N", a.size)
 
     def power(self):
         """Z = sum |a_n|^2, by Python's abs and ** (numpy's differ in the last bit)."""

@@ -13,6 +13,7 @@ farey_by_denominator builds F(Q) as int64 numerator arrays per q, the form
 the sweeps pass to ls_lhs.
 """
 
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -64,14 +65,14 @@ class ReducedFractions:
     """The p/q with 0 <= p < q, gcd(p, q) = 1, for each given q >= 1, by denominator:
     ``numerators`` maps q (a Python int) to a read-only int64 array of its p,
     increasing, the indices where gcd(arange(q), q) is 1.  len() is sum phi(q).
-    A q below 1 is a ValueError."""
+    A q is read by operator.index; one below 1 or given twice is a ValueError."""
 
     def __init__(self, denominators):
-        qs = [int(q) for q in denominators]
-        if min(qs, default=1) < 1:
-            raise ValueError("every denominator must be >= 1, got q = %d" % min(qs))
-        numerators = {q: np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in qs}
-        for p in numerators.values():
+        numerators = {}
+        for q in map(operator.index, denominators):
+            if q < 1 or q in numerators:
+                raise ValueError("every denominator must be >= 1 and given once, got q = %d" % q)
+            p = numerators[q] = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
             p.flags.writeable = False
         self.numerators = MappingProxyType(numerators)
 

@@ -11,6 +11,7 @@ its rows a chunk at a time.  Each driver returns all its rows to the writer.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .farey import farey_by_denominator
 RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 # Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
-N_MAX = 2**22  # 16 times the largest scale run, 2^18, so a row's arrays stay in tens of MB
+N_MAX = 2**22  # 16 times the largest scale run, 2^18; a row at the cap peaks near 260 MB RSS
 Q_MAX = 2**11  # F(Q) keeps ~0.3 Q^2 numerators; covers Q = 512 and the counterexample's p <= 43
 VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every right side is a float
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
@@ -66,7 +67,7 @@ def random_sequence(dist, M, N, rng, density=0.1):
         values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         if dist == "sparse":
             values *= rng.uniform(0.0, 1.0, N) < density
-    return CoeffSeq(M=M, N=N, values=values)
+    return CoeffSeq(M=M, values=values)
 
 
 def _farey_with_gap(Q):
@@ -89,7 +90,7 @@ def verify_classical(
     """Hard check of the sharp and additive large sieve bounds, f(n) = n.
 
     rhs_scale shrinks both right sides and exists only to let the harness
-    prove it can fail.  Returns (rows, all_ok).
+    prove it can fail.  Returns (rows, all_hold).
     """
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
@@ -102,7 +103,6 @@ def verify_classical(
     _check_seed(seed)
     f = LinearAmplitude(1, 0)
     rows = []
-    all_ok = True
     farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
     for i in range(instances):
         rng = _row_rng(seed, i)
@@ -116,11 +116,10 @@ def verify_classical(
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
         ok = bounds.holds(lhs, rhs_sharp) and bounds.holds(lhs, rhs_add)
-        all_ok = all_ok and ok
         rows.append(dict(zip(VERIFY_COLUMNS, (
             i, seed, RNG_ID, __version__, dist, Q, M, N, Z, str(delta), lhs, rhs_sharp, rhs_add, ok
         ))))
-    return rows, all_ok
+    return rows, all(r["holds"] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +144,13 @@ def theorem2_sweep(
 
     Returns (THEOREM2_COLUMNS, rows): the report columns and one dict per
     row, in grid order (Q, M, N, alpha, ratio, eps), with a right side and
-    a ratio for every entry of bounds.RHS.  The grid is checked before the
-    first row, so that a bad grid is an error and never a row:
-    status=domain_error is left to negative radicands.  F(Q) with its gap
-    is built once per distinct Q in this call; y_exact is 2 dls.max_abs_g.
+    a ratio for every entry of bounds.RHS.  The grid is checked, its Q, N and
+    M read by operator.index, before the first row: a bad grid is an error,
+    never a row, and status=domain_error is left to negative radicands.
+    F(Q) with its gap is built once per distinct Q; y_exact is 2 dls.max_abs_g.
     """
+    q_values, n_values, m_values = ([operator.index(v) for v in vs]
+                                    for vs in (q_values, n_values, m_values))
     if not all(1 <= Q <= Q_MAX for Q in q_values):
         raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
     if not all(1 <= N <= N_MAX for N in n_values):
@@ -274,11 +275,12 @@ class Lemma4Table:
 
 
 def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
-    """T for every (m, n) in S^2 by both counters, with both bound forms,
-    for g(x, y) = (x - y)(x + y + a/b) with a/b = ratio.
+    """T for every (m, n) in S^2 (N and M read by operator.index) by both
+    counters, with both bound forms, for g(x, y) = (x - y)(x + y + a/b), a/b = ratio.
 
     Returns (Lemma4Table, counters_agree); reports.write_lemma4 writes the table.
     """
+    N, M = operator.index(N), operator.index(M)
     a, b = ratio.numerator, ratio.denominator
     constants = (
         bounds.lemma4_bound(alpha, a, b, M, N, eps),

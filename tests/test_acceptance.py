@@ -65,11 +65,11 @@ def test_criterion_1_farey_exact():
 
 def test_criterion_2_classical_hard_bounds():
     with Budget(2, 30.0, "sharp and additive large sieve bounds on 200 random instances"):
-        rows, all_ok = sweeps.verify_classical(
+        rows, all_hold = sweeps.verify_classical(
             instances=200, q_max=32, n_max=256, seed=1, dist="gaussian"
         )
         assert len(rows) == 200
-        assert all_ok
+        assert all_hold
         slack = 1.0 + 1e-9
         for r in rows:
             assert r["lhs"] <= r["rhs_sharp"] * slack

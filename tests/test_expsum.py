@@ -73,7 +73,7 @@ class TestAmplitudes:
 
     def test_string_alpha(self):
         # alpha > 0 is checked on the exact value, so "1/3" is an amplitude.
-        seq = CoeffSeq.from_values([1, 2j, -3], M=4)
+        seq = CoeffSeq(values=[1, 2j, -3], M=4)
         f, exact = QuadraticAmplitude("1/3"), QuadraticAmplitude(Fraction(1, 3))
         assert ls_lhs(seq, f, farey_sequence(7)) == ls_lhs(seq, exact, farey_sequence(7))
         for bad in ("-1/3", "0", "0/5"):
@@ -94,13 +94,30 @@ class TestCoeffSeq:
         with pytest.raises(ValueError):
             CoeffSeq(M=0, N=3, values=(1, 2))
 
+    def test_n_is_the_number_of_values(self):
+        seq = CoeffSeq(values=[1, 2j])
+        assert (seq.M, seq.N) == (0, 2)
+        assert type(CoeffSeq(M=1, N=np.int64(2), values=[1, 2j]).N) is int
+        with pytest.raises(ValueError):
+            CoeffSeq(values=[])
+
+    def test_numpy_integer_m_is_read_exactly(self):
+        # An int64 M near 2^62 once wrapped in the window's arithmetic: a
+        # plausible left side (117.38, not 146.30) and an OverflowError in exp_sum.
+        f, values = QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6)), [1, 2j, -1, 0.5]
+        got, want = (CoeffSeq(M=M, N=4, values=values) for M in (np.int64(2**62), 2**62))
+        assert ls_lhs(got, f, farey_by_denominator(8)) == ls_lhs(want, f, farey_by_denominator(8))
+        assert exp_sum(got, f, Fraction(1, 3)) == exp_sum(want, f, Fraction(1, 3))
+        with pytest.raises(TypeError):
+            exp_sum(CoeffSeq(M=0.5, values=values), f, Fraction(1, 3))
+
     def test_power(self):
-        seq = CoeffSeq.from_values([1, 1j, -2])
+        seq = CoeffSeq(values=[1, 1j, -2])
         assert seq.power() == pytest.approx(6.0)
 
     def test_power_zero_iff_all_zero(self):
-        assert CoeffSeq.from_values([0, 0]).power() == 0.0
-        assert CoeffSeq.from_values([0, 1e-8]).power() > 0.0
+        assert CoeffSeq(values=[0, 0]).power() == 0.0
+        assert CoeffSeq(values=[0, 1e-8]).power() > 0.0
 
     def test_values_are_a_read_only_copy(self):
         source = np.array([1, 2j, -3, 0.5])
@@ -120,16 +137,16 @@ class TestCoeffSeq:
 
 class TestExpSum:
     def test_x_zero_sums_coefficients(self):
-        seq = CoeffSeq.from_values([1, 2, 3j])
+        seq = CoeffSeq(values=[1, 2, 3j])
         assert exp_sum(seq, SQUARE, 0) == pytest.approx(3 + 3j)
 
     def test_alternating_phases_cancel(self):
-        seq = CoeffSeq.from_values([1, 1, 1, 1])
+        seq = CoeffSeq(values=[1, 1, 1, 1])
         # f(n) = n^2, x = 1/2: phases -1, 1, -1, 1
         assert abs(exp_sum(seq, SQUARE, Fraction(1, 2))) == pytest.approx(0.0, abs=1e-12)
 
     def test_third_roots(self):
-        seq = CoeffSeq.from_values([1, 1, 1])
+        seq = CoeffSeq(values=[1, 1, 1])
         s = exp_sum(seq, SQUARE, Fraction(1, 3))
         # n^2 mod 3 = 1, 1, 0: S = 1 + 2 e(1/3) = i sqrt(3)
         assert abs(s) ** 2 == pytest.approx(3.0)
@@ -148,7 +165,7 @@ class TestExpSum:
     def test_huge_phases_stay_on_circle(self):
         # x * f(n) around 1e9: exact reduction keeps |e(.)| coherent.
         f = QuadraticAmplitude(Fraction(10**6), 0, 0)
-        seq = CoeffSeq.from_values([1] * 10, M=30000)
+        seq = CoeffSeq(values=[1] * 10, M=30000)
         s = exp_sum(seq, f, Fraction(1, 7))
         # brute force with integer mod
         expected = sum(e(Fraction((10**6) * n * n % 7, 7)) for n in range(30001, 30011))
@@ -157,16 +174,16 @@ class TestExpSum:
 
 class TestLsLhs:
     def test_single_point_zero(self):
-        seq = CoeffSeq.from_values([1, 2, 3])
+        seq = CoeffSeq(values=[1, 2, 3])
         assert ls_lhs(seq, SQUARE, [0]) == pytest.approx(36.0)
 
     def test_three_point_example(self):
-        seq = CoeffSeq.from_values([1, 1, 1])
+        seq = CoeffSeq(values=[1, 1, 1])
         pts = [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
         assert ls_lhs(seq, SQUARE, pts) == pytest.approx(15.0)
 
     def test_accepts_farey_set(self):
-        seq = CoeffSeq.from_values([1, 1, 1])
+        seq = CoeffSeq(values=[1, 1, 1])
         total = ls_lhs(seq, SQUARE, farey_sequence(3))
         manual = sum(
             abs(exp_sum(seq, SQUARE, x)) ** 2 for x in farey_sequence(3)
@@ -186,7 +203,7 @@ class TestLsLhs:
         # real a_n, integer-valued f: |S(1-x)| == |S(x)| exactly on the
         # rational path.
         rng = np.random.default_rng(4)
-        seq = CoeffSeq.from_values(list(rng.standard_normal(40)), M=5)
+        seq = CoeffSeq(values=list(rng.standard_normal(40)), M=5)
         for x in (Fraction(1, 7), Fraction(3, 11), Fraction(2, 5)):
             s = exp_sum(seq, SQUARE, x)
             s_conj = exp_sum(seq, SQUARE, 1 - x)
@@ -383,7 +400,7 @@ def test_reduced_denominator_property():
         P, reduced = integer_values(f, M, N)
         assert [p * (D // reduced) for p in P] == [(c0 * j + c1) * j + c2 for j in range(N)]
         assert D // math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))) == reduced
-        seq, points = CoeffSeq.from_values(np.arange(1, N + 1) * 1j, M=M), [0, Fraction(1, 2)]
+        seq, points = CoeffSeq(values=np.arange(1, N + 1) * 1j, M=M), [0, Fraction(1, 2)]
         want = loop_lhs(seq, f, points)
         bins, sizes = [], []
         bincount, ifft = np.bincount, np.fft.ifft
@@ -422,13 +439,13 @@ def test_grouped_lhs_property():
         points=st.lists(st.one_of(rational, st.integers(-5, 5)), min_size=1, max_size=12),
     )
     def check(values, M, alpha, beta, points):
-        seq = CoeffSeq.from_values(values, M=M)
+        seq = CoeffSeq(values=values, M=M)
         assert_matches_loop(seq, QuadraticAmplitude(alpha, beta), points)
 
     check()
 
 
-def each_entry_point(f, pts, seq=CoeffSeq.from_values([1, 2j, 3])):
+def each_entry_point(f, pts, seq=CoeffSeq(values=[1, 2j, 3])):
     # A call of every public function that reduces phases.
     yield lambda: list(phases(f, pts, seq.M, seq.N))
     yield lambda: exp_sum(seq, f, pts[-1])
@@ -478,7 +495,7 @@ def test_non_finite_input_is_an_error(bad):
     # Sequence values a_n and dual weights c_k.
     for values in ([1, bad], [1, complex(0, bad)]):
         with pytest.raises(ValueError):
-            CoeffSeq.from_values(values)
+            CoeffSeq(values=values)
         with pytest.raises(ValueError):
             dual_lhs(values, QuadraticAmplitude(1), [0.25, 0.5], 0, 3)
 
@@ -585,7 +602,7 @@ def reference_dual(c, f, points, M, N):
 @pytest.mark.parametrize("x", [1e-300, 5e-324])
 def test_tiny_float_point(x):
     # vD is beyond the float range, so no step may convert it to a float.
-    seq, f = CoeffSeq.from_values([1, 1]), QuadraticAmplitude(0.7)
+    seq, f = CoeffSeq(values=[1, 1]), QuadraticAmplitude(0.7)
     assert ls_lhs(seq, f, [x]) == pytest.approx(reference_lhs(seq, f, [x]), rel=1e-12)
 
 
@@ -687,7 +704,7 @@ class TestParseval:
             extra=st.integers(0, 60),
         )
         def check(values, M, extra):
-            seq = CoeffSeq.from_values(values, M=M)
+            seq = CoeffSeq(values=values, M=M)
             m = seq.N + extra
             lhs = ls_lhs(seq, LinearAmplitude(1, 0), [Fraction(c, m) for c in range(m)])
             assert lhs == pytest.approx(m * seq.power(), rel=1e-12)

@@ -124,6 +124,14 @@ class TestByDenominator:
         with pytest.raises(ValueError):
             farey_by_denominator(0)
 
+    def test_denominator_is_read_exactly_and_once(self):
+        # 2.5 once truncated to q = 2, and a repeated q held its points once.
+        with pytest.raises(TypeError):
+            farey.ReducedFractions([2.5])
+        with pytest.raises(ValueError, match="given once, got q = 5$"):
+            farey.ReducedFractions([3, 5, 5])
+        assert list(farey.ReducedFractions([np.int64(5), 3]).numerators) == [5, 3]
+
     @pytest.mark.parametrize("denominators, q", [([0], 0), ([-3], -3), ([2, 0, 5], 0),
                                                  (np.array([4, -1]), -1)])
     def test_denominator_below_one_is_refused(self, denominators, q):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from farey_reference import min_gap_mod1
@@ -156,3 +157,34 @@ def test_lemma4_table_has_one_row_per_base_pair():
     assert list(table.S) == list(range(-2, 5))
     assert table.brute.shape == table.divisor.shape == (7, 7)
     assert table.constants[2:] == ("1/2", -1, 3, -3, 7, 0.1, sweeps.__version__)
+
+
+def test_numpy_integer_grid_is_read_exactly():
+    # An int64 M near 2^62 once wrapped in y_paper, y_exact and the right sides,
+    # and came out as an "ok" row with lhs 104.05 and y_exact -126.0.
+    grid = dict(q_values=(4,), n_values=(8,), eps_values=(0.1,))
+    _, got = sweeps.theorem2_sweep(m_values=(np.int64(2**62),), **grid)
+    _, want = sweeps.theorem2_sweep(m_values=(2**62,), **grid)
+    assert got == want
+    _, got = sweeps.theorem2_sweep(**{**grid, "q_values": (np.int64(4),), "n_values": (np.int32(8),)})
+    assert got == sweeps.theorem2_sweep(**grid)[1]
+    for bad in (dict(q_values=(4.0,)), dict(n_values=(8.0,)), dict(m_values=(0.0,))):
+        with pytest.raises(TypeError):
+            sweeps.theorem2_sweep(**{**grid, **bad})
+
+
+def test_lemma4_numpy_integers_are_read_exactly():
+    # An int64 M of 2^61 once gave counters that disagree and nan bounds;
+    # it is refused as the Python int is.
+    args = dict(alpha=Fraction(1, 3), ratio=Fraction(1, 2))
+    messages = []
+    for M in (np.int64(2**61), 2**61):
+        with pytest.raises(ValueError, match="does not fit int64") as exc:
+            sweeps.lemma4_table(6, M=M, **args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    got, agree = sweeps.lemma4_table(np.int64(6), M=np.int32(-2), **args)
+    want, _ = sweeps.lemma4_table(6, M=-2, **args)
+    assert agree and got.constants == want.constants and np.array_equal(got.brute, want.brute)
+    with pytest.raises(TypeError):
+        sweeps.lemma4_table(6.0, **args)
