@@ -25,10 +25,12 @@ that residue and one unnormalised inverse DFT of length qD gives S(c/q) for
 every numerator c at once.  The buckets take memory proportional to qD, so
 a denominator uses the DFT only while qD <= GROUPED_MAX_RATIO * N, and P is
 built only then; its points otherwise take kernel rows, as float points
-(q near 2^53) always do.  Consecutive groups fill their buckets in one pass,
-each at its offset, while sum(qD + N) <= PHASE_BLOCK // 4: each bin still
-sums its group's a_n in n order, and fsum rounds correctly, so the sum is
-bit-equal to one fill per group.  exp_sum's rows are the DFT's reference.
+(q near 2^53) always do.  A row's consecutive groups fill their buckets in
+one pass, each at its offset, while sum(qD + N) <= PHASE_BLOCK // 4.  Blocks
+of consecutive rows wait until they hold PHASE_BLOCK // 4 bins; then each
+length's groups take one stacked np.fft.ifft, bit-equal per row to a 1-D call,
+and as each bin sums its group's a_n in n order and fsum rounds correctly, a
+row's sum is bit-equal to its own.  exp_sum's rows are the DFT's reference.
 """
 
 import math
@@ -169,50 +171,75 @@ def exp_sum(seq, f, x):
 
 
 def ls_lhs(seq, f, points):
-    """The large-sieve left side: sum over x in points of |S(x)|^2.
+    """The large-sieve left side, sum over x in points of |S(x)|^2, as a batch of one
+    row of ls_lhs_rows.  Points are rationals or a farey.ReducedFractions; duplicates each count."""
+    return next(ls_lhs_rows([(None, seq, f, points)]))[1]
 
-    Points (rationals, or a farey.ReducedFractions) are grouped by reduced
-    denominator q; a group takes one DFT of length qD while qD <= GROUPED_MAX_RATIO * N
-    and kernel rows otherwise (see the module docstring).  Duplicates each count.
-    """
-    a, N = seq.values, seq.N
-    (c0, c1, c2), D = _window(f, seq.M)
-    D //= (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
-    if isinstance(points, ReducedFractions):  # q -> int64 numerators, as they come
-        groups = points.numerators
-    else:  # q -> object array of the Python ints u, for each point u/q
-        groups = {}
-        for u, v in map(_exact, points):
-            groups.setdefault(v, []).append(u)
-        groups = {q: np.array(us, dtype=object) for q, us in groups.items()}
-    blocks, rest, terms, size = [], [], [], math.inf
-    for q, us in groups.items():
-        if (m := q * D) > GROUPED_MAX_RATIO * N:
-            rest.extend((u, q) for u in us.tolist())  # Python ints for the kernel
-            continue
-        if size + m + N > PHASE_BLOCK // 4:  # bins and residues: start a new block
-            blocks.append([])
-            size = 0
-        blocks[-1].append((m, us))
-        size += m + N
-    if blocks:  # int64 while no P(j) * g can overflow; the residues below qD always fit
-        fits = abs(c0) * N * N + abs(c1) * N + abs(c2) < 2**63
-        j = np.arange(N, dtype=np.int64 if fits else object)
-        P = ((c0 * j + c1) * j + c2) // g
-    for block in blocks:
-        ms, us = zip(*block)
-        o = list(accumulate(ms, initial=0))  # group offsets; o[-1] bins in all
-        m, off = (np.array(v, dtype=P.dtype)[:, None] for v in (ms, o[:-1]))
-        r = (P % m + off).ravel().astype(np.intp)
-        B = (np.bincount(r, np.tile(a.real, len(ms)), minlength=o[-1])
-             + 1j * np.bincount(r, np.tile(a.imag, len(ms)), minlength=o[-1]))
-        S = np.concatenate([np.fft.ifft(B[i:i + n], norm="forward") for n, i in zip(ms, o)])
-        S = S[np.concatenate([u % n + i for u, n, i in zip(us, ms, o)]).astype(np.intp)]
+
+def ls_lhs_rows(rows):
+    """Yield (key, ls_lhs(seq, f, points)) for each (key, seq, f, points) of rows, in order,
+    reading each row only once the rows before it have filled their buckets (module docstring)."""
+    waiting, slots, pending = [], {}, []  # (key, terms) not yet yielded; the batch's groups, blocks
+    for key, seq, f, points in rows:
+        a, N = seq.values, seq.N
+        (c0, c1, c2), D = _window(f, seq.M)
+        D //= (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
+        if isinstance(points, ReducedFractions):  # q -> int64 numerators, as they come
+            groups = points.numerators
+        else:  # q -> object array of the Python ints u, for each point u/q
+            groups = {}
+            for u, v in map(_exact, points):
+                groups.setdefault(v, []).append(u)
+            groups = {q: np.array(us, dtype=object) for q, us in groups.items()}
+        blocks, rest, terms, size = [], [], [], math.inf
+        waiting.append((key, terms))
+        for q, us in groups.items():
+            if (m := q * D) > GROUPED_MAX_RATIO * N:
+                rest.extend((u, q) for u in us.tolist())  # Python ints for the kernel
+                continue
+            if size + m + N > PHASE_BLOCK // 4:  # bins and residues: start a new block
+                blocks.append([])
+                size = 0
+            blocks[-1].append((m, us))
+            size += m + N
+        if blocks:  # int64 while no P(j) * g can overflow; the residues below qD always fit
+            fits = abs(c0) * N * N + abs(c1) * N + abs(c2) < 2**63
+            j = np.arange(N, dtype=np.int64 if fits else object)
+            P = ((c0 * j + c1) * j + c2) // g
+        for block in blocks:
+            if sum(len(B) for B, _, _ in pending) >= PHASE_BLOCK // 4:  # full: earlier rows done
+                slots, pending = _invert(slots, pending)
+                yield from ((k, math.fsum(t)) for k, t in waiting[:-1])
+                del waiting[:-1]
+            ms, us = zip(*block)
+            o = list(accumulate(ms, initial=0))  # group offsets; o[-1] bins in all
+            m, off = (np.array(v, dtype=P.dtype)[:, None] for v in (ms, o[:-1]))
+            r = (P % m + off).ravel().astype(np.intp)
+            B = (np.bincount(r, np.tile(a.real, len(ms)), minlength=o[-1])
+                 + 1j * np.bincount(r, np.tile(a.imag, len(ms)), minlength=o[-1]))
+            for m, i in zip(ms, o):
+                slots.setdefault(m, []).append(B[i:i + m])
+            n = [len(u) for u in us]  # the block's gather: each u/q reads bin u mod qD of its group
+            pending.append((B, np.concatenate(us) % np.repeat(ms, n) + np.repeat(o[:-1], n), terms))
+        for row in _phase_rows(f, iter(rest), seq.M, N):
+            s = (a * np.exp(2j * np.pi * row)).sum()
+            terms.append(s.real * s.real + s.imag * s.imag)
+        if not pending:
+            yield from ((k, math.fsum(t)) for k, t in waiting)
+            waiting.clear()
+    _invert(slots, pending)
+    yield from ((k, math.fsum(t)) for k, t in waiting)
+
+
+def _invert(slots, pending):
+    # One stacked inverse DFT per length, written back; the rows' gathers; an empty batch back.
+    for s in slots.values():
+        for b, S in zip(s, np.fft.ifft(np.array(s), norm="forward")):
+            b[:] = S
+    for B, i, terms in pending:
+        S = B[i.astype(np.intp)]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
-    for row in _phase_rows(f, iter(rest), seq.M, N):
-        s = (a * np.exp(2j * np.pi * row)).sum()
-        terms.append(s.real * s.real + s.imag * s.imag)
-    return math.fsum(terms)
+    return {}, []
 
 
 def dual_lhs(dual, f, points, M, N):

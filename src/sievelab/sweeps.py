@@ -4,8 +4,10 @@ Lemma-4-style pair-count table.
 
 Every driver is deterministic given its configuration: randomness comes
 from numpy's PCG64 generator seeded per row through SeedSequence spawn
-keys, in grid order; dls-check draws row by row but computes and checks
-its rows a chunk at a time.  Each driver returns all its rows to the writer.
+keys, in grid order.  dls-check draws row by row but computes and checks
+its rows a chunk at a time; verify-classical and theorem2-sweep draw a row
+when expsum.ls_lhs_rows, which batches consecutive rows' DFTs bit-exactly,
+reads it.  Each driver returns all its rows to the writer.
 """
 
 import functools
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import bounds, dls
-from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, ls_lhs
+from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, _exact, ls_lhs_rows
 from .farey import farey_by_denominator
 
 RNG_ID = "numpy-pcg64"
@@ -104,15 +106,15 @@ def verify_classical(
     f = LinearAmplitude(1, 0)
     rows = []
     farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
-    for i in range(instances):
+    def draw(i):  # row i's draws, made when ls_lhs_rows reads the row
         rng = _row_rng(seed, i)
         Q = int(rng.integers(2, q_max + 1))
         N = int(rng.integers(1, n_max + 1))
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
-        Z = seq.power()
         points, delta = farey(Q)
-        lhs = ls_lhs(seq, f, points)
+        return (i, Q, M, N, seq.power(), delta), seq, f, points
+    for (i, Q, M, N, Z, delta), lhs in ls_lhs_rows(map(draw, range(instances))):
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
         ok = bounds.holds(lhs, rhs_sharp) and bounds.holds(lhs, rhs_add)
@@ -166,13 +168,14 @@ def theorem2_sweep(
     farey = functools.cache(_farey_with_gap)
     rows = []
     grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)
-    for index, (Q, M, N, alpha, ab, eps) in enumerate(grid):
+    def draw(cell):  # the row's draws, made when ls_lhs_rows reads it
+        index, (Q, M, N, alpha, ab, eps) = cell
         points, delta = farey(Q)
-        a, b = ab.numerator, ab.denominator
         f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
         seq = random_sequence(dist, M, N, _row_rng(seed, index), density)
-        Z = seq.power()
-        lhs = ls_lhs(seq, f, points)
+        return (index, Q, M, N, alpha, ab, eps, seq.power(), delta), seq, f, points
+    for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(map(draw, enumerate(grid))):
+        a, b = ab.numerator, ab.denominator
         params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
         y_paper = 2 * abs(M) * N + N * N + N * ab
         row = dict(zip(THEOREM2_COLUMNS, (
@@ -275,17 +278,17 @@ class Lemma4Table:
 
 
 def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
-    """T for every (m, n) in S^2 (N and M read by operator.index) by both
-    counters, with both bound forms, for g(x, y) = (x - y)(x + y + a/b), a/b = ratio.
+    """T for every (m, n) in S^2 by both counters, with both bound forms, for g(x, y) =
+    (x - y)(x + y + a/b), a/b = ratio; N and M are read by operator.index, alpha exactly.
 
     Returns (Lemma4Table, counters_agree); reports.write_lemma4 writes the table.
     """
-    N, M = operator.index(N), operator.index(M)
+    N, M, alpha = operator.index(N), operator.index(M), Fraction(*_exact(alpha))
     a, b = ratio.numerator, ratio.denominator
     constants = (
         bounds.lemma4_bound(alpha, a, b, M, N, eps),
         bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
-        str(Fraction(alpha)), a, b, M, N, eps, __version__,
+        str(alpha), a, b, M, N, eps, __version__,
     )
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
     divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)

@@ -15,6 +15,7 @@ from sievelab.expsum import (
     duality_norm_check,
     exp_sum,
     ls_lhs,
+    ls_lhs_rows,
     phase_matrix,
     phases,
 )
@@ -407,8 +408,8 @@ def test_reduced_denominator_property():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(expsum.np, "bincount", lambda x, w, minlength: bins.append(minlength)
                        or bincount(x, w, minlength=minlength))
-            mp.setattr(expsum.np.fft, "ifft", lambda B, norm: sizes.append(len(B))
-                       or ifft(B, norm=norm))
+            mp.setattr(expsum.np.fft, "ifft", lambda B, **kw: sizes.append(B.shape[-1])
+                       or ifft(B, **kw))  # the transform length; a batch stacks rows
             assert ls_lhs(seq, f, points) == pytest.approx(want, rel=1e-12, abs=1e-12 * N**4)
         guarded = [q * reduced for q in (1, 2) if q * reduced <= expsum.GROUPED_MAX_RATIO * N]
         assert sizes == guarded  # one DFT of q D buckets per guarded q, in order
@@ -443,6 +444,100 @@ def test_grouped_lhs_property():
         assert_matches_loop(seq, QuadraticAmplitude(alpha, beta), points)
 
     check()
+
+
+class TestBatchedRows:
+    """ls_lhs_rows against ls_lhs of each row alone, bit for bit."""
+
+    AMPLITUDES = (
+        LinearAmplitude(1, 0),
+        SQUARE,
+        QuadraticAmplitude(Fraction(1, 2), Fraction(1, 2)),  # (n^2 + n)/2: g = 2 halves D
+        QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6)),
+        QuadraticAmplitude(Fraction(1, 10**9)),  # D = 10^9: kernel rows only
+    )
+
+    def assert_each_row_alone(self, batch):
+        got = list(ls_lhs_rows(iter(batch)))
+        assert [key for key, _ in got] == [key for key, *_ in batch]
+        assert [lhs.hex() for _, lhs in got] == [ls_lhs(*row).hex() for _, *row in batch]
+
+    def test_mixed_batch_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        points = st.one_of(
+            st.integers(1, 40).map(farey_by_denominator),
+            st.sets(st.integers(1, 90), min_size=1, max_size=4).map(ReducedFractions),
+            # Plain lists, with duplicates and numerators outside 0 .. q.
+            st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 40)), max_size=30),
+            st.lists(st.floats(0, 1), max_size=4),  # float points take kernel rows
+            st.just([]),
+        )
+        row = st.tuples(st.sampled_from(self.AMPLITUDES), points,
+                        st.integers(-50, 50), st.integers(1, 300), st.integers(0, 2**32))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(rows=st.lists(row, max_size=10))
+        def check(rows):
+            batch = []
+            for key, (f, pts, M, N, seed) in enumerate(rows):
+                batch.append((key, random_seq(np.random.default_rng(seed), M, N), f, pts))
+            self.assert_each_row_alone(batch)
+
+        check()
+
+    def test_long_batch_flushes_several_times(self, monkeypatch):
+        # N = 1, 5 and 64 put q D on both sides of GROUPED_MAX_RATIO * N; F(40) fills a batch.
+        rng = np.random.default_rng(21)
+        cases = [(f, N, Q) for N in (1, 5, 64) for Q in (3, 17, 40) for f in self.AMPLITUDES]
+        batch = [(i, random_seq(rng, int(rng.integers(-40, 40)), N), f, farey_by_denominator(Q))
+                 for i, (f, N, Q) in enumerate(cases)]
+        batch[7:7] = [("dup", random_seq(rng, 0, 9), SQUARE, [Fraction(1, 3)] * 3 + [0.25, 2])]
+        flushes = []
+        invert = expsum._invert
+        monkeypatch.setattr(expsum, "_invert", lambda *a: flushes.append(len(a[1])) or invert(*a))
+        self.assert_each_row_alone(batch)
+        assert sum(1 for n in flushes if n) >= 5
+
+    def test_rows_are_read_as_needed(self):
+        # Rows are drawn one at a time: the first left side comes back before the last row is drawn.
+        rng = np.random.default_rng(22)
+        read = []
+
+        def rows():
+            for i in range(30):
+                read.append(i)
+                yield i, random_seq(rng, 0, 64), LinearAmplitude(1, 0), farey_by_denominator(32)
+
+        it = ls_lhs_rows(rows())
+        assert next(it)[0] == 0 and len(read) < 30
+        assert [key for key, _ in it] == list(range(1, 30))
+
+    def test_empty_batch(self):
+        assert list(ls_lhs_rows([])) == []
+
+
+def test_stacked_ifft_is_bit_equal_per_row():
+    # The batch's premise: numpy transforms each row of a stacked array exactly
+    # as a 1-D call on that row alone, at every length 1 .. 2048, primes included.
+    rng = np.random.default_rng(23)
+    for m in range(1, 2049):
+        X = rng.standard_normal((3, 2 * m)).view(complex)
+        rows = np.array([np.fft.ifft(x, norm="forward") for x in X])
+        assert np.fft.ifft(X, norm="forward").tobytes() == rows.tobytes(), m
+
+
+def test_one_ifft_per_length_per_flush(monkeypatch):
+    # The farey-exact verify-classical config made 629 calls, one per group.
+    from sievelab import sweeps
+
+    flushes, ifft, invert = [], np.fft.ifft, expsum._invert
+    monkeypatch.setattr(expsum, "_invert", lambda *a: flushes.append([]) or invert(*a))
+    monkeypatch.setattr(expsum.np.fft, "ifft", lambda B, **kw: flushes[-1].append(B.shape[-1])
+                        or ifft(B, **kw))
+    sweeps.verify_classical(instances=40, q_max=32, n_max=256, seed=1)
+    assert all(len(set(lengths)) == len(lengths) for lengths in flushes)
+    assert sum(map(len, flushes)) <= 629 // 5
 
 
 def each_entry_point(f, pts, seq=CoeffSeq(values=[1, 2j, 3])):

@@ -188,3 +188,13 @@ def test_lemma4_numpy_integers_are_read_exactly():
     assert agree and got.constants == want.constants and np.array_equal(got.brute, want.brute)
     with pytest.raises(TypeError):
         sweeps.lemma4_table(6.0, **args)
+
+
+def test_lemma4_numpy_alpha_is_read_exactly():
+    # An int64 alpha of 2^62 once overflowed inside fractions and gave counters that disagree.
+    ratio = Fraction(1, 2)
+    got, agree = sweeps.lemma4_table(6, alpha=np.int64(2**62), ratio=ratio)
+    want, want_agree = sweeps.lemma4_table(6, alpha=2**62, ratio=ratio)
+    assert agree and want_agree
+    assert got.constants == want.constants and got.constants[2] == str(2**62)
+    assert np.array_equal(got.brute, want.brute) and np.array_equal(got.divisor, want.divisor)
