@@ -6,7 +6,7 @@ sequence, so the single modulus q = Q already contributes phi(p^2) N^2,
 which outgrows (Q^2 + N) Z once N is large against Q^(3/2).  The full sum
 over F(Q) outgrows it sooner (N = 27 against 84 at p = 3); the report's verdict
 names the q = Q term when it exceeds the bound, else the full sum when that does.
-Q is capped by sweeps.Q_MAX, as in the sweeps, which admits p <= 43.
+Q is capped by farey.Q_MAX, as in the sweeps, which admits p <= 43.
 """
 
 import math
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .bounds import additive_rhs
 from .expsum import CoeffSeq, QuadraticAmplitude, ls_lhs
-from .farey import ReducedFractions, farey_by_denominator
-from .sweeps import N_MAX, Q_MAX
+from .farey import Q_MAX, ReducedFractions, farey_by_denominator
+from .sweeps import N_MAX
 
 
 def is_prime(p):

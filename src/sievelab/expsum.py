@@ -179,7 +179,7 @@ def ls_lhs(seq, f, points):
 def ls_lhs_rows(rows):
     """Yield (key, ls_lhs(seq, f, points)) for each (key, seq, f, points) of rows, in order,
     reading each row only once the rows before it have filled their buckets (module docstring)."""
-    waiting, slots, pending = [], {}, []  # (key, terms) not yet yielded; the batch's groups, blocks
+    waiting, slots, pending, bins = [], {}, [], 0  # (key, terms) not yet yielded; the batch
     for key, seq, f, points in rows:
         a, N = seq.values, seq.N
         (c0, c1, c2), D = _window(f, seq.M)
@@ -207,12 +207,13 @@ def ls_lhs_rows(rows):
             j = np.arange(N, dtype=np.int64 if fits else object)
             P = ((c0 * j + c1) * j + c2) // g
         for block in blocks:
-            if sum(len(B) for B, _, _ in pending) >= PHASE_BLOCK // 4:  # full: earlier rows done
-                slots, pending = _invert(slots, pending)
+            if bins >= PHASE_BLOCK // 4:  # full: earlier rows done
+                slots, pending, bins = _invert(slots, pending)
                 yield from ((k, math.fsum(t)) for k, t in waiting[:-1])
                 del waiting[:-1]
             ms, us = zip(*block)
             o = list(accumulate(ms, initial=0))  # group offsets; o[-1] bins in all
+            bins += o[-1]
             m, off = (np.array(v, dtype=P.dtype)[:, None] for v in (ms, o[:-1]))
             r = (P % m + off).ravel().astype(np.intp)
             B = (np.bincount(r, np.tile(a.real, len(ms)), minlength=o[-1])
@@ -239,7 +240,7 @@ def _invert(slots, pending):
     for B, i, terms in pending:
         S = B[i.astype(np.intp)]
         terms.extend((S.real * S.real + S.imag * S.imag).tolist())
-    return {}, []
+    return {}, [], 0
 
 
 def dual_lhs(dual, f, points, M, N):

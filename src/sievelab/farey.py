@@ -10,9 +10,11 @@ farey_blocks lists F(Q) in order as int64 (p, q) arrays, a block of about
 max(BLOCK, Q) points at a time, with no per-point Python work; the farey
 report is written from it and farey_sequence is built from it.
 farey_by_denominator builds F(Q) as int64 numerator arrays per q, the form
-the sweeps pass to ls_lhs.
+the sweeps pass to ls_lhs.  A q <= Q_MAX = 2^11 has its numerators built once per
+process and shared read-only (sum phi(q) <= 1.28 M int64 kept, 10 MB); a larger q, per call.
 """
 
+import functools
 import operator
 from fractions import Fraction
 from types import MappingProxyType
@@ -25,6 +27,7 @@ BLOCK = 2 ** 11
 # The largest order farey_blocks lists: its blocks cost O(Q) memory, and
 # sorting a block by float p/q is exact while Q^2 << 2^52.
 FAREY_ORDER_MAX = 2 ** 16
+Q_MAX = 2**11  # F(Q) keeps ~0.3 Q^2 numerators; covers Q = 512 and the counterexample's p <= 43
 
 
 def farey_blocks(Q):
@@ -63,21 +66,32 @@ def farey_sequence(Q):
 
 class ReducedFractions:
     """The p/q with 0 <= p < q, gcd(p, q) = 1, for each given q >= 1, by denominator:
-    ``numerators`` maps q (a Python int) to a read-only int64 array of its p,
-    increasing, the indices where gcd(arange(q), q) is 1.  len() is sum phi(q).
+    ``numerators`` maps q (a Python int) to a read-only int64 array of its p, increasing,
+    the indices where gcd(arange(q), q) is 1, shared for q <= Q_MAX.  len() is sum phi(q).
     A q is read by operator.index; one below 1 or given twice is a ValueError."""
 
     def __init__(self, denominators):
-        numerators = {}
-        for q in map(operator.index, denominators):
-            if q < 1 or q in numerators:
+        qs = {}
+        for q in map(operator.index, denominators):  # all checked before any is built
+            if q < 1 or q in qs:
                 raise ValueError("every denominator must be >= 1 and given once, got q = %d" % q)
-            p = numerators[q] = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-            p.flags.writeable = False
-        self.numerators = MappingProxyType(numerators)
+            qs[q] = None
+        self.numerators = MappingProxyType(
+            {q: (_kept_numerators if q <= Q_MAX else _numerators)(q) for q in qs})
 
     def __len__(self):
         return sum(map(len, self.numerators.values()))
+
+
+def _numerators(q):
+    p = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    p.flags.writeable = False
+    return p
+
+
+@functools.cache
+def _kept_numerators(q):  # only for q <= Q_MAX: see the module docstring
+    return _numerators(q)
 
 
 def farey_by_denominator(Q):

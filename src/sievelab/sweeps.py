@@ -22,13 +22,12 @@ import numpy as np
 from . import __version__
 from . import bounds, dls
 from .expsum import CoeffSeq, LinearAmplitude, QuadraticAmplitude, _exact, ls_lhs_rows
-from .farey import farey_by_denominator
+from .farey import Q_MAX, farey_by_denominator
 
 RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 # Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
 N_MAX = 2**22  # 16 times the largest scale run, 2^18; a row at the cap peaks near 260 MB RSS
-Q_MAX = 2**11  # F(Q) keeps ~0.3 Q^2 numerators; covers Q = 512 and the counterexample's p <= 43
 VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every right side is a float
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
 # arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:

@@ -499,6 +499,33 @@ class TestBatchedRows:
         self.assert_each_row_alone(batch)
         assert sum(1 for n in flushes if n) >= 5
 
+    def test_flush_rule(self, monkeypatch):
+        # The README's batch rule: a batch is inverted once it holds PHASE_BLOCK // 4 bins,
+        # before the block that would take it further, and at the end.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        full = expsum.PHASE_BLOCK // 4
+        flushes, invert = [], expsum._invert
+        monkeypatch.setattr(expsum, "_invert", lambda *a: flushes.append(
+            [len(B) for B, _, _ in a[1]]) or invert(*a))
+        amplitudes = (LinearAmplitude(1, 0), QuadraticAmplitude(Fraction(1, 2)),  # D = 1, 2
+                      QuadraticAmplitude(Fraction(1, 3)),  # D = 3
+                      QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6)))  # D = 6
+        row = st.tuples(st.sampled_from(amplitudes), st.integers(1, 40), st.integers(1, 300))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(rows=st.lists(row, max_size=12))
+        @hypothesis.example(rows=[(amplitudes[3], 40, 300)] * 4)  # four flushes before the last
+        def check(rows):
+            flushes.clear()
+            rng = np.random.default_rng(24)
+            list(ls_lhs_rows((i, random_seq(rng, 0, N), f, farey_by_denominator(Q))
+                             for i, (f, Q, N) in enumerate(rows)))
+            *inner, _ = flushes
+            assert all(sum(bins) >= full > sum(bins[:-1]) for bins in inner)
+
+        check()
+
     def test_rows_are_read_as_needed(self):
         # Rows are drawn one at a time: the first left side comes back before the last row is drawn.
         rng = np.random.default_rng(22)

@@ -124,6 +124,32 @@ class TestByDenominator:
         with pytest.raises(ValueError):
             farey_by_denominator(0)
 
+    def test_numerators_are_shared_up_to_the_cap(self):
+        # Each q <= Q_MAX is built once per process, and every ReducedFractions holds that array.
+        shared = farey_by_denominator(20).numerators[7]
+        assert shared is farey_by_denominator(33).numerators[7]
+        assert shared is farey.ReducedFractions([7]).numerators[7]
+        with pytest.raises(ValueError):
+            shared[0] = 1
+        rng = np.random.default_rng(3)
+        for q in [*range(1, 301), *rng.integers(301, farey.Q_MAX, 40).tolist(), farey.Q_MAX]:
+            p = farey.ReducedFractions([q]).numerators[q]
+            assert p is farey.ReducedFractions([q]).numerators[q]
+            assert np.array_equal(p, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
+        # Past the cap each build is its own, so no more than sum phi(q <= Q_MAX) is kept.
+        q = farey.Q_MAX + 1
+        p, again = (farey.ReducedFractions([q]).numerators[q] for _ in range(2))
+        assert p is not again and np.array_equal(p, again) and not p.flags.writeable
+        assert np.array_equal(p, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
+
+    @pytest.mark.parametrize("denominators", [[4, 0], [4, 9, 9], [4, 9.0]])
+    def test_refused_before_anything_is_built(self, denominators, monkeypatch):
+        monkeypatch.setattr(farey, "_numerators", lambda q: pytest.fail("q = %d built" % q))
+        farey._kept_numerators.cache_clear()
+        with pytest.raises((ValueError, TypeError)):
+            farey.ReducedFractions(denominators)
+        assert farey._kept_numerators.cache_info().currsize == 0
+
     def test_denominator_is_read_exactly_and_once(self):
         # 2.5 once truncated to q = 2, and a repeated q held its points once.
         with pytest.raises(TypeError):

@@ -28,7 +28,7 @@ def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
     _, rows = sweeps.theorem2_sweep(**grid)
     assert len(rows) == 3 * 2 * 3 * 2 * 2
     assert sorted(farey) == [(4,), (8,)]
-    # Nothing is kept between calls.
+    # Each call builds its own F(Q); only the numerator arrays are kept (farey).
     sweeps.theorem2_sweep(**grid)
     assert len(farey) == 4
 
@@ -83,6 +83,24 @@ def test_verify_classical_builds_each_order_once(monkeypatch):
     rows, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
     assert ok
     assert sorted(farey) == sorted({(r["Q"],) for r in rows})
+
+
+def test_verify_classical_builds_each_denominator_once_per_process(monkeypatch):
+    # F(Q) for every Q drawn shares its q's numerators; one build per F(Q) made 429 arrays here.
+    from sievelab import farey
+
+    farey._kept_numerators.cache_clear()
+    built = counting(monkeypatch, farey, "_numerators")
+    config = dict(instances=40, q_max=32, n_max=256, seed=1)
+    rows, ok = sweeps.verify_classical(**config)
+    assert ok and len(built) <= 32
+    first = len(built)
+    assert sweeps.verify_classical(**config) == (rows, ok) and len(built) == first
+    # The same rows when no row can see an earlier row's numerators.
+    row_rng = sweeps._row_rng
+    monkeypatch.setattr(sweeps, "_row_rng",
+                        lambda *a: farey._kept_numerators.cache_clear() or row_rng(*a))
+    assert sweeps.verify_classical(**config) == (rows, ok) and len(built) > 32
 
 
 def test_sweep_gap_is_the_closed_form():
