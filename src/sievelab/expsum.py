@@ -17,7 +17,7 @@ row's terms pairwise, and duality_norm_check solves the Gram matrices of
 phase_matrix.
 
 The large-sieve left side groups its points by reduced denominator q; a
-farey.ReducedFractions, such as farey_by_denominator(Q), comes grouped.  Its
+farey.ReducedFractions, F(Q) from farey_by_denominator(Q), comes grouped.  Its
 D is reduced by gcd(D, P(0), P(1), P(2)), P(j) = D f(M+1+j): every P(j) is
 an integer combination of those three.  For x = c/q, x f(n) = c P(j)/(qD),
 so S(c/q) depends on n only through P(j) mod qD: the a_n are bucketed by

@@ -9,9 +9,9 @@ modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
 farey_blocks lists F(Q) in order as int64 (p, q) arrays, a block of about
 max(BLOCK, Q) points at a time, with no per-point Python work; the farey
 report is written from it and farey_sequence is built from it.
-farey_by_denominator builds F(Q) as int64 numerator arrays per q, the form
-the sweeps pass to ls_lhs.  A q <= Q_MAX = 2^11 has its numerators built once per
-process and shared read-only (sum phi(q) <= 1.28 M int64 kept, 10 MB); a larger q, per call.
+farey_by_denominator builds F(Q) as a ReducedFractions, int64 numerator arrays per q, the
+form the sweeps pass to ls_lhs.  Each q <= Q_MAX = 2^11 is built once per process and shared
+read-only (sum phi(q) <= 1.28 M int64 kept, 10 MB); a larger q, per call.
 """
 
 import functools
@@ -65,19 +65,17 @@ def farey_sequence(Q):
 
 
 class ReducedFractions:
-    """The p/q with 0 <= p < q, gcd(p, q) = 1, for each given q >= 1, by denominator:
-    ``numerators`` maps q (a Python int) to a read-only int64 array of its p, increasing,
-    the indices where gcd(arange(q), q) is 1, shared for q <= Q_MAX.  len() is sum phi(q).
-    A q is read by operator.index; one below 1 or given twice is a ValueError."""
+    """F(Q) by denominator: the p/q with 0 <= p < q <= Q, gcd(p, q) = 1.  ``numerators``
+    maps each q = 1 .. Q (a Python int) to a read-only int64 array of its p, increasing,
+    the indices where gcd(arange(q), q) is 1, shared for q <= Q_MAX.  len() is |F(Q)| =
+    sum phi(q).  Q is read by operator.index; one below 1 is a ValueError."""
 
-    def __init__(self, denominators):
-        qs = {}
-        for q in map(operator.index, denominators):  # all checked before any is built
-            if q < 1 or q in qs:
-                raise ValueError("every denominator must be >= 1 and given once, got q = %d" % q)
-            qs[q] = None
+    def __init__(self, Q):
+        Q = operator.index(Q)
+        if Q < 1:
+            raise ValueError("Farey order must be >= 1, got %d" % Q)
         self.numerators = MappingProxyType(
-            {q: (_kept_numerators if q <= Q_MAX else _numerators)(q) for q in qs})
+            {q: (_kept_numerators if q <= Q_MAX else _numerators)(q) for q in range(1, Q + 1)})
 
     def __len__(self):
         return sum(map(len, self.numerators.values()))
@@ -95,7 +93,5 @@ def _kept_numerators(q):  # only for q <= Q_MAX: see the module docstring
 
 
 def farey_by_denominator(Q):
-    """F(Q) by denominator, as ReducedFractions for q = 1 .. Q, built in numpy."""
-    if Q < 1:
-        raise ValueError("Farey order must be >= 1, got %r" % (Q,))
-    return ReducedFractions(range(1, Q + 1))
+    """F(Q) by denominator, as ReducedFractions, built in numpy."""
+    return ReducedFractions(Q)

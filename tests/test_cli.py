@@ -340,10 +340,10 @@ def test_empty_out_is_refused_before_any_work(command, monkeypatch, capsys, tmp_
 
 
 def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp_path):
-    # In process, with drawing and building a sequence made to fail: a run
-    # above the cap would otherwise allocate its N-length arrays.
+    # In process, with drawing and summing a counterexample term made to fail: a
+    # run above the cap would otherwise allocate its N-length arrays.
     monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
-    monkeypatch.setattr(counterexample, "CoeffSeq", lambda **k: pytest.fail("a sequence was built"))
+    monkeypatch.setattr(counterexample, "_modulus_terms", lambda *a: pytest.fail("a term was summed"))
     over = sweeps.N_MAX + 1
     with pytest.raises(ValueError, match="n_max"):
         sweeps.verify_classical(n_max=over)
@@ -426,7 +426,7 @@ def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, 
 def test_counterexample_q_above_the_cap_is_refused_before_any_work(p, monkeypatch, capsys,
                                                                   tmp_path):
     # Q = p^2 is capped by sweeps.Q_MAX; 2^61 - 1 is prime, and checked against the cap first.
-    for name in ("is_prime", "CoeffSeq", "farey_by_denominator", "ReducedFractions"):
+    for name in ("is_prime", "_modulus_terms"):
         monkeypatch.setattr(counterexample, name, lambda *a, _n=name, **k: pytest.fail(_n + " ran"))
     assert_refused_in_process(["counterexample", "--p", str(p), "--N", "47"], capsys, tmp_path)
     assert cli.main(["counterexample", "--p", str(p), "--N", "47"]) == 2

@@ -19,7 +19,7 @@ from sievelab.expsum import (
     phase_matrix,
     phases,
 )
-from sievelab.farey import ReducedFractions, farey_by_denominator, farey_sequence
+from sievelab.farey import farey_by_denominator, farey_sequence
 from phase_reference import integer_values, max_phase_error, reference_rows, residues
 from ramanujan_reference import ramanujan_lhs
 
@@ -367,8 +367,8 @@ class TestFareyByDenominator:
         # an int64 numerator times its ~2^60 coefficient would wrap or raise.
         f = QuadraticAmplitude(0.7071067811865476, -0.3141592653589793, 0.1)
         seq = random_seq(np.random.default_rng(5), -1000, 30)
-        fr = ReducedFractions([97, 98])
-        pts = [Fraction(p, q) for q in (97, 98) for p in range(q) if math.gcd(p, q) == 1]
+        fr = farey_by_denominator(98)
+        pts = [Fraction(p, q) for q in range(1, 99) for p in range(q) if math.gcd(p, q) == 1]
         assert expsum._window(f, -1000)[1] > 2**50
         assert len(fr) == len(pts)
         assert ls_lhs(seq, f, fr) == ls_lhs(seq, f, pts)
@@ -466,8 +466,7 @@ class TestBatchedRows:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         points = st.one_of(
-            st.integers(1, 40).map(farey_by_denominator),
-            st.sets(st.integers(1, 90), min_size=1, max_size=4).map(ReducedFractions),
+            st.integers(1, 90).map(farey_by_denominator),
             # Plain lists, with duplicates and numerators outside 0 .. q.
             st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 40)), max_size=30),
             st.lists(st.floats(0, 1), max_size=4),  # float points take kernel rows

@@ -128,42 +128,46 @@ class TestByDenominator:
         # Each q <= Q_MAX is built once per process, and every ReducedFractions holds that array.
         shared = farey_by_denominator(20).numerators[7]
         assert shared is farey_by_denominator(33).numerators[7]
-        assert shared is farey.ReducedFractions([7]).numerators[7]
+        assert shared is farey.ReducedFractions(7).numerators[7]
         with pytest.raises(ValueError):
             shared[0] = 1
         rng = np.random.default_rng(3)
         for q in [*range(1, 301), *rng.integers(301, farey.Q_MAX, 40).tolist(), farey.Q_MAX]:
-            p = farey.ReducedFractions([q]).numerators[q]
-            assert p is farey.ReducedFractions([q]).numerators[q]
+            p = farey_by_denominator(q).numerators[q]
+            assert p is farey_by_denominator(q).numerators[q]
             assert np.array_equal(p, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
         # Past the cap each build is its own, so no more than sum phi(q <= Q_MAX) is kept.
         q = farey.Q_MAX + 1
-        p, again = (farey.ReducedFractions([q]).numerators[q] for _ in range(2))
+        p, again = (farey_by_denominator(q).numerators[q] for _ in range(2))
         assert p is not again and np.array_equal(p, again) and not p.flags.writeable
         assert np.array_equal(p, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
 
     @pytest.mark.parametrize("denominators", [[4, 0], [4, 9, 9], [4, 9.0]])
     def test_refused_before_anything_is_built(self, denominators, monkeypatch):
+        # A list of denominators is no order: that form is gone, and it is refused whole.
         monkeypatch.setattr(farey, "_numerators", lambda q: pytest.fail("q = %d built" % q))
         farey._kept_numerators.cache_clear()
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(TypeError):
             farey.ReducedFractions(denominators)
         assert farey._kept_numerators.cache_info().currsize == 0
 
     def test_denominator_is_read_exactly_and_once(self):
-        # 2.5 once truncated to q = 2, and a repeated q held its points once.
-        with pytest.raises(TypeError):
-            farey.ReducedFractions([2.5])
-        with pytest.raises(ValueError, match="given once, got q = 5$"):
-            farey.ReducedFractions([3, 5, 5])
-        assert list(farey.ReducedFractions([np.int64(5), 3]).numerators) == [5, 3]
+        # Q is read by operator.index: a float is a TypeError, a numpy integer its int.
+        for Q in (2.5, 9.0, np.float64(3)):
+            with pytest.raises(TypeError):
+                farey.ReducedFractions(Q)
+        fr = farey.ReducedFractions(np.int64(5))
+        assert list(fr.numerators) == [1, 2, 3, 4, 5]
+        assert all(type(q) is int for q in fr.numerators)
 
-    @pytest.mark.parametrize("denominators, q", [([0], 0), ([-3], -3), ([2, 0, 5], 0),
-                                                 (np.array([4, -1]), -1)])
-    def test_denominator_below_one_is_refused(self, denominators, q):
-        # Unrefused, [0] would divide by zero in ls_lhs and [-3] give bincount a negative length.
-        with pytest.raises(ValueError, match="got q = %d$" % q):
-            farey.ReducedFractions(denominators)
+    @pytest.mark.parametrize("Q", [0, -3, np.int64(-1), -(2 ** 70)])
+    def test_order_below_one_is_refused(self, Q, monkeypatch):
+        # Unrefused, F(0) would be empty and a negative order an empty range, not an error.
+        monkeypatch.setattr(farey, "_numerators", lambda q: pytest.fail("q = %d built" % q))
+        farey._kept_numerators.cache_clear()
+        with pytest.raises(ValueError, match="Farey order must be >= 1, got %d$" % Q):
+            farey.ReducedFractions(Q)
+        assert farey._kept_numerators.cache_info().currsize == 0
 
 
 class TestMinGap:
