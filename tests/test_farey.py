@@ -160,9 +160,10 @@ class TestByDenominator:
         assert list(fr.numerators) == [1, 2, 3, 4, 5]
         assert all(type(q) is int for q in fr.numerators)
 
-    @pytest.mark.parametrize("Q", [0, -3, np.int64(-1), -(2 ** 70)])
+    @pytest.mark.parametrize("Q", [0, -3, np.int64(-1), -(2 ** 70), np.int64(0)])
     def test_order_below_one_is_refused(self, Q, monkeypatch):
         # Unrefused, F(0) would be empty and a negative order an empty range, not an error.
+        # A numpy zero is refused as its int, the same as a plain 0.
         monkeypatch.setattr(farey, "_numerators", lambda q: pytest.fail("q = %d built" % q))
         farey._kept_numerators.cache_clear()
         with pytest.raises(ValueError, match="Farey order must be >= 1, got %d$" % Q):
