@@ -7,14 +7,16 @@ finite complex128 copy; an amplitude reads its coefficients, and every
 function a point x = u/v, as an exact rational, a pair of Python ints (a
 float is a dyadic one).  ``_window`` reads M by operator.index and writes
 D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers, the one integer form of f.
-On it, one kernel, ``phases``, reduces every phase x f(n) modulo 1: it splits
-each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy sums
-times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low bits,
-a float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each phase
-is within 2^-52 of the exact one for any M while N <= 2^30.
-Every e(t) is np.exp(2j pi t); exp_sum and the kernel rows of ls_lhs sum a
-row's terms pairwise, and duality_norm_check solves the Gram matrices of
-phase_matrix.
+On it, one kernel, ``_phase_rows``, reduces every phase x f(n) modulo 1: it
+splits each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy
+sums times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low
+bits, a float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
+phase is within 2^-52 of the exact one for any M while N <= 2^30, an int by
+operator.index.  exp_sum sums np.exp(2j pi t) of the rows of ``phases``; kernel
+rows (ls_lhs, dual_lhs, phase_matrix) take about 3 sqrt(N) exponentials a point
+(``_kernel_rows``).  Error model: kernel rows, 2^-52 per phase, (B + 2) 2^-49
+per term, B <= 64; the DFT path, a measured budget, not a certificate (exact
+integer left sides on F(Q) to 1e-12, in the tests); the counterexample, exact.
 
 The large-sieve left side groups its points by reduced denominator q; a
 farey.ReducedFractions, F(Q) from farey_by_denominator(Q), comes grouped.  Its
@@ -135,33 +137,57 @@ class LinearAmplitude:
 
 
 def _check_window(N):
-    if not 0 <= N <= 2**30:
+    if not 0 <= (N := operator.index(N)) <= 2**30:
         raise ValueError("phases needs 0 <= N <= 2^30, got N = %r" % (N,))
+    return N
 
 
 def phases(f, points, M, N):
     """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
 
-    Each row is a float array in [0, 1), within 2^-52 of the exact phase.
-    N outside 0 .. 2^30 or a NaN or infinite point or coefficient raises ValueError.
+    Each row is a float array in [0, 1), within 2^-52 of the exact phase.  N outside
+    0 .. 2^30 or a non-finite point or coefficient raises ValueError, a non-integer N TypeError.
     """
-    return _phase_rows(f, map(_exact, points), M, N)
-
-
-def _phase_rows(f, xs, M, N):  # phases on an iterator of exact pairs (u, v)
-    _check_window(N)
-    c, D = _window(f, M)
+    N, (c, D), xs = _check_window(N), _window(f, M), map(_exact, points)
     while block := list(islice(xs, max(PHASE_BLOCK // max(N, 1), 1))):
-        q = np.array([(u * ci % (m := v * D) << 128) // m
-                      for u, v in block for ci in c], dtype=object).reshape(-1, 3).T[..., None]
-        H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
-        rows = np.empty((len(block), N))
+        rows, phase = np.empty((len(block), N)), _phase_rows(c, D, block)
         for s in range(0, N, PHASE_BLOCK):
-            j = np.arange(s, min(s + PHASE_BLOCK, N))
-            t = (R[0] * j + R[1]) * j + R[2] + ((H[0] * j + H[1]) * j + H[2]) * 2.0**-64
+            t = phase(0, np.arange(s, min(s + PHASE_BLOCK, N)))
             t -= np.floor(t)  # t was in [-1/2, 3/2): a tiny negative one gives 1.0
-            rows[:, s:s + len(j)] = np.where(t < 1, t, 0)
+            rows[:, s:s + t.shape[1]] = np.where(t < 1, t, 0)
         yield from rows
+
+
+def _phase_rows(c, D, block):
+    # The kernel on the exact points (u, v) of block: phase(i, j) is x (c0 j^2 + c1 j + c2)/D for
+    # the i-th triple of c at the int64 array j, reduced only to [-1/2, 1/2 + 2^-64 j^2).
+    q = np.array([(u * ci % (m := v * D) << 128) // m if ci else 0
+                  for ci in c for u, v in block], dtype=object).reshape(-1, 3, len(block), 1)
+    H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
+    return lambda i, j: ((R[i, 0] * j + R[i, 1]) * j + R[i, 2]
+                         + ((H[i, 0] * j + H[i, 1]) * j + H[i, 2]) * 2.0**-64)
+
+
+def _kernel_rows(c, D, xs, N):
+    """Yield e(x (c0 j^2 + c1 j + c2)/D), j < N, a complex row per exact point x = (u, v) of xs.
+
+    With j = J B + k, k < B and B the largest power of two <= sqrt(N), at most 64, a term is
+    U_J V_J^k W_k, e() of the kernel's phases of (c0 B^2, c1 B, c2) and (0, 2 c0 B, 0) on J and
+    of (c0, c1, 0) on k, with V_J^k by k products from U_J: within (B + 2) 2^-49 of e(t)
+    (derived in test_expsum).  No bit depends on the blocks; only the row exceeds PHASE_BLOCK.
+    """
+    B = min(64, 1 << (max(N := _check_window(N), 1).bit_length() - 1) // 2)
+    (c0, c1, c2), n, w = c, -(-N // B), max(PHASE_BLOCK // B, 1)  # n rows J, w per column block
+    while block := list(islice(xs, max(PHASE_BLOCK // max(n * B, 1), 1))):
+        phase = _phase_rows((c0 * B * B, c1 * B, c2, 0, 2 * c0 * B, 0, c0, c1, 0), D, block)
+        W = np.exp(2j * np.pi * phase(2, np.arange(B)))[:, None]
+        rows = np.empty((len(block), n, B), dtype=complex)
+        for s in range(0, n, w):
+            U, V = (np.exp(2j * np.pi * phase(i, np.arange(s, min(s + w, n)))) for i in (0, 1))
+            for k in range(B):  # V_J^k U_J, restarted from the table at every J
+                rows[:, s:s + w, k] = U = U * V if k else U
+            rows[:, s:s + w] *= W
+        yield from rows.reshape(len(block), -1)[:, :N]
 
 
 def exp_sum(seq, f, x):
@@ -183,7 +209,7 @@ def ls_lhs_rows(rows):
     for key, seq, f, points in rows:
         a, N = seq.values, seq.N
         (c0, c1, c2), D = _window(f, seq.M)
-        D //= (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
+        d = D // (g := math.gcd(D, *((c0 * j + c1) * j + c2 for j in range(min(N, 3)))))
         if isinstance(points, ReducedFractions):  # q -> int64 numerators, as they come
             groups = points.numerators
         else:  # q -> object array of the Python ints u, for each point u/q
@@ -194,7 +220,7 @@ def ls_lhs_rows(rows):
         blocks, rest, terms, size = [], [], [], math.inf
         waiting.append((key, terms))
         for q, us in groups.items():
-            if (m := q * D) > GROUPED_MAX_RATIO * N:
+            if (m := q * d) > GROUPED_MAX_RATIO * N:
                 rest.extend((u, q) for u in us.tolist())  # Python ints for the kernel
                 continue
             if size + m + N > PHASE_BLOCK // 4:  # bins and residues: start a new block
@@ -222,8 +248,8 @@ def ls_lhs_rows(rows):
                 slots.setdefault(m, []).append(B[i:i + m])
             n = [len(u) for u in us]  # the block's gather: each u/q reads bin u mod qD of its group
             pending.append((B, np.concatenate(us) % np.repeat(ms, n) + np.repeat(o[:-1], n), terms))
-        for row in _phase_rows(f, iter(rest), seq.M, N):
-            s = (a * np.exp(2j * np.pi * row)).sum()
+        for row in _kernel_rows((c0, c1, c2), D, iter(rest), N):
+            s = (a * row).sum()
             terms.append(s.real * s.real + s.imag * s.imag)
         if not pending:
             yield from ((k, math.fsum(t)) for k, t in waiting)
@@ -245,23 +271,22 @@ def _invert(slots, pending):
 
 def dual_lhs(dual, f, points, M, N):
     """The dual form: sum_{n=M+1}^{M+N} |sum_k c_k e(x_k f(n))|^2, c_k finite."""
-    pts = list(points)
-    _check_window(N)
+    pts, N = list(points), _check_window(N)
     coeffs = _finite_array(dual)
     if len(coeffs) != len(pts):
         raise ValueError(
             "dual sequence length %d != number of points %d" % (len(coeffs), len(pts))
         )
     acc = np.zeros(N, dtype=complex)
-    for c, row in zip(coeffs, phases(f, pts, M, N)):
-        acc += c * np.exp(2j * np.pi * row)
+    for c, row in zip(coeffs, _kernel_rows(*_window(f, M), map(_exact, pts), N)):
+        acc += c * row
     return math.fsum((acc.real * acc.real + acc.imag * acc.imag).tolist())
 
 
 def phase_matrix(f, points, M, N):
     """The K x N matrix t_{kn} = e(x_k f(n)) as a numpy array."""
-    pts = list(points)
-    return np.exp(2j * np.pi * np.array(list(phases(f, pts, M, N))).reshape(len(pts), N))
+    pts, N = list(points), _check_window(N)
+    return np.array(list(_kernel_rows(*_window(f, M), map(_exact, pts), N))).reshape(len(pts), N)
 
 
 class DualityCheck(NamedTuple):

@@ -455,6 +455,7 @@ class TestBatchedRows:
         QuadraticAmplitude(Fraction(1, 2), Fraction(1, 2)),  # (n^2 + n)/2: g = 2 halves D
         QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6)),
         QuadraticAmplitude(Fraction(1, 10**9)),  # D = 10^9: kernel rows only
+        QuadraticAmplitude(0.7071067811865476, -0.3141592653589793, 0.1),  # float: kernel rows
     )
 
     def assert_each_row_alone(self, batch):
@@ -687,11 +688,102 @@ class TestPhaseKernel:
         with pytest.raises(ValueError, match="N <= 2\\^30"):  # before np.zeros(N)
             dual_lhs([1], SQUARE, [0.5], 0, N)
 
+    @pytest.mark.parametrize("N", [4.0, np.float64(4), "4", None])
+    def test_window_must_be_an_integer(self, monkeypatch, N):
+        want = phase_matrix(SQUARE, [0.5], 0, 4).tobytes()
+        assert phase_matrix(SQUARE, [0.5], 0, np.int64(4)).tobytes() == want  # an int64 N is its int
+        monkeypatch.setattr(expsum, "np", None)  # refused before any phase is computed
+        with pytest.raises(TypeError):
+            next(phases(SQUARE, [0.5], 0, N))
+        for call in (dual_lhs, lambda *a: phase_matrix(*a[1:])):
+            with pytest.raises(TypeError):
+                call([1], SQUARE, [0.5], 0, N)
+        with pytest.raises(TypeError):
+            duality_norm_check(SQUARE, [0.5], 0, N)
+
     def test_empty_window_and_points(self):
         assert [len(r) for r in phases(SQUARE, [0.5, 1e-300], 3, 0)] == [0, 0]
         assert list(phases(SQUARE, [], 3, 10)) == []
         assert phase_matrix(SQUARE, [0.5, 1e-300], 3, 0).shape == (2, 0)
         assert phase_matrix(SQUARE, [], 3, 10).shape == (0, 10)
+
+
+def kernel_row_bound(N):
+    # (B + 2) 2^-49 with B the largest power of two <= sqrt(N), at most 64 (expsum._kernel_rows).
+    return (min(64, 1 << math.isqrt(max(N, 1)).bit_length() - 1) + 2) * 2.0**-49
+
+
+class TestKernelRows:
+    """The factored kernel rows of phase_matrix, dual_lhs and ls_lhs."""
+
+    # Every window length where B changes (B = 1, 2, 4, ..., 64), and its neighbours.
+    BOUNDARIES = (0, 1, 2, 3, 4, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025,
+                  4095, 4096, 4097)
+    FLOAT = QuadraticAmplitude(0.7071067811865476, -0.3141592653589793, 0.1)
+
+    def test_within_the_bound_property(self):
+        """Each term E of a kernel row is within (B + 2) 2^-49 of np.exp(2j pi r), r the exact
+        phase t correctly rounded into [0, 1).
+
+        In u = 2^-53.  A table phase t' of _kernel_rows has its index below 2^24 (N <= 2^30,
+        and B = 64 from N = 4096 on), so it is within u of t mod 1: the float of the kernel's
+        int64 high words is off by at most u/4, the sum by u/2 (|t'| < 1/2 + 2^-15), the low
+        words by under 2^-12 u.  The angle fl(2 pi' t') that np.exp takes is then within
+        2 pi u + 1.1 u (pi' = np.pi, times |t'|) + 2 u (half an ulp below 4) < 9.4 u of 2 pi t,
+        and libm's cos and sin, within an ulp each, add sqrt(2) u: each of U_J, V_J and W_k
+        is within 11 u of its e(), a unit.  A complex product adds at most sqrt(5) u relative
+        (Brent, Percival and Zimmermann, 2007).  E is k + 2 <= B + 1 factors and k + 1 <= B
+        products, so |E - e(t)| <= (1 + 11 u)^(B+1) (1 + sqrt(5) u)^B - 1 < (B + 1) 2^-49.
+        The reference is within 2 pi u/2 + 2.2 u + 4 u + sqrt(2) u < 11 u < 2^-49 of e(t)
+        (|r| < 1, an angle below 8): (B + 2) 2^-49 in all.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+        wide = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+        coeff = st.one_of(finite, wide, st.integers(-(10**6), 10**6))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            alpha=coeff.filter(lambda v: v > 0), beta=coeff, gamma=coeff, linear=st.booleans(),
+            points=st.lists(st.one_of(finite, wide), min_size=1, max_size=4),
+            M=st.integers(-(10**18), 10**18), N=st.sampled_from(self.BOUNDARIES),
+        )
+        def check(alpha, beta, gamma, linear, points, M, N):
+            f = LinearAmplitude(beta, gamma) if linear else QuadraticAmplitude(alpha, beta, gamma)
+            E = phase_matrix(f, points, M, N)
+            want = np.exp(2j * np.pi * np.array(list(reference_rows(f, points, M, N))))
+            assert E.shape == (len(points), N)
+            assert np.abs(E - want.reshape(E.shape)).max(initial=0) <= kernel_row_bound(N)
+
+        check()
+
+    def test_long_window_sampled(self):
+        # Column blocks of J: the window is longer than PHASE_BLOCK.
+        M, N, x = -(10**12), 4 * expsum.PHASE_BLOCK + 3, 0.3141592653589793
+        (row,) = phase_matrix(self.FLOAT, [x], M, N)
+        sample = np.random.default_rng(25).integers(0, N, 300).tolist()
+        sample += [0, N - 1] + [i + d for i in range(expsum.PHASE_BLOCK, N, expsum.PHASE_BLOCK)
+                                for d in (-1, 0)]  # each side of a column block's edge
+        for i in sample:
+            (want,) = reference_rows(self.FLOAT, [x], M + i, 1)
+            assert abs(row[i] - np.exp(2j * np.pi * want[0])) <= kernel_row_bound(N)
+
+    @pytest.mark.parametrize("block", [1, 2**40])
+    def test_block_size_does_not_move_a_bit(self, monkeypatch, block):
+        rng = np.random.default_rng(26)
+        pts = rng.uniform(0, 1, 40).tolist() + [Fraction(1, 3), 5e-324, 7]
+        c = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        for M, N, k in ((0, 1, 43), (-7, 5, 43), (10**9, 64, 43), (3, 1000, 43),
+                        (-50, 4 * expsum.PHASE_BLOCK + 3, 3)):
+            seq = random_seq(rng, M, N)
+            calls = (lambda: phase_matrix(self.FLOAT, pts[:k], M, N).tobytes(),
+                     lambda: dual_lhs(c[:k], self.FLOAT, pts[:k], M, N),
+                     lambda: ls_lhs(seq, self.FLOAT, pts[:k]))
+            want = [call() for call in calls]
+            with monkeypatch.context() as mp:
+                mp.setattr(expsum, "PHASE_BLOCK", block)
+                assert [call() for call in calls] == want
 
 
 def reference_lhs(seq, f, points):
