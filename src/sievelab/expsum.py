@@ -12,11 +12,13 @@ splits each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy
 sums times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low
 bits, a float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
 phase is within 2^-52 of the exact one for any M while N <= 2^30, an int by
-operator.index.  exp_sum sums np.exp(2j pi t) of the rows of ``phases``; kernel
-rows (ls_lhs, dual_lhs, phase_matrix) take about 3 sqrt(N) exponentials a point
-(``_kernel_rows``).  Error model: kernel rows, 2^-52 per phase, (B + 2) 2^-49
-per term, B <= 64; the DFT path, a measured budget, not a certificate (exact
-integer left sides on F(Q) to 1e-12, in the tests); the counterexample, exact.
+operator.index.  Off the DFT, S(x) is summed over one kernel row per point,
+``_kernel_rows``, about 3 sqrt(N) exponentials a point, in exp_sum, ls_lhs,
+dual_lhs and phase_matrix alike: |exp_sum(x)|^2 is ls_lhs(seq, f, [x]) bit for
+bit there.  Error model: kernel rows, exp_sum's included, 2^-52 per phase,
+(B + 2) 2^-49 per term, B <= 64; the DFT path, a measured budget, not a
+certificate (exact integer left sides on F(Q) to 1e-12, in the tests); the
+counterexample, exact.
 
 The large-sieve left side groups its points by reduced denominator q; a
 farey.ReducedFractions, F(Q) from farey_by_denominator(Q), comes grouped.  Its
@@ -32,7 +34,7 @@ one pass, each at its offset, while sum(qD + N) <= PHASE_BLOCK // 4.  Blocks
 of consecutive rows wait until they hold PHASE_BLOCK // 4 bins; then each
 length's groups take one stacked np.fft.ifft, bit-equal per row to a 1-D call,
 and as each bin sums its group's a_n in n order and fsum rounds correctly, a
-row's sum is bit-equal to its own.  exp_sum's rows are the DFT's reference.
+row's sum is bit-equal to its own.
 """
 
 import math
@@ -138,24 +140,8 @@ class LinearAmplitude:
 
 def _check_window(N):
     if not 0 <= (N := operator.index(N)) <= 2**30:
-        raise ValueError("phases needs 0 <= N <= 2^30, got N = %r" % (N,))
+        raise ValueError("the phase kernel needs 0 <= N <= 2^30, got N = %r" % (N,))
     return N
-
-
-def phases(f, points, M, N):
-    """Yield, for each point x, the row x f(n) mod 1 for n = M+1 .. M+N.
-
-    Each row is a float array in [0, 1), within 2^-52 of the exact phase.  N outside
-    0 .. 2^30 or a non-finite point or coefficient raises ValueError, a non-integer N TypeError.
-    """
-    N, (c, D), xs = _check_window(N), _window(f, M), map(_exact, points)
-    while block := list(islice(xs, max(PHASE_BLOCK // max(N, 1), 1))):
-        rows, phase = np.empty((len(block), N)), _phase_rows(c, D, block)
-        for s in range(0, N, PHASE_BLOCK):
-            t = phase(0, np.arange(s, min(s + PHASE_BLOCK, N)))
-            t -= np.floor(t)  # t was in [-1/2, 3/2): a tiny negative one gives 1.0
-            rows[:, s:s + t.shape[1]] = np.where(t < 1, t, 0)
-        yield from rows
 
 
 def _phase_rows(c, D, block):
@@ -191,9 +177,9 @@ def _kernel_rows(c, D, xs, N):
 
 
 def exp_sum(seq, f, x):
-    """S(x) = sum_n a_n e(x f(n)), with the phases of ``phases``."""
-    (row,) = phases(f, [x], seq.M, seq.N)
-    return complex((seq.values * np.exp(2j * np.pi * row)).sum())
+    """S(x) = sum_n a_n e(x f(n)), on the kernel row that ls_lhs takes for a point off the DFT."""
+    (row,) = _kernel_rows(*_window(f, seq.M), iter([_exact(x)]), seq.N)
+    return complex((seq.values * row).sum())
 
 
 def ls_lhs(seq, f, points):

@@ -49,8 +49,9 @@ def _check_dist(dist, density):
 
 
 def _check_seed(seed):
-    if seed < 0:
+    if (seed := operator.index(seed)) < 0:
         raise ValueError("seed must be >= 0, got %r" % (seed,))
+    return seed
 
 
 def random_sequence(dist, M, N, rng, density=0.1):
@@ -91,8 +92,9 @@ def verify_classical(
     """Hard check of the sharp and additive large sieve bounds, f(n) = n.
 
     rhs_scale shrinks both right sides and exists only to let the harness
-    prove it can fail.  Returns (rows, all_hold).
+    prove it can fail.  Its integers are read by operator.index.  Returns (rows, all_hold).
     """
+    instances, q_max, n_max = map(operator.index, (instances, q_max, n_max))
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
     if not (2 <= q_max <= Q_MAX and 1 <= n_max <= N_MAX):
@@ -101,7 +103,7 @@ def verify_classical(
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     _check_dist(dist, density)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     f = LinearAmplitude(1, 0)
     rows = []
     farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
@@ -146,12 +148,14 @@ def theorem2_sweep(
     Returns (THEOREM2_COLUMNS, rows): the report columns and one dict per
     row, in grid order (Q, M, N, alpha, ratio, eps), with a right side and
     a ratio for every entry of bounds.RHS.  The grid is checked, its Q, N and
-    M read by operator.index, before the first row: a bad grid is an error,
-    never a row, and status=domain_error is left to negative radicands.
-    F(Q) with its gap is built once per distinct Q; y_exact is 2 dls.max_abs_g.
+    M read by operator.index and each alpha and a/b as an exact Fraction, before
+    the first row: a bad grid is an error, never a row, and status=domain_error
+    is left to negative radicands.  F(Q) with its gap is built once per distinct
+    Q; y_exact is 2 dls.max_abs_g.
     """
     q_values, n_values, m_values = ([operator.index(v) for v in vs]
                                     for vs in (q_values, n_values, m_values))
+    alpha_values, ratios = ([Fraction(*_exact(v)) for v in vs] for vs in (alpha_values, ratios))
     if not all(1 <= Q <= Q_MAX for Q in q_values):
         raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
     if not all(1 <= N <= N_MAX for N in n_values):
@@ -163,7 +167,7 @@ def theorem2_sweep(
     if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ValueError("every eps must be finite and > 0")
     _check_dist(dist, density)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     farey = functools.cache(_farey_with_gap)
     rows = []
     grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)
@@ -237,7 +241,7 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     if not (0 < scale_min <= scale_max and math.isfinite(math.pi / 2 * scale_max * scale_max)):
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
-    _check_seed(seed)
+    seed = _check_seed(seed)
     rows = []
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
     for start in range(0, instances, step):
@@ -278,11 +282,12 @@ class Lemma4Table:
 
 def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     """T for every (m, n) in S^2 by both counters, with both bound forms, for g(x, y) =
-    (x - y)(x + y + a/b), a/b = ratio; N and M are read by operator.index, alpha exactly.
+    (x - y)(x + y + a/b), a/b = ratio; N and M are read by operator.index, alpha and ratio exactly.
 
     Returns (Lemma4Table, counters_agree); reports.write_lemma4 writes the table.
     """
-    N, M, alpha = operator.index(N), operator.index(M), Fraction(*_exact(alpha))
+    N, M = operator.index(N), operator.index(M)
+    alpha, ratio = (Fraction(*_exact(v)) for v in (alpha, ratio))
     a, b = ratio.numerator, ratio.denominator
     constants = (
         bounds.lemma4_bound(alpha, a, b, M, N, eps),

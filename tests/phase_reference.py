@@ -1,4 +1,4 @@
-"""The exact reference for sievelab.expsum.phases.
+"""The exact phases x f(n) mod 1, the reference for sievelab.expsum's phase kernel and rows.
 
 This is the residue formula the phase kernel once used: with
 f(n) = P(n)/D on the window and x = u/v, the phase x f(n) mod 1 is

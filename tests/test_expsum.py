@@ -17,7 +17,6 @@ from sievelab.expsum import (
     ls_lhs,
     ls_lhs_rows,
     phase_matrix,
-    phases,
 )
 from sievelab.farey import farey_by_denominator, farey_sequence
 from phase_reference import integer_values, max_phase_error, reference_rows, residues
@@ -172,6 +171,23 @@ class TestExpSum:
         expected = sum(e(Fraction((10**6) * n * n % 7, 7)) for n in range(30001, 30011))
         assert s == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("f", [QuadraticAmplitude(Fraction(1, 3), Fraction(1, 6), 2),
+                                   QuadraticAmplitude(0.7071067811865476, -0.31415926, 0.1)],
+                             ids=["D=6", "float"])
+    def test_square_is_ls_lhs_of_the_point(self, f):
+        # Off the DFT, exp_sum sums the kernel row that ls_lhs sums for the point, so
+        # |S(x)|^2 is ls_lhs(seq, f, [x]) bit for bit: at float points, and at rationals
+        # c/q with qD > 16 N (q = 16 N + 1 is beyond the DFT whatever D is).
+        rng = np.random.default_rng(27)
+        for M, N in ((0, 1), (-11, 40), (10**9, 257), (5, 5000)):
+            seq = random_seq(rng, M, N)
+            q = expsum.GROUPED_MAX_RATIO * N + 1
+            pts = rng.uniform(-2, 2, 12).tolist() + [5e-324, 0.1, -1 / 3]
+            pts += [Fraction(1, q), Fraction(-2, q), Fraction(q + 2, q), Fraction(3, 10**9 * q)]
+            for x in pts:
+                s = exp_sum(seq, f, x)
+                assert s.real * s.real + s.imag * s.imag == ls_lhs(seq, f, [x]), (M, N, x)
+
 
 class TestLsLhs:
     def test_single_point_zero(self):
@@ -212,8 +228,10 @@ class TestLsLhs:
 
 
 def loop_lhs(seq, f, points):
-    # exp_sum's per-point kernel rows: the reference for the grouped DFT.
-    return math.fsum(abs(exp_sum(seq, f, x)) ** 2 for x in points)
+    # e() of the exact, correctly rounded phases of phase_reference, a point at a time:
+    # the reference for the grouped DFT and the kernel rows, sharing no phase code with them.
+    rows = reference_rows(f, points, seq.M, seq.N)
+    return math.fsum(abs((seq.values * np.exp(2j * np.pi * row)).sum()) ** 2 for row in rows)
 
 
 def assert_matches_loop(seq, f, points):
@@ -569,7 +587,6 @@ def test_one_ifft_per_length_per_flush(monkeypatch):
 
 def each_entry_point(f, pts, seq=CoeffSeq(values=[1, 2j, 3])):
     # A call of every public function that reduces phases.
-    yield lambda: list(phases(f, pts, seq.M, seq.N))
     yield lambda: exp_sum(seq, f, pts[-1])
     yield lambda: ls_lhs(seq, f, pts)
     yield lambda: dual_lhs([1] * len(pts), f, pts, seq.M, seq.N)
@@ -591,7 +608,7 @@ def test_point_and_coefficient_types(x, exact):
     assert expsum._exact(x) == Fraction(exact).as_integer_ratio()
     assert all(type(v) is int for v in expsum._exact(x))
     f, M, N = QuadraticAmplitude(0.7, -0.3, 0.1), 10**6, 16
-    (row,) = phases(f, [x], M, N)
+    (row,) = kernel_phases(f, [x], M, N)
     ((r, m),) = residues(f, [exact], M, N)
     assert max_phase_error(row, r, m) <= ULP52
     # Every entry point, with the type among the points or the coefficients.
@@ -625,6 +642,12 @@ def test_non_finite_input_is_an_error(bad):
 ULP52 = Fraction(1, 2**52)
 
 
+def kernel_phases(f, points, M, N):
+    # The phase kernel's rows x f(n), n = M+1 .. M+N, a point each, reduced only to [-1/2, 3/2).
+    phase = expsum._phase_rows(*expsum._window(f, M), list(map(expsum._exact, points)))
+    return phase(0, np.arange(N))
+
+
 class TestPhaseKernel:
     def test_within_2_52_of_exact_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -648,10 +671,9 @@ class TestPhaseKernel:
         )
         def check(alpha, beta, gamma, points, M, N):
             f = QuadraticAmplitude(alpha, beta, gamma)
-            rows = list(phases(f, points, M, N))
-            assert len(rows) == len(points)
+            rows = kernel_phases(f, points, M, N)
+            assert rows.shape == (len(points), N) and ((-0.5 <= rows) & (rows < 1.5)).all()
             for row, (r, m) in zip(rows, residues(f, points, M, N)):
-                assert row.shape == (N,) and ((0 <= row) & (row < 1)).all()
                 assert max_phase_error(row, r, m) <= ULP52
 
         check()
@@ -659,32 +681,37 @@ class TestPhaseKernel:
     def test_long_window_sampled(self):
         f = QuadraticAmplitude(0.7071067811865476, -0.3183098861837907, 0.1234567)
         M, N, x = -(10**12), 2**20, 0.3141592653589793
-        (row,) = phases(f, [x], M, N)
+        (row,) = kernel_phases(f, [x], M, N)
         sample = np.random.default_rng(21).integers(0, N, 500).tolist() + [0, N - 1]
         for i in sample:
             ((r, m),) = residues(f, [x], M + i, 1)
             assert max_phase_error(row[i:i + 1], r, m) <= ULP52
 
     def test_rows_do_not_depend_on_the_block(self):
+        # A point's phases do not depend on the points beside it in a block, nor on the
+        # columns asked for with them (_kernel_rows asks a column block at a time).
         f = QuadraticAmplitude(0.7, -0.3, Fraction(1, 3))
         pts = np.random.default_rng(22).uniform(-2, 2, 400).tolist()
         pts += [Fraction(5, 7), 3, 5e-324, Fraction(1, 3**100)]
         M, N = 10**9, 100
-        assert len(pts) * N > 2 * expsum.PHASE_BLOCK
-        together = list(phases(f, pts, M, N))
+        together = kernel_phases(f, pts, M, N)
         for x, row in zip(pts, together):
-            (alone,) = phases(f, [x], M, N)
+            (alone,) = kernel_phases(f, [x], M, N)
             assert alone.tobytes() == row.tobytes()
-        # A window longer than a block is computed in column blocks.
-        for row, short in zip(phases(f, pts[-4:], M, 2 * expsum.PHASE_BLOCK + 5), together[-4:]):
-            assert row[:N].tobytes() == short.tobytes()
+        phase = expsum._phase_rows(*expsum._window(f, M), list(map(expsum._exact, pts[-4:])))
+        long = phase(0, np.arange(L := 2 * expsum.PHASE_BLOCK + 5))
+        assert long[:, :N].tobytes() == together[-4:].tobytes()
+        for s in range(0, L, expsum.PHASE_BLOCK):
+            block = phase(0, np.arange(s, min(s + expsum.PHASE_BLOCK, L)))
+            assert block.tobytes() == long[:, s:s + expsum.PHASE_BLOCK].tobytes()
 
     @pytest.mark.parametrize("N", [-1, 2**30 + 1, 2**32, 2**40])
     def test_window_limit(self, monkeypatch, N):
         monkeypatch.setattr(expsum, "np", None)  # refused before numpy is used
-        rows = phases(SQUARE, [0.5], 0, N)
         with pytest.raises(ValueError, match="N <= 2\\^30"):
-            next(rows)
+            next(expsum._kernel_rows((1, 2, 1), 1, iter([(1, 2)]), N))
+        with pytest.raises(ValueError, match="N <= 2\\^30"):
+            phase_matrix(SQUARE, [0.5], 0, N)
         with pytest.raises(ValueError, match="N <= 2\\^30"):  # before np.zeros(N)
             dual_lhs([1], SQUARE, [0.5], 0, N)
 
@@ -694,7 +721,7 @@ class TestPhaseKernel:
         assert phase_matrix(SQUARE, [0.5], 0, np.int64(4)).tobytes() == want  # an int64 N is its int
         monkeypatch.setattr(expsum, "np", None)  # refused before any phase is computed
         with pytest.raises(TypeError):
-            next(phases(SQUARE, [0.5], 0, N))
+            next(expsum._kernel_rows((1, 2, 1), 1, iter([(1, 2)]), N))
         for call in (dual_lhs, lambda *a: phase_matrix(*a[1:])):
             with pytest.raises(TypeError):
                 call([1], SQUARE, [0.5], 0, N)
@@ -702,8 +729,11 @@ class TestPhaseKernel:
             duality_norm_check(SQUARE, [0.5], 0, N)
 
     def test_empty_window_and_points(self):
-        assert [len(r) for r in phases(SQUARE, [0.5, 1e-300], 3, 0)] == [0, 0]
-        assert list(phases(SQUARE, [], 3, 10)) == []
+        rows = expsum._kernel_rows(*expsum._window(SQUARE, 3), iter([(1, 2), (1, 7)]), 0)
+        assert [len(r) for r in rows] == [0, 0]
+        assert list(expsum._kernel_rows(*expsum._window(SQUARE, 3), iter([]), 10)) == []
+        assert dual_lhs([], SQUARE, [], 3, 10) == 0.0
+        assert ls_lhs(CoeffSeq(values=[1, 2j]), SQUARE, []) == 0.0
         assert phase_matrix(SQUARE, [0.5, 1e-300], 3, 0).shape == (2, 0)
         assert phase_matrix(SQUARE, [], 3, 10).shape == (0, 10)
 
@@ -786,12 +816,6 @@ class TestKernelRows:
                 assert [call() for call in calls] == want
 
 
-def reference_lhs(seq, f, points):
-    a = np.asarray(seq.values)
-    rows = reference_rows(f, points, seq.M, seq.N)
-    return math.fsum(abs((a * np.exp(2j * np.pi * row)).sum()) ** 2 for row in rows)
-
-
 @pytest.mark.parametrize("f", [LinearAmplitude(1), SQUARE,
                                QuadraticAmplitude(Fraction(1, 2), Fraction(1, 2))],
                          ids=["n", "n^2", "(n^2+n)/2"])
@@ -816,7 +840,7 @@ def reference_dual(c, f, points, M, N):
 def test_tiny_float_point(x):
     # vD is beyond the float range, so no step may convert it to a float.
     seq, f = CoeffSeq(values=[1, 1]), QuadraticAmplitude(0.7)
-    assert ls_lhs(seq, f, [x]) == pytest.approx(reference_lhs(seq, f, [x]), rel=1e-12)
+    assert ls_lhs(seq, f, [x]) == pytest.approx(loop_lhs(seq, f, [x]), rel=1e-12)
 
 
 def test_tiny_float_amplitude():

@@ -216,3 +216,58 @@ def test_lemma4_numpy_alpha_is_read_exactly():
     assert agree and want_agree
     assert got.constants == want.constants and got.constants[2] == str(2**62)
     assert np.array_equal(got.brute, want.brute) and np.array_equal(got.divisor, want.divisor)
+
+
+@pytest.mark.parametrize("driver, kwargs", [
+    ("verify_classical", dict(instances=30.0)),
+    ("verify_classical", dict(q_max=32.5)),
+    ("verify_classical", dict(n_max=16.7)),
+    ("verify_classical", dict(seed=3.0)),
+    ("theorem2_sweep", dict(seed=3.0)),
+    ("dls_random_sweep", dict(seed=np.float64(3))),
+], ids=["instances", "q_max", "n_max", "verify-seed", "theorem2-seed", "dls-seed"])
+def test_row_driver_integers_are_refused_as_floats(driver, kwargs, monkeypatch):
+    # q_max = 32.5 and n_max = 16.7 once ran as 32 and 16; a float seed failed only in
+    # SeedSequence, after F(Q) was built.
+    no_work(monkeypatch)
+    monkeypatch.setattr(sweeps, "_dls_chunk", lambda *a: pytest.fail("a row was drawn"))
+    with pytest.raises(TypeError):
+        getattr(sweeps, driver)(**kwargs)
+
+
+def test_row_driver_numpy_integers_are_their_ints():
+    config = dict(instances=5, q_max=12, n_max=20, seed=3)
+    want = sweeps.verify_classical(**config)
+    assert sweeps.verify_classical(**{k: np.int64(v) for k, v in config.items()}) == want
+    grid = dict(q_values=(4,), n_values=(8,), eps_values=(0.1,))
+    assert sweeps.theorem2_sweep(seed=np.int64(3), **grid) == sweeps.theorem2_sweep(seed=3, **grid)
+    rows, ok = sweeps.dls_random_sweep(instances=3, size_max=4, seed=np.int32(3))
+    assert ok and [r["seed"] for r in rows] == [3] * 3 and type(rows[0]["seed"]) is int
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", np.float64(0.5)], ids=repr)
+def test_alpha_and_ratio_are_read_exactly(value):
+    # A float ratio once raised AttributeError after the first row's left side, and
+    # a float alpha made beta = alpha a/b a rounded float: each is read as Fraction(1, 2).
+    half = Fraction(1, 2)
+    grid = dict(q_values=(4, 7), n_values=(8, 30), eps_values=(0.1,), seed=5)
+    _, want = sweeps.theorem2_sweep(alpha_values=(half,), ratios=(half,), **grid)
+    for alpha, ratio in ((value, half), (half, value)):
+        _, got = sweeps.theorem2_sweep(alpha_values=(alpha,), ratios=(ratio,), **grid)
+        assert repr(got) == repr(want)
+    want, _ = sweeps.lemma4_table(5, alpha=half, ratio=half)
+    for alpha, ratio in ((value, half), (half, value)):
+        got, agree = sweeps.lemma4_table(5, alpha=alpha, ratio=ratio)
+        assert agree and got.constants == want.constants
+        assert np.array_equal(got.brute, want.brute) and np.array_equal(got.divisor, want.divisor)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_alpha_or_ratio_is_refused_before_any_work(bad, monkeypatch):
+    no_work(monkeypatch)
+    for driver, kwargs in ((sweeps.theorem2_sweep, dict(alpha_values=(bad,))),
+                           (sweeps.theorem2_sweep, dict(ratios=(0.5, bad))),
+                           (sweeps.lemma4_table, dict(N=5, alpha=bad)),
+                           (sweeps.lemma4_table, dict(N=5, ratio=bad))):
+        with pytest.raises(ValueError, match="not a finite rational"):
+            driver(**kwargs)
