@@ -10,15 +10,15 @@ D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers, the one integer form of f.
 On it, one kernel, ``_phase_rows``, reduces every phase x f(n) modulo 1: it
 splits each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy
 sums times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low
-bits, a float64 remainder below 2^-64 j^2, PHASE_BLOCK phases at a time.  Each
-phase is within 2^-52 of the exact one for any M while N <= 2^30, an int by
-operator.index.  Off the DFT, S(x) is summed over one kernel row per point,
-``_kernel_rows``, about 3 sqrt(N) exponentials a point, in exp_sum, ls_lhs,
-dual_lhs and phase_matrix alike: |exp_sum(x)|^2 is ls_lhs(seq, f, [x]) bit for
-bit there.  Error model: kernel rows, exp_sum's included, 2^-52 per phase,
-(B + 2) 2^-49 per term, B <= 64; the DFT path, a measured budget, not a
-certificate (exact integer left sides on F(Q) to 1e-12, in the tests); the
-counterexample, exact.
+bits, a float64 remainder below 2^-64 j^2: within 2^-52 of the exact phase for
+any M while j^2 < 2^60.  Off the DFT, S(x) is summed over one kernel row per
+point, ``_kernel_rows``, about 3 sqrt(N) exponentials a point at j < 2^24, in
+blocks of PHASE_BLOCK terms or one row, for N <= 2^30, an int by operator.index,
+in exp_sum, ls_lhs, dual_lhs and phase_matrix alike: |exp_sum(x)|^2 is
+ls_lhs(seq, f, [x]) bit for bit there.  Error model: kernel rows, exp_sum's
+included, 2^-52 per phase, (B + 2) 2^-49 per term, B <= 64; the DFT path, a
+measured budget, not a certificate (exact integer left sides on F(Q) to 1e-12,
+in the tests); the counterexample, exact.
 
 The large-sieve left side groups its points by reduced denominator q; a
 farey.ReducedFractions, F(Q) from farey_by_denominator(Q), comes grouped.  Its
@@ -50,7 +50,7 @@ from .farey import ReducedFractions
 
 # Largest bucket count qD per window term for which ls_lhs uses a DFT.
 GROUPED_MAX_RATIO = 16
-PHASE_BLOCK = 2**14  # most phases (points x terms) in one block of the phase kernel
+PHASE_BLOCK = 2**14  # most terms (points x N) in a block of kernel rows; a longer row alone
 
 
 def _exact(v):
@@ -146,7 +146,7 @@ def _check_window(N):
 
 def _phase_rows(c, D, block):
     # The kernel on the exact points (u, v) of block: phase(i, j) is x (c0 j^2 + c1 j + c2)/D for
-    # the i-th triple of c at the int64 array j, reduced only to [-1/2, 1/2 + 2^-64 j^2).
+    # the i-th triple of c at int64 j, in [-1/2, 1/2 + 2^-64 j^2), within 2^-52 mod 1 if j^2 < 2^60.
     q = np.array([(u * ci % (m := v * D) << 128) // m if ci else 0
                   for ci in c for u, v in block], dtype=object).reshape(-1, 3, len(block), 1)
     H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
@@ -160,19 +160,18 @@ def _kernel_rows(c, D, xs, N):
     With j = J B + k, k < B and B the largest power of two <= sqrt(N), at most 64, a term is
     U_J V_J^k W_k, e() of the kernel's phases of (c0 B^2, c1 B, c2) and (0, 2 c0 B, 0) on J and
     of (c0, c1, 0) on k, with V_J^k by k products from U_J: within (B + 2) 2^-49 of e(t)
-    (derived in test_expsum).  No bit depends on the blocks; only the row exceeds PHASE_BLOCK.
+    (derived in test_expsum).  A block of points, or one point if its row exceeds PHASE_BLOCK,
+    peaks at its rows plus O(N/B) words a point (test_expsum); no bit depends on the blocks.
     """
     B = min(64, 1 << (max(N := _check_window(N), 1).bit_length() - 1) // 2)
-    (c0, c1, c2), n, w = c, -(-N // B), max(PHASE_BLOCK // B, 1)  # n rows J, w per column block
+    (c0, c1, c2), n = c, -(-N // B)  # n rows J
     while block := list(islice(xs, max(PHASE_BLOCK // max(n * B, 1), 1))):
         phase = _phase_rows((c0 * B * B, c1 * B, c2, 0, 2 * c0 * B, 0, c0, c1, 0), D, block)
-        W = np.exp(2j * np.pi * phase(2, np.arange(B)))[:, None]
+        U, V, W = (np.exp(2j * np.pi * phase(i, np.arange(m))) for i, m in enumerate((n, n, B)))
         rows = np.empty((len(block), n, B), dtype=complex)
-        for s in range(0, n, w):
-            U, V = (np.exp(2j * np.pi * phase(i, np.arange(s, min(s + w, n)))) for i in (0, 1))
-            for k in range(B):  # V_J^k U_J, restarted from the table at every J
-                rows[:, s:s + w, k] = U = U * V if k else U
-            rows[:, s:s + w] *= W
+        for k in range(B):  # V_J^k U_J, restarted from the table at every J
+            rows[:, :, k] = U = U * V if k else U
+        rows *= W[:, None]
         yield from rows.reshape(len(block), -1)[:, :N]
 
 

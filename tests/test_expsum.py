@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -179,7 +180,8 @@ class TestExpSum:
         # |S(x)|^2 is ls_lhs(seq, f, [x]) bit for bit: at float points, and at rationals
         # c/q with qD > 16 N (q = 16 N + 1 is beyond the DFT whatever D is).
         rng = np.random.default_rng(27)
-        for M, N in ((0, 1), (-11, 40), (10**9, 257), (5, 5000)):
+        for M, N in ((0, 1), (-11, 40), (10**9, 257), (5, 5000), (-3, expsum.PHASE_BLOCK),
+                     (7, expsum.PHASE_BLOCK + 1), (10**6, 2**16)):
             seq = random_seq(rng, M, N)
             q = expsum.GROUPED_MAX_RATIO * N + 1
             pts = rng.uniform(-2, 2, 12).tolist() + [5e-324, 0.1, -1 / 3]
@@ -689,7 +691,7 @@ class TestPhaseKernel:
 
     def test_rows_do_not_depend_on_the_block(self):
         # A point's phases do not depend on the points beside it in a block, nor on the
-        # columns asked for with them (_kernel_rows asks a column block at a time).
+        # columns asked for with them (a caller may ask a range of j at a time).
         f = QuadraticAmplitude(0.7, -0.3, Fraction(1, 3))
         pts = np.random.default_rng(22).uniform(-2, 2, 400).tolist()
         pts += [Fraction(5, 7), 3, 5e-324, Fraction(1, 3**100)]
@@ -789,15 +791,50 @@ class TestKernelRows:
         check()
 
     def test_long_window_sampled(self):
-        # Column blocks of J: the window is longer than PHASE_BLOCK.
+        # A window longer than PHASE_BLOCK: one point's row alone fills its block.
         M, N, x = -(10**12), 4 * expsum.PHASE_BLOCK + 3, 0.3141592653589793
         (row,) = phase_matrix(self.FLOAT, [x], M, N)
         sample = np.random.default_rng(25).integers(0, N, 300).tolist()
         sample += [0, N - 1] + [i + d for i in range(expsum.PHASE_BLOCK, N, expsum.PHASE_BLOCK)
-                                for d in (-1, 0)]  # each side of a column block's edge
+                                for d in (-1, 0)]  # each side of each multiple of PHASE_BLOCK
         for i in sample:
             (want,) = reference_rows(self.FLOAT, [x], M + i, 1)
             assert abs(row[i] - np.exp(2j * np.pi * want[0])) <= kernel_row_bound(N)
+
+    def test_one_table_each_per_point_block(self, monkeypatch):
+        # A point block evaluates the kernel three times, whatever N: U and V on every J < n
+        # and W on k < B.  Here n = 1025 rows J of B = 64, four times PHASE_BLOCK in all.
+        calls, phase_rows = [], expsum._phase_rows
+
+        def counted(c, D, block):
+            phase = phase_rows(c, D, block)
+            return lambda i, j: calls.append((i, len(j))) or phase(i, j)
+
+        monkeypatch.setattr(expsum, "_phase_rows", counted)
+        N = 4 * expsum.PHASE_BLOCK + 3
+        phase_matrix(self.FLOAT, [0.3141592653589793], -(10**12), N)
+        assert sorted(calls) == [(0, -(-N // 64)), (1, -(-N // 64)), (2, 64)]
+
+    @pytest.mark.parametrize("N", [2**16, 2**18, 2**20])
+    def test_peak_memory_is_the_row(self, N):
+        """A point's row peaks below 16 N + 16 (4 n + b) bytes: n = N/64, b = np.getbufsize().
+
+        A point block's live arrays are its rows, n B = N complex words, and its tables: U and V,
+        n words each, W, B = 64 words, and in the k loop the product U V before U is rebound, a
+        third n.  The phase of a table takes a few n-sized int64 and float64 temporaries, freed
+        before the rows are made.  rows *= W may take one ufunc buffer of b elements.  The
+        fourth n covers W, the kernel's per-point Python ints and numpy's small allocations.
+        """
+        (c, D), x = expsum._window(self.FLOAT, -(10**12)), expsum._exact(0.3141592653589793)
+        next(expsum._kernel_rows(c, D, iter([x]), 64))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            (row,) = expsum._kernel_rows(c, D, iter([x]), N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.shape == (N,)
+        assert peak <= 16 * N + 16 * (4 * (N // 64) + np.getbufsize())
 
     @pytest.mark.parametrize("block", [1, 2**40])
     def test_block_size_does_not_move_a_bit(self, monkeypatch, block):
