@@ -8,17 +8,18 @@ function a point x = u/v, as an exact rational, a pair of Python ints (a
 float is a dyadic one).  ``_window`` reads M by operator.index and writes
 D f(M+1+j) = c_0 j^2 + c_1 j + c_2 in integers, the one integer form of f.
 On it, one kernel, ``_phase_rows``, reduces every phase x f(n) modulo 1: it
-splits each floor(2^128 (u c_i mod vD) / vD) into 64 high bits, which numpy
-sums times j^(2-i) in int64 (wraparound is exact reduction mod 1), and 64 low
-bits, a float64 remainder below 2^-64 j^2: within 2^-52 of the exact phase for
-any M while j^2 < 2^60.  Off the DFT, S(x) is summed over one kernel row per
-point, ``_kernel_rows``, about 3 sqrt(N) exponentials a point at j < 2^24, in
-blocks of PHASE_BLOCK terms or one row, for N <= 2^30, an int by operator.index,
-in exp_sum, ls_lhs, dual_lhs and phase_matrix alike: |exp_sum(x)|^2 is
-ls_lhs(seq, f, [x]) bit for bit there.  Error model: kernel rows, exp_sum's
-included, 2^-52 per phase, (B + 2) 2^-49 per term, B <= 64; the DFT path, a
-measured budget, not a certificate (exact integer left sides on F(Q) to 1e-12,
-in the tests); the counterexample, exact.
+splits each word floor(2^128 (u a mod vD) / vD), three divisions a point for
+its nine coefficients a, into 64 high bits, which numpy sums times j^(2-i) in
+int64 (wraparound is exact reduction mod 1), and 64 low bits, a float64
+remainder below 2^-64 j^2: within 2^-52 of the exact phase for any M while
+j^2 < 2^60.  Off the DFT, S(x) is summed over one kernel row per point,
+``_kernel_rows``, one kernel call a block and about 3N/B exponentials a point
+at j < 2^24, in blocks of PHASE_BLOCK terms or one row, for N <= 2^30, an int
+by operator.index, in exp_sum, ls_lhs, dual_lhs and phase_matrix alike:
+|exp_sum(x)|^2 is ls_lhs(seq, f, [x]) bit for bit there.  Error model: kernel
+rows, exp_sum's included, 2^-52 per phase, (B + 2) 2^-49 per term, B <= 64;
+the DFT path, a measured budget, not a certificate (exact integer left sides
+on F(Q) to 1e-12, in the tests); the counterexample, exact.
 
 The large-sieve left side groups its points by reduced denominator q; a
 farey.ReducedFractions, F(Q) from farey_by_denominator(Q), comes grouped.  Its
@@ -144,12 +145,21 @@ def _check_window(N):
     return N
 
 
-def _phase_rows(c, D, block):
-    # The kernel on the exact points (u, v) of block: phase(i, j) is x (c0 j^2 + c1 j + c2)/D for
-    # the i-th triple of c at int64 j, in [-1/2, 1/2 + 2^-64 j^2), within 2^-52 mod 1 if j^2 < 2^60.
-    q = np.array([(u * ci % (m := v * D) << 128) // m if ci else 0
-                  for ci in c for u, v in block], dtype=object).reshape(-1, 3, len(block), 1)
-    H, R = (q >> 64).astype(np.uint64).view(np.int64), (q & 2**64 - 1).astype(float) * 2.0**-128
+def _phase_rows(c, D, block, B=1):
+    # The kernel on the exact points (u, v) of block: phase(i, j) is x (a j^2 + b j + e)/D at int64
+    # j for the i-th triple of (c0 B^2, c1 B, c2), (0, 2 c0 B, 0), (c0, c1, 0), i an int or a slice,
+    # in [-1/2, 1/2 + 2^-64 j^2), within 2^-52 mod 1 if j^2 < 2^60.  Slot a's word is floor(2^128
+    # y(a)), y(a) = (u a mod vD)/vD; for a = c 2^k it is floor(2^(128+k) y(c)) mod 2^128 (a floor of
+    # a floor): three divisions a point, B = 2^s.  A word's 16 little-endian bytes give H and R.
+    s, top, (c0, c1, c2) = B.bit_length() - 1, 2**128 - 1, c
+    def words(u, m):  # y0 at k = 2s + 1, y1 at k = s
+        y0, y1 = (u * c0 % m << 129 + 2 * s) // m, (u * c1 % m << 128 + s) // m
+        return (y0 >> 1 & top, y1 & top, (u * c2 % m << 128) // m, 0, y0 >> s & top, 0,
+                y0 >> 2 * s + 1, y1 >> s, 0)
+    ws = zip(*[words(u, v * D) for u, v in block])  # slot by slot, a word a point
+    w = np.frombuffer(b"".join([t.to_bytes(16, "little") for ts in ws for t in ts]), np.uint64)
+    w = w.reshape(3, 3, len(block), 2, 1)  # triple, slot, point, (low, high)
+    H, R = w[:, :, :, 1].view(np.int64).copy(), w[:, :, :, 0].astype(float) * 2.0**-128
     return lambda i, j: ((R[i, 0] * j + R[i, 1]) * j + R[i, 2]
                          + ((H[i, 0] * j + H[i, 1]) * j + H[i, 2]) * 2.0**-64)
 
@@ -160,18 +170,18 @@ def _kernel_rows(c, D, xs, N):
     With j = J B + k, k < B and B the largest power of two <= sqrt(N), at most 64, a term is
     U_J V_J^k W_k, e() of the kernel's phases of (c0 B^2, c1 B, c2) and (0, 2 c0 B, 0) on J and
     of (c0, c1, 0) on k, with V_J^k by k products from U_J: within (B + 2) 2^-49 of e(t)
-    (derived in test_expsum).  A block of points, or one point if its row exceeds PHASE_BLOCK,
-    peaks at its rows plus O(N/B) words a point (test_expsum); no bit depends on the blocks.
+    (derived in test_expsum).  A block's one kernel call and np.exp make a (3, points, n) table,
+    n >= B rows J, W its first B columns.  A block of points, or one point if its row exceeds
+    PHASE_BLOCK, peaks at its rows plus 3 n words a point (test_expsum); no bit depends on blocks.
     """
     B = min(64, 1 << (max(N := _check_window(N), 1).bit_length() - 1) // 2)
-    (c0, c1, c2), n = c, -(-N // B)  # n rows J
-    while block := list(islice(xs, max(PHASE_BLOCK // max(n * B, 1), 1))):
-        phase = _phase_rows((c0 * B * B, c1 * B, c2, 0, 2 * c0 * B, 0, c0, c1, 0), D, block)
-        U, V, W = (np.exp(2j * np.pi * phase(i, np.arange(m))) for i, m in enumerate((n, n, B)))
+    n = max(-(-N // B), 1)  # n rows J, at least one (N = 0) so that W fits
+    while block := list(islice(xs, max(PHASE_BLOCK // (n * B), 1))):
+        U, V, W = np.exp(2j * np.pi * _phase_rows(c, D, block, B)(slice(None), np.arange(n)))
         rows = np.empty((len(block), n, B), dtype=complex)
-        for k in range(B):  # V_J^k U_J, restarted from the table at every J
-            rows[:, :, k] = U = U * V if k else U
-        rows *= W[:, None]
+        for k in range(B):  # V_J^k U_J, restarted from the table at every J, in place in U
+            rows[:, :, k] = np.multiply(U, V, out=U) if k else U
+        rows *= W[:, None, :B]
         yield from rows.reshape(len(block), -1)[:, :N]
 
 

@@ -7,6 +7,8 @@ residues are exact; ``reference_rows`` rounds each phase once with
 Python's int division, which gives a float for any modulus, however
 large (a subnormal point has vD above 2^1074).  It shares no code with
 sievelab: P and D come from ``integer_values``, in Fractions and Python ints.
+``direct_words`` is the kernel's word formula before it shared divisions
+between slots: one division per slot, straight from the definition.
 """
 
 import math
@@ -55,3 +57,14 @@ def max_phase_error(row, r, m):
         if e * worst[1] > worst[0] * dm:
             worst = (e, dm)
     return Fraction(*worst)
+
+
+def direct_words(c, D, points, B):
+    """floor(2^128 (u a mod vD) / vD) for each slot a and point (u, v), a list per slot.
+
+    The nine slots are the triples (c0 B^2, c1 B, c2), (0, 2 c0 B, 0) and
+    (c0, c1, 0) of the integer window c = (c0, c1, c2) over D, in order.
+    """
+    c0, c1, c2 = c
+    slots = (c0 * B * B, c1 * B, c2, 0, 2 * c0 * B, 0, c0, c1, 0)
+    return [[(u * a % (v * D) << 128) // (v * D) for u, v in points] for a in slots]

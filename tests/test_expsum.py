@@ -20,7 +20,8 @@ from sievelab.expsum import (
     phase_matrix,
 )
 from sievelab.farey import farey_by_denominator, farey_sequence
-from phase_reference import integer_values, max_phase_error, reference_rows, residues
+from phase_reference import (direct_words, integer_values, max_phase_error, reference_rows,
+                             residues)
 from ramanujan_reference import ramanujan_lhs
 
 SQUARE = QuadraticAmplitude(1)
@@ -644,6 +645,13 @@ def test_non_finite_input_is_an_error(bad):
 ULP52 = Fraction(1, 2**52)
 
 
+def kernel_words(c, D, points, B):
+    # The kernel's (H, R), high words and scaled low words, as its phase function holds them.
+    phase = expsum._phase_rows(c, D, points, B)
+    cells = dict(zip(phase.__code__.co_freevars, (c.cell_contents for c in phase.__closure__)))
+    return cells["H"], cells["R"]
+
+
 def kernel_phases(f, points, M, N):
     # The phase kernel's rows x f(n), n = M+1 .. M+N, a point each, reduced only to [-1/2, 3/2).
     phase = expsum._phase_rows(*expsum._window(f, M), list(map(expsum._exact, points)))
@@ -677,6 +685,39 @@ class TestPhaseKernel:
             assert rows.shape == (len(points), N) and ((-0.5 <= rows) & (rows < 1.5)).all()
             for row, (r, m) in zip(rows, residues(f, points, M, N)):
                 assert max_phase_error(row, r, m) <= ULP52
+
+        check()
+
+    def test_words_are_the_direct_formula_property(self):
+        # The kernel's words come from three divisions a point, shifted and masked: each must
+        # equal the direct floor(2^128 (u a mod vD) / vD) of its slot a bit for bit, its high 64
+        # bits as int64 in H and its low 64 bits, rounded to a float, times 2^-128 in R.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+        wide = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+        coeff = st.one_of(finite, wide, st.integers(-(10**6), 10**6))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            alpha=coeff.filter(lambda v: v > 0), beta=coeff, gamma=coeff, linear=st.booleans(),
+            sign=st.sampled_from([1, -1]),  # -1: every window coefficient negated, c0 < 0 too
+            points=st.lists(st.one_of(finite, wide, st.integers(-(10**20), 10**20)),
+                            min_size=1, max_size=4),
+            M=st.one_of(st.sampled_from([-(10**18), 10**18]), st.integers(-(10**18), 10**18)),
+        )
+        def check(alpha, beta, gamma, linear, sign, points, M):
+            f = LinearAmplitude(beta, gamma) if linear else QuadraticAmplitude(alpha, beta, gamma)
+            (c0, c1, c2), D = expsum._window(f, M)
+            c, pts = (sign * c0, sign * c1, sign * c2), [expsum._exact(x) for x in points]
+            for B in (1, 2, 4, 8, 16, 32, 64):
+                H, R = kernel_words(c, D, pts, B)
+                assert H.shape == R.shape == (3, 3, len(pts), 1)
+                words = direct_words(c, D, pts, B)
+                assert H.reshape(9, -1).tolist() == [
+                    [(w >> 64) - (w >> 127 << 64) for w in ws] for ws in words]
+                assert R.reshape(9, -1).tolist() == [
+                    [float(w & 2**64 - 1) * 2.0**-128 for w in ws] for ws in words]
 
         check()
 
@@ -802,28 +843,30 @@ class TestKernelRows:
             assert abs(row[i] - np.exp(2j * np.pi * want[0])) <= kernel_row_bound(N)
 
     def test_one_table_each_per_point_block(self, monkeypatch):
-        # A point block evaluates the kernel three times, whatever N: U and V on every J < n
-        # and W on k < B.  Here n = 1025 rows J of B = 64, four times PHASE_BLOCK in all.
+        # A point block evaluates the kernel once, whatever N: all three triples on every J < n,
+        # W being the table's first B columns.  Here n = 1025 rows J of B = 64, four times
+        # PHASE_BLOCK in all.
         calls, phase_rows = [], expsum._phase_rows
 
-        def counted(c, D, block):
-            phase = phase_rows(c, D, block)
+        def counted(c, D, block, B):
+            phase = phase_rows(c, D, block, B)
             return lambda i, j: calls.append((i, len(j))) or phase(i, j)
 
         monkeypatch.setattr(expsum, "_phase_rows", counted)
         N = 4 * expsum.PHASE_BLOCK + 3
         phase_matrix(self.FLOAT, [0.3141592653589793], -(10**12), N)
-        assert sorted(calls) == [(0, -(-N // 64)), (1, -(-N // 64)), (2, 64)]
+        assert calls == [(slice(None), -(-N // 64))]
 
     @pytest.mark.parametrize("N", [2**16, 2**18, 2**20])
     def test_peak_memory_is_the_row(self, N):
         """A point's row peaks below 16 N + 16 (4 n + b) bytes: n = N/64, b = np.getbufsize().
 
-        A point block's live arrays are its rows, n B = N complex words, and its tables: U and V,
-        n words each, W, B = 64 words, and in the k loop the product U V before U is rebound, a
-        third n.  The phase of a table takes a few n-sized int64 and float64 temporaries, freed
-        before the rows are made.  rows *= W may take one ufunc buffer of b elements.  The
-        fourth n covers W, the kernel's per-point Python ints and numpy's small allocations.
+        A point block's live arrays are its rows, n B = N complex words, and its one table: the
+        (3, points, n) exp of the kernel's phases, U, V and W (its first B = 64 columns) 3 n words
+        a point; the k loop multiplies U by V in place, so it adds none.  The phase of the table
+        takes a few 3 n-sized int64 and float64 temporaries and its complex angle, unnamed and
+        freed by the time the rows are made.  rows *= W may take one ufunc buffer of b elements.
+        The fourth n covers the kernel's per-point words and numpy's small allocations.
         """
         (c, D), x = expsum._window(self.FLOAT, -(10**12)), expsum._exact(0.3141592653589793)
         next(expsum._kernel_rows(c, D, iter([x]), 64))  # numpy's first-call allocations
