@@ -243,7 +243,7 @@ def ls_lhs_rows(rows):
                 slots.setdefault(m, []).append(B[i:i + m])
             n = [len(u) for u in us]  # the block's gather: each u/q reads bin u mod qD of its group
             pending.append((B, np.concatenate(us) % np.repeat(ms, n) + np.repeat(o[:-1], n), terms))
-        for row in _kernel_rows((c0, c1, c2), D, iter(rest), N):
+        for row in (_kernel_rows((c0, c1, c2), D, iter(rest), N) if rest else ()):
             s = (a * row).sum()
             terms.append(s.real * s.real + s.imag * s.imag)
         if not pending:

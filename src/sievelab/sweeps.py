@@ -2,12 +2,14 @@
 quadratic-amplitude ratio sweep, double-large-sieve spot checks, and the
 Lemma-4-style pair-count table.
 
-Every driver is deterministic given its configuration: randomness comes
-from numpy's PCG64 generator seeded per row through SeedSequence spawn
-keys, in grid order.  dls-check draws row by row but computes and checks
-its rows a chunk at a time; verify-classical and theorem2-sweep draw a row
-when expsum.ls_lhs_rows, which batches consecutive rows' DFTs bit-exactly,
-reads it.  Each driver returns all its rows to the writer.
+Every driver is deterministic given its configuration: row i, in grid
+order, draws the PCG64 stream of default_rng(SeedSequence(seed,
+spawn_key=(i,))), seeded by _row_streams from SeedSequence's mixing run for
+up to 1024 rows at once; the first row drawn in a process loads
+numpy.random.  dls-check draws row by row but computes and checks its rows
+a chunk at a time; verify-classical and theorem2-sweep draw a row when
+expsum.ls_lhs_rows, which batches consecutive rows' DFTs bit-exactly, reads
+it.  Each driver returns all its rows to the writer.
 """
 
 import functools
@@ -37,8 +39,48 @@ DLS_SIZE_MAX = 2**11
 DLS_CHUNK_CELLS = 2**19
 
 
-def _row_rng(seed, index):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def _words(n):  # n >= 0 as SeedSequence splits an int: little-endian uint32 words, 0 is one
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_words(seed, rows):
+    """SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for each i of rows,
+    all of one word count, as a (len(rows), 4) array: numpy's mixing, each step run once
+    on uint32 arrays."""
+    run = _words(seed)
+    entropy = [*np.array([run + [0] * (4 - len(run))], np.uint32).T,  # the seed, shape (1,)
+               *np.array([_words(i) for i in rows], np.uint32).T]
+    h = 0x43B0D7E5  # INIT_A, stepped by MULT_A
+    def hashmix(v, mult=0x931E8875):  # v ^ h reads h before the step
+        nonlocal h
+        v = (v ^ h) * (h := h * mult & 0xFFFFFFFF)
+        return v ^ v >> 16
+    def mix(d, v):  # pool[d] with hashmix(v)
+        r = pool[d] * 0xCA01F9DD - hashmix(v) * 0x4973F715
+        pool[d] = r ^ r >> 16
+    pool = [hashmix(e) for e in entropy[:4]]
+    for s, d in itertools.permutations(range(4), 2):
+        mix(d, pool[s])
+    for e, d in itertools.product(entropy[4:], range(4)):
+        mix(d, e)
+    h = 0x8B51F9DD  # INIT_B, stepped by MULT_B; uint32 words 2k and 2k + 1 make uint64 word k
+    out = np.stack([hashmix(pool[k % 4], 0x58F38DED) for k in range(8)], axis=1).astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << 32
+
+
+def _row_streams(seed, rows):
+    """Yield a Generator for each index i of the sequence rows, with the stream of
+    default_rng(SeedSequence(seed, spawn_key=(i,))), from _seed_words 1024 rows at a time."""
+    from numpy.random import PCG64, Generator  # numpy.random loads at the first row
+    from numpy.random.bit_generator import ISeedSequence
+    class Words(ISeedSequence):  # PCG64's own seeding asks it for (4, np.uint64): a row's words
+        def __init__(self, words):
+            self.words = words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    for start in range(0, len(rows), 1024):  # in runs of indices with one word count
+        for _, same in itertools.groupby(rows[start:start + 1024], lambda i: len(_words(i))):
+            yield from (Generator(PCG64(Words(w))) for w in _seed_words(seed, list(same)))
 
 
 def _check_dist(dist, density):
@@ -107,15 +149,15 @@ def verify_classical(
     f = LinearAmplitude(1, 0)
     rows = []
     farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
-    def draw(i):  # row i's draws, made when ls_lhs_rows reads the row
-        rng = _row_rng(seed, i)
+    def draw(i, rng):  # row i's draws, made when ls_lhs_rows reads the row
         Q = int(rng.integers(2, q_max + 1))
         N = int(rng.integers(1, n_max + 1))
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
         points, delta = farey(Q)
         return (i, Q, M, N, seq.power(), delta), seq, f, points
-    for (i, Q, M, N, Z, delta), lhs in ls_lhs_rows(map(draw, range(instances))):
+    drawn = map(draw, range(instances), _row_streams(seed, range(instances)))
+    for (i, Q, M, N, Z, delta), lhs in ls_lhs_rows(drawn):
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
         ok = bounds.holds(lhs, rhs_sharp) and bounds.holds(lhs, rhs_add)
@@ -170,14 +212,15 @@ def theorem2_sweep(
     seed = _check_seed(seed)
     farey = functools.cache(_farey_with_gap)
     rows = []
-    grid = itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values)
-    def draw(cell):  # the row's draws, made when ls_lhs_rows reads it
+    grid = list(itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values))
+    def draw(cell, rng):  # the row's draws, made when ls_lhs_rows reads it
         index, (Q, M, N, alpha, ab, eps) = cell
         points, delta = farey(Q)
         f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
-        seq = random_sequence(dist, M, N, _row_rng(seed, index), density)
+        seq = random_sequence(dist, M, N, rng, density)
         return (index, Q, M, N, alpha, ab, eps, seq.power(), delta), seq, f, points
-    for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(map(draw, enumerate(grid))):
+    drawn = map(draw, enumerate(grid), _row_streams(seed, range(len(grid))))
+    for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(drawn):
         a, b = ab.numerator, ab.denominator
         params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
         y_paper = 2 * abs(M) * N + N * N + N * ab
@@ -206,13 +249,12 @@ DLS_COLUMNS = [
 ]
 
 
-def _dls_chunk(seed, rows, size_max, lo, hi):
+def _dls_chunk(rngs, size_max, lo, hi):
     # Row i's stream is the one of uniform(lo, hi) twice, integers(1, size_max + 1) twice,
     # uniform(-X/2, X/2, m), (-Y/2, Y/2, n) and standard_normal(m), (m), (n), (n), in fewer
     # calls (standard_normal keeps no state); uniform's low + (high - low) * u runs once a chunk.
     drawn = []
-    for i in rows:
-        rng = _row_rng(seed, i)
+    for rng in rngs:
         X, Y = lo + (hi - lo) * rng.random(), lo + (hi - lo) * rng.random()
         m, n = int(rng.integers(1, size_max + 1)), int(rng.integers(1, size_max + 1))
         u, z = rng.random(m + n), rng.standard_normal(2 * (m + n))
@@ -244,8 +286,9 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     seed = _check_seed(seed)
     rows = []
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
+    streams = _row_streams(seed, range(instances))
     for start in range(0, instances, step):
-        chunk = _dls_chunk(seed, range(start, min(start + step, instances)),
+        chunk = _dls_chunk(itertools.islice(streams, step),
                            size_max, float(scale_min), float(scale_max))
         for i, (inst, check) in enumerate(zip(chunk, dls.dls_checks(chunk)), start):
             rows.append(dict(zip(DLS_COLUMNS, (

@@ -4,15 +4,40 @@
 one matmul; these are the direct per-instance forms it replaced, which it
 must match bit for bit.  Both write e(t) as np.exp(2j*pi*t).
 `reference_rows` draws dls-check rows one instance at a time, with one
-numpy call per drawn quantity, as the sweep used to.
+numpy call per drawn quantity, as the sweep used to, each from `_row_rng`:
+the generator numpy's own SeedSequence makes for a row, which every
+generator of `sweeps._row_streams` must equal.  `forbid_rows` makes
+drawing a sweep row fail a test.
 """
 
 import math
 
 import numpy as np
+import pytest
 
-from sievelab import __version__, bounds, dls
-from sievelab.sweeps import DLS_COLUMNS, RNG_ID, _row_rng
+from sievelab import __version__, bounds, dls, sweeps
+from sievelab.sweeps import DLS_COLUMNS, RNG_ID
+
+
+def _row_rng(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _no_rows(seed, rows):  # a generator: it fails when a row is taken, not when it is made
+    pytest.fail("a row was drawn")
+    yield
+
+
+def forbid_rows(monkeypatch):
+    """Make any sweep row drawn after this fail the test, once each driver is seen to draw
+    its first row through the replaced sweeps._row_streams: a spy on a name the drivers
+    no longer call would pass without testing anything."""
+    monkeypatch.setattr(sweeps, "_row_streams", _no_rows)
+    for run in (lambda: sweeps.dls_random_sweep(instances=1),
+                lambda: sweeps.verify_classical(instances=1),
+                lambda: sweeps.theorem2_sweep(q_values=(4,))):
+        with pytest.raises(pytest.fail.Exception, match="a row was drawn"):
+            run()
 
 
 def _kernel_array(diffs):

@@ -304,7 +304,7 @@ def test_bad_count_scale_or_eps_is_refused(command, tmp_path):
 
 def test_refusals_come_before_any_row(monkeypatch):
     # The checks run in the drivers, before the first instance is drawn.
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
     for kwargs in ({"scale_min": float("nan")}, {"size_max": 0}, {"instances": -1}):
         with pytest.raises(ValueError):
             sweeps.dls_random_sweep(**kwargs)
@@ -342,7 +342,7 @@ def test_empty_out_is_refused_before_any_work(command, monkeypatch, capsys, tmp_
 def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp_path):
     # In process, with drawing and summing a counterexample term made to fail: a
     # run above the cap would otherwise allocate its N-length arrays.
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
     monkeypatch.setattr(counterexample, "_modulus_terms", lambda *a: pytest.fail("a term was summed"))
     over = sweeps.N_MAX + 1
     with pytest.raises(ValueError, match="n_max"):
@@ -377,7 +377,7 @@ BIG = str(sweeps.VALUE_MAX)
     ["--ratio", BIG], ["--ratio=-" + BIG], ["--ratio", str(10 ** 400)],
 ])
 def test_grid_values_past_the_float_cap_are_refused(option, monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
     assert_refused_in_process(["theorem2-sweep", "--Q", "4", "--N", "16", *option],
                               capsys, tmp_path)
 
@@ -444,7 +444,7 @@ def test_counterexample_q_above_the_cap_is_refused_before_any_work(p, monkeypatc
 ])
 def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
     assert_refused_in_process(argv + ["--seed", "-1"], capsys, tmp_path)
     assert cli.main(argv + ["--seed=-7"]) == 2
     assert capsys.readouterr().err == "sievelab %s: seed must be >= 0, got -7\n" % argv[0]
@@ -452,7 +452,7 @@ def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys, tmp
 
 def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys, tmp_path):
     # Never run above the caps: an instance is dense in m x n.
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
     with pytest.raises(ValueError, match="size_max"):
         sweeps.dls_random_sweep(size_max=sweeps.DLS_SIZE_MAX + 1)
     with pytest.raises(ValueError, match="scale_max"):
@@ -671,6 +671,14 @@ class TestSharedParser:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+    def test_parser_leaves_numpy_random_unloaded(self):
+        # numpy.random loads at a sweep's first row, not in a run's set-up.
+        code = ("import sys, sievelab.cli as c; c.build_parser(); print('numpy.random' in sys.modules); "
+                "next(c.sweeps._row_streams(0, [0])); print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nTrue\n"
 
     @staticmethod
     def lemma4_rows(capsys, *argv):

@@ -507,6 +507,20 @@ class TestBatchedRows:
 
         check()
 
+    def test_kernel_rows_are_made_only_for_points_off_the_dft(self, monkeypatch):
+        # A row whose points all take the DFT makes no _kernel_rows call; one with a point
+        # off it (q D = 2053 > GROUPED_MAX_RATIO * 64) makes one call for that row.
+        calls = []
+        kernel_rows = expsum._kernel_rows
+        monkeypatch.setattr(expsum, "_kernel_rows", lambda *a: calls.append(a[3]) or kernel_rows(*a))
+        rng = np.random.default_rng(22)
+        on, off = farey_sequence(9), [Fraction(1, 3), Fraction(5, 2053)]
+        batch = [(i, random_seq(rng, -7, 64), SQUARE, pts) for i, pts in enumerate((on, off, on))]
+        got = list(ls_lhs_rows(iter(batch)))
+        assert calls == [64]
+        for (_, seq, f, pts), (_, lhs) in zip(batch, got):
+            assert lhs == pytest.approx(loop_lhs(seq, f, pts), rel=1e-12)
+
     def test_long_batch_flushes_several_times(self, monkeypatch):
         # N = 1, 5 and 64 put q D on both sides of GROUPED_MAX_RATIO * N; F(40) fills a batch.
         rng = np.random.default_rng(21)

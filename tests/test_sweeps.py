@@ -1,9 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dls_reference
 from farey_reference import min_gap_mod1
 from sievelab import sweeps
 from sievelab.farey import farey_sequence
@@ -35,7 +37,7 @@ def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
 
 def no_work(monkeypatch):
     monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
-    monkeypatch.setattr(sweeps, "_row_rng", lambda *a: pytest.fail("a row was drawn"))
+    dls_reference.forbid_rows(monkeypatch)
 
 
 Q_MESSAGE = "every Q must be in 1 .. %d" % sweeps.Q_MAX
@@ -97,9 +99,9 @@ def test_verify_classical_builds_each_denominator_once_per_process(monkeypatch):
     first = len(built)
     assert sweeps.verify_classical(**config) == (rows, ok) and len(built) == first
     # The same rows when no row can see an earlier row's numerators.
-    row_rng = sweeps._row_rng
-    monkeypatch.setattr(sweeps, "_row_rng",
-                        lambda *a: farey._kept_numerators.cache_clear() or row_rng(*a))
+    row_streams = sweeps._row_streams
+    monkeypatch.setattr(sweeps, "_row_streams", lambda *a: (
+        farey._kept_numerators.cache_clear() or rng for rng in row_streams(*a)))
     assert sweeps.verify_classical(**config) == (rows, ok) and len(built) > 32
 
 
@@ -135,7 +137,7 @@ def test_farey_points_are_not_converted_one_by_one(monkeypatch):
 @pytest.mark.parametrize("density", [float("nan"), float("inf"), -0.1, 1.5])
 def test_sparse_density_outside_the_unit_interval_is_refused(density):
     with pytest.raises(ValueError, match="density"):
-        sweeps.random_sequence("sparse", 0, 4, sweeps._row_rng(0, 0), density)
+        sweeps.random_sequence("sparse", 0, 4, np.random.default_rng(0), density)
 
 
 NAN = float("nan")
@@ -162,7 +164,7 @@ def test_dist_and_density_are_checked_before_any_work(driver, kwargs, message, m
 
 
 def test_density_is_read_only_for_sparse(monkeypatch):
-    sweeps.random_sequence("gaussian", 0, 4, sweeps._row_rng(0, 0), NAN)
+    sweeps.random_sequence("gaussian", 0, 4, np.random.default_rng(0), NAN)
     no_work(monkeypatch)
     assert sweeps.theorem2_sweep(q_values=(), dist="gaussian", density=NAN)[1] == []
     assert sweeps.verify_classical(instances=0, dist="unit", density=NAN) == ([], True)
@@ -271,3 +273,66 @@ def test_non_finite_alpha_or_ratio_is_refused_before_any_work(bad, monkeypatch):
                            (sweeps.lemma4_table, dict(N=5, ratio=bad))):
         with pytest.raises(ValueError, match="not a finite rational"):
             driver(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Row generators: sweeps._row_streams against numpy's own SeedSequence
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**200 + 12345)
+INDICES = (0, 1, 2**32 - 1, 2**32, 2**64)  # spawn keys of one, two and three words
+
+
+def seedsequence_words(seed, index):
+    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
+
+
+def assert_same_first_draws(rng, seed, index):
+    want = dls_reference._row_rng(seed, index)
+    assert rng.random() == want.random()
+    assert rng.integers(1, 2**40) == want.integers(1, 2**40)
+    assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_words_are_seedsequence_words(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # uint32 wraparound must not warn
+        for index in INDICES:
+            assert np.array_equal(sweeps._seed_words(seed, [index]), [seedsequence_words(seed, index)])
+        assert np.array_equal(sweeps._seed_words(seed, range(5)),
+                              [seedsequence_words(seed, i) for i in range(5)])
+        for index, rng in zip(INDICES, sweeps._row_streams(seed, INDICES)):
+            assert_same_first_draws(rng, seed, index)
+
+
+def test_row_streams_cross_batches_and_word_counts():
+    rows = [*range(1020), *range(2**32 - 3, 2**32 + 3), 2**64, 2**64 + 1]  # batches of 1024
+    rngs = list(sweeps._row_streams(401, rows))
+    assert len(rngs) == len(rows)
+    for index, rng in zip(rows, rngs):
+        assert rng.random() == dls_reference._row_rng(401, index).random()
+
+
+def test_seed_words_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**300), index=st.integers(0, 2**100))
+    def check(seed, index):
+        assert np.array_equal(sweeps._seed_words(seed, [index]), [seedsequence_words(seed, index)])
+        (rng,) = sweeps._row_streams(seed, [index])
+        assert_same_first_draws(rng, seed, index)
+
+    check()
+
+
+@pytest.mark.parametrize("seed", [0, 401, 2**40])
+def test_driver_rows_equal_rows_from_seedsequence_generators(seed, monkeypatch):
+    runs = ((sweeps.dls_random_sweep, dict(instances=300)),  # two chunks of 209 rows
+            (sweeps.verify_classical, dict(instances=30)),
+            (sweeps.theorem2_sweep, dict(q_values=(4, 8), n_values=(16, 64))))
+    got = [driver(seed=seed, **kwargs) for driver, kwargs in runs]
+    monkeypatch.setattr(sweeps, "_row_streams",
+                        lambda seed, rows: (dls_reference._row_rng(seed, i) for i in rows))
+    assert [driver(seed=seed, **kwargs) for driver, kwargs in runs] == got
