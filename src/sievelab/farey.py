@@ -3,7 +3,7 @@
 The point set of interest is the Farey sequence of order Q: all reduced
 fractions p/q with 0 <= p < q <= Q, in increasing order.  Its minimal gap
 modulo 1 is exactly 1/(Q(Q-1)) for Q >= 2, attained between 1/Q and
-1/(Q-1); the sweeps take that closed form.  The additive bound
+1/(Q-1); ReducedFractions carries that closed form as delta.  The additive bound
 (Q^2 + N) Z in bounds corresponds to the coarser convention delta^{-1} = Q^2.
 
 farey_blocks lists F(Q) in order as int64 (p, q) arrays, a block of about
@@ -65,10 +65,10 @@ def farey_sequence(Q):
 
 
 class ReducedFractions:
-    """F(Q) by denominator: the p/q with 0 <= p < q <= Q, gcd(p, q) = 1.  ``numerators``
-    maps each q = 1 .. Q (a Python int) to a read-only int64 array of its p, increasing,
-    the indices where gcd(arange(q), q) is 1, shared for q <= Q_MAX.  len() is |F(Q)| =
-    sum phi(q).  Q is read by operator.index; one below 1 is a ValueError."""
+    """F(Q) by denominator: the p/q with 0 <= p < q <= Q, gcd(p, q) = 1.  ``numerators`` maps
+    each q = 1 .. Q (a Python int) to a read-only int64 array of its p, increasing, shared for
+    q <= Q_MAX.  ``delta`` is the least gap mod 1, the Fraction 1/(Q(Q-1)) from 1/Q to 1/(Q-1),
+    1 at Q = 1.  len() is |F(Q)| = sum phi(q).  Q is read by operator.index; below 1, ValueError."""
 
     def __init__(self, Q):
         Q = operator.index(Q)
@@ -76,6 +76,7 @@ class ReducedFractions:
             raise ValueError("Farey order must be >= 1, got %d" % Q)
         self.numerators = MappingProxyType(
             {q: (_kept_numerators if q <= Q_MAX else _numerators)(q) for q in range(1, Q + 1)})
+        self.delta = Fraction(1, Q * (Q - 1)) if Q > 1 else Fraction(1)
 
     def __len__(self):
         return sum(map(len, self.numerators.values()))

@@ -114,11 +114,6 @@ def random_sequence(dist, M, N, rng, density=0.1):
     return CoeffSeq(M=M, values=values)
 
 
-def _farey_with_gap(Q):
-    # The minimal gap of F(Q) mod 1 is 1/(Q(Q-1)), between 1/Q and 1/(Q-1).
-    return farey_by_denominator(Q), Fraction(1, Q * (Q - 1)) if Q > 1 else Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # verify-classical
 
@@ -148,14 +143,14 @@ def verify_classical(
     seed = _check_seed(seed)
     f = LinearAmplitude(1, 0)
     rows = []
-    farey = functools.cache(_farey_with_gap)  # per distinct Q, for this call only
+    farey = functools.cache(farey_by_denominator)  # per distinct Q, for this call only
     def draw(i, rng):  # row i's draws, made when ls_lhs_rows reads the row
         Q = int(rng.integers(2, q_max + 1))
         N = int(rng.integers(1, n_max + 1))
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
-        points, delta = farey(Q)
-        return (i, Q, M, N, seq.power(), delta), seq, f, points
+        points = farey(Q)
+        return (i, Q, M, N, seq.power(), points.delta), seq, f, points
     drawn = map(draw, range(instances), _row_streams(seed, range(instances)))
     for (i, Q, M, N, Z, delta), lhs in ls_lhs_rows(drawn):
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
@@ -192,11 +187,12 @@ def theorem2_sweep(
     a ratio for every entry of bounds.RHS.  The grid is checked, its Q, N and
     M read by operator.index and each alpha and a/b as an exact Fraction, before
     the first row: a bad grid is an error, never a row, and status=domain_error
-    is left to negative radicands.  F(Q) with its gap is built once per distinct
-    Q; y_exact is 2 dls.max_abs_g.
+    is left to negative radicands.  F(Q), which carries its gap as delta, is built
+    once per distinct Q; y_exact is 2 dls.max_abs_g.
     """
     q_values, n_values, m_values = ([operator.index(v) for v in vs]
                                     for vs in (q_values, n_values, m_values))
+    eps_values = list(eps_values)
     alpha_values, ratios = ([Fraction(*_exact(v)) for v in vs] for vs in (alpha_values, ratios))
     if not all(1 <= Q <= Q_MAX for Q in q_values):
         raise ValueError("every Q must be in 1 .. %d" % Q_MAX)
@@ -210,15 +206,15 @@ def theorem2_sweep(
         raise ValueError("every eps must be finite and > 0")
     _check_dist(dist, density)
     seed = _check_seed(seed)
-    farey = functools.cache(_farey_with_gap)
+    farey = functools.cache(farey_by_denominator)
     rows = []
     grid = list(itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values))
     def draw(cell, rng):  # the row's draws, made when ls_lhs_rows reads it
         index, (Q, M, N, alpha, ab, eps) = cell
-        points, delta = farey(Q)
+        points = farey(Q)
         f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
         seq = random_sequence(dist, M, N, rng, density)
-        return (index, Q, M, N, alpha, ab, eps, seq.power(), delta), seq, f, points
+        return (index, Q, M, N, alpha, ab, eps, seq.power(), points.delta), seq, f, points
     drawn = map(draw, enumerate(grid), _row_streams(seed, range(len(grid))))
     for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(drawn):
         a, b = ab.numerator, ab.denominator

@@ -4,7 +4,7 @@ exact spacing modulo 1 of a point set.
 farey_pairs is the oracle for sievelab.farey.farey_blocks, which builds
 F(Q) in numpy blocks sorted by float p/q: it shares no code with it and
 uses only Python ints.  min_gap_mod1 is the oracle for the closed-form
-Farey gap 1/(Q(Q-1)) that the sweeps take.
+Farey gap 1/(Q(Q-1)), ReducedFractions.delta.
 """
 
 
@@ -29,8 +29,8 @@ def min_gap_mod1(points):
     """min over j != k of ||x_j - x_k||, with ||x|| = distance to nearest int.
 
     Exact when the points are Fractions.  The wraparound gap between the
-    largest and smallest point (mod 1) is included.  The drivers take the
-    closed form 1/(Q(Q-1)); this O(K log K) scan is the oracle for it.
+    largest and smallest point (mod 1) is included.  ReducedFractions.delta
+    is the closed form 1/(Q(Q-1)); this O(K log K) scan is the oracle for it.
     """
     pts = sorted(x % 1 for x in points)
     if len(pts) < 2:

@@ -142,6 +142,13 @@ class TestByDenominator:
         assert p is not again and np.array_equal(p, again) and not p.flags.writeable
         assert np.array_equal(p, np.flatnonzero(np.gcd(np.arange(q), q) == 1))
 
+    def test_delta_is_the_closed_form(self):
+        # The least gap mod 1 of F(Q), against the exact scan of the ordered points.
+        assert farey_by_denominator(1).delta == 1
+        for Q in range(2, 61):
+            delta = farey_by_denominator(Q).delta
+            assert type(delta) is Fraction and delta == min_gap_mod1(farey_sequence(Q))
+
     @pytest.mark.parametrize("denominators", [[4, 0], [4, 9, 9], [4, 9.0]])
     def test_refused_before_anything_is_built(self, denominators, monkeypatch):
         # A list of denominators is no order: that form is gone, and it is refused whole.

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import dls_reference
-from farey_reference import min_gap_mod1
 from sievelab import sweeps
-from sievelab.farey import farey_sequence
 
 
 def counting(monkeypatch, owner, name):
@@ -80,6 +78,16 @@ def test_theorem2_grid_caps_are_accepted(grid, monkeypatch):
     assert sweeps.theorem2_sweep(**grid) == (sweeps.THEOREM2_COLUMNS, [])
 
 
+def test_theorem2_grid_may_be_iterators():
+    # Each axis is read once: an iterator grid gives the rows of the same grid as lists.
+    grid = dict(q_values=[4, 5], m_values=[0, -3], n_values=[8], alpha_values=[Fraction(1, 3)],
+                ratios=[Fraction(0), Fraction(1, 2)], eps_values=[0.1, 0.5], seed=3)
+    columns, rows = sweeps.theorem2_sweep(**grid)
+    assert len(rows) == 16
+    once = {k: iter(v) if isinstance(v, list) else v for k, v in grid.items()}
+    assert sweeps.theorem2_sweep(**once) == (columns, rows)
+
+
 def test_verify_classical_builds_each_order_once(monkeypatch):
     farey = counting(monkeypatch, sweeps, "farey_by_denominator")
     rows, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
@@ -103,16 +111,6 @@ def test_verify_classical_builds_each_denominator_once_per_process(monkeypatch):
     monkeypatch.setattr(sweeps, "_row_streams", lambda *a: (
         farey._kept_numerators.cache_clear() or rng for rng in row_streams(*a)))
     assert sweeps.verify_classical(**config) == (rows, ok) and len(built) > 32
-
-
-def test_sweep_gap_is_the_closed_form():
-    points, delta = sweeps._farey_with_gap(1)
-    assert {q: p.tolist() for q, p in points.numerators.items()} == {1: [0]}
-    assert delta == Fraction(1)
-    for Q in range(2, 61):
-        points, delta = sweeps._farey_with_gap(Q)
-        assert len(points) == len(farey_sequence(Q))
-        assert delta == min_gap_mod1(farey_sequence(Q))
 
 
 def test_farey_points_are_not_converted_one_by_one(monkeypatch):
