@@ -10,7 +10,6 @@ a theorem2-sweep row's right sides in column order; holds is the check rule.
 """
 
 import math
-from typing import NamedTuple
 
 SLACK = 1e-9
 
@@ -120,31 +119,19 @@ def conjecture_rhs(Q, N, Z):
     return (Q * Q + Q * N) * Z
 
 
-class BoundParams(NamedTuple):
-    """One parameter point of a sweep."""
-
-    Q: int
-    M: int
-    N: int
-    alpha: object
-    a: int
-    b: int
-    eps: float
-    delta: object
-    Z: float
-
-
 # Every right side of a theorem2-sweep row, by name, in column order; each
-# formula takes the row's BoundParams.  Whether a bound is asserted depends
+# formula takes the row's parameters (Q, M, N, alpha, a, b, eps, delta, Z) as
+# keywords and names the ones it reads.  Whether a bound is asserted depends
 # on the driver, not on the bound: verify-classical asserts sharp and
 # additive, for f(n) = n; theorem2-sweep asserts none, because its f is
 # quadratic and the prime-square construction (counterexample) shows that
 # the classical forms can fail there.
 RHS = {
-    "classical": lambda p: classical_rhs(p.delta, p.N, p.Z),
-    "sharp": lambda p: sharp_rhs(p.delta, p.N, p.Z),
-    "additive": lambda p: additive_rhs(p.Q, p.N, p.Z),
-    "trivial": lambda p: trivial_rhs(p.delta, p.alpha, p.M, p.N, p.Z),
-    "theorem2": lambda p: theorem2_rhs(p.Q, p.alpha, p.a, p.b, p.M, p.N, p.eps, p.Z),
-    "conjecture": lambda p: conjecture_rhs(p.Q, p.N, p.Z),
+    "classical": lambda delta, N, Z, **_: classical_rhs(delta, N, Z),
+    "sharp": lambda delta, N, Z, **_: sharp_rhs(delta, N, Z),
+    "additive": lambda Q, N, Z, **_: additive_rhs(Q, N, Z),
+    "trivial": lambda delta, alpha, M, N, Z, **_: trivial_rhs(delta, alpha, M, N, Z),
+    "theorem2": lambda Q, alpha, a, b, M, N, eps, Z, **_:
+        theorem2_rhs(Q, alpha, a, b, M, N, eps, Z),
+    "conjecture": lambda Q, N, Z, **_: conjecture_rhs(Q, N, Z),
 }

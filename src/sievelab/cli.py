@@ -25,16 +25,12 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("not a rational: %r (%s)" % (text, exc))
 
 
-def _fraction_list(text):
-    return tuple(_fraction(t) for t in text.split(","))
-
-
-def _int_list(text):
-    return tuple(int(t) for t in text.split(","))
-
-
-def _float_list(text):
-    return tuple(float(t) for t in text.split(","))
+def _list(item):
+    """An argparse type: a comma-separated list of item(text) values, as a tuple."""
+    def comma_list(text):
+        return tuple(map(item, text.split(",")))
+    comma_list.__name__ = item.__name__.lstrip("_") + " list"  # argparse prints it
+    return comma_list
 
 
 def _add_io_args(p):
@@ -79,14 +75,14 @@ def build_parser():
         sub, "theorem2-sweep", "ratio sweep of the quadratic-amplitude bound (never pass/fail)"
     )
     # Every dest is a keyword option of sweeps.theorem2_sweep.
-    p.add_argument("--Q", dest="q_values", type=_int_list)
-    p.add_argument("--N", dest="n_values", type=_int_list)
-    p.add_argument("--M", dest="m_values", type=_int_list)
-    p.add_argument("--alpha", dest="alpha_values", type=_fraction_list)
+    p.add_argument("--Q", dest="q_values", type=_list(int))
+    p.add_argument("--N", dest="n_values", type=_list(int))
+    p.add_argument("--M", dest="m_values", type=_list(int))
+    p.add_argument("--alpha", dest="alpha_values", type=_list(_fraction))
     p.add_argument(
-        "--ratio", dest="ratios", type=_fraction_list, help="comma-separated list of a/b values"
+        "--ratio", dest="ratios", type=_list(_fraction), help="comma-separated list of a/b values"
     )
-    p.add_argument("--eps", dest="eps_values", type=_float_list)
+    p.add_argument("--eps", dest="eps_values", type=_list(float))
     p.add_argument("--dist", choices=sweeps.DISTS)
     p.add_argument("--density", type=float)
     p.add_argument("--seed", type=int)

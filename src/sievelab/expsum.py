@@ -60,7 +60,7 @@ def _exact(v):
     v = v.item() if isinstance(v, np.generic) else v
     try:
         u, d = (v if hasattr(v, "as_integer_ratio") else Fraction(v)).as_integer_ratio()
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise ValueError("not a finite rational: %r" % (v,)) from None
     return int(u), int(d)
 

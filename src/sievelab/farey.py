@@ -39,8 +39,9 @@ def farey_blocks(Q):
     points.  A block is sorted by the float p/q, which is exact: distinct
     points of F(Q) differ by at least 1/Q^2 >= 2^-32, far above the 2^-53
     rounding error of p/q, and correctly rounded division is monotone.
-    ValueError, on the first next(), for Q outside 1 .. FAREY_ORDER_MAX.
+    On the first next(): Q is read by operator.index, ValueError outside 1 .. FAREY_ORDER_MAX.
     """
+    Q = operator.index(Q)
     if not 1 <= Q <= FAREY_ORDER_MAX:
         raise ValueError("Farey order must be in 1 .. %d, got %r" % (FAREY_ORDER_MAX, Q))
     C = max(1, Q * (Q + 1) // (2 * max(BLOCK, Q)))

@@ -218,7 +218,7 @@ def theorem2_sweep(
     drawn = map(draw, enumerate(grid), _row_streams(seed, range(len(grid))))
     for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(drawn):
         a, b = ab.numerator, ab.denominator
-        params = bounds.BoundParams(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
+        params = dict(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
         y_paper = 2 * abs(M) * N + N * N + N * ab
         row = dict(zip(THEOREM2_COLUMNS, (
             index, seed, RNG_ID, __version__, dist, Q, M, N, str(alpha), a, b, eps, Z,
@@ -226,7 +226,7 @@ def theorem2_sweep(
         )), status="ok")
         for name, formula in bounds.RHS.items():
             try:
-                rhs = formula(params)
+                rhs = formula(**params)
             except bounds.NegativeRadicandError:
                 rhs = None
                 row["status"] = "domain_error"

@@ -144,7 +144,7 @@ def test_criterion_6_duality_spectral_norms():
                 float(rng.uniform(-1.0, 1.0)),
             )
             pts = list(rng.uniform(0.0, 1.0, K))
-            res = duality_norm_check(f, pts, M, N, iterations=50000, tol=1e-14)
+            res = duality_norm_check(f, pts, M, N)
             assert res.converged
             assert abs(res.norm_primal - res.norm_dual) < 1e-6
             oracle = float(np.linalg.norm(phase_matrix(f, pts, M, N), 2))

@@ -202,6 +202,23 @@ class TestTheorem2Sweep:
         assert "every %s" % option[2:] in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--Q", "4,x"], ["--N", "16,"], ["--eps", "0.1,y"], ["--alpha", "1/3,1/0"], ["--ratio=1/0"],
+    ])
+    def test_bad_list_item_is_a_usage_error(self, argv, tmp_path, capsys):
+        # Each item of a comma list is parsed by the option's item type: one bad item
+        # refuses the whole option while parsing, before any driver runs.
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorem2-sweep", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        option = argv[0].split("=")[0]
+        errors = [line for line in stderr.splitlines() if "argument --" in line]
+        assert stdout == "" and len(errors) == 1
+        assert errors[0].startswith("sievelab theorem2-sweep: error: argument %s: " % option)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rerun_is_byte_identical(self, fmt, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"

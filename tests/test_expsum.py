@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sievelab import expsum
+from sievelab import expsum, sweeps
 from sievelab.expsum import (
     CoeffSeq,
     LinearAmplitude,
@@ -654,6 +654,18 @@ def test_non_finite_input_is_an_error(bad):
             CoeffSeq(values=values)
         with pytest.raises(ValueError):
             dual_lhs(values, QuadraticAmplitude(1), [0.25, 0.5], 0, 3)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "0/0"])
+def test_zero_denominator_is_not_a_finite_rational(bad):
+    # Fraction's ZeroDivisionError comes out as the ValueError every entry promises.
+    calls = (lambda: QuadraticAmplitude(bad),
+             lambda: ls_lhs(CoeffSeq(values=[1, 2j]), QuadraticAmplitude(1), [bad]),
+             lambda: sweeps.theorem2_sweep(alpha_values=(bad,)),
+             lambda: sweeps.lemma4_table(3, ratio=bad))
+    for call in calls:
+        with pytest.raises(ValueError, match="not a finite rational"):
+            call()
 
 
 ULP52 = Fraction(1, 2**52)

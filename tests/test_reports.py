@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sievelab
@@ -233,6 +234,24 @@ def test_farey_report_matches_dict_rows(Q, fmt, tmp_path):
     assert got.read_bytes() == farey_oracle_bytes(Q, fmt, tmp_path)
     assert_farey_stdout_matches(Q, fmt)
     assert sorted(os.listdir(tmp_path)) == ["got." + fmt, "want." + fmt]
+
+
+@pytest.mark.parametrize("Q", [2.5, 3.0])
+def test_farey_order_that_is_no_integer_is_refused(Q, tmp_path):
+    # Read by operator.index, as ReducedFractions reads it: 2.5 must not list F(3).
+    with pytest.raises(TypeError):
+        next(farey.farey_blocks(Q))
+    with pytest.raises(TypeError):
+        farey.farey_sequence(Q)
+    with pytest.raises(TypeError):
+        reports.write_farey(Q, str(tmp_path / "farey.csv"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_farey_order_may_be_a_numpy_integer(tmp_path):
+    assert farey.farey_sequence(np.int64(3)) == farey.farey_sequence(3)
+    reports.write_farey(np.int64(3), str(tmp_path / "got.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == farey_oracle_bytes(3, "csv", tmp_path)
 
 
 @pytest.mark.parametrize("block", [1, 3])
