@@ -144,7 +144,7 @@ def _cmd_counterexample(args):
 _ROW_COMMANDS = {
     "verify-classical": ("verify_classical", "write_rows", sweeps.VERIFY_COLUMNS,
                          "verify-classical: bound violated on at least one instance"),
-    "dls-check": ("dls_random_sweep", "write_rows", sweeps.DLS_COLUMNS,
+    "dls-check": ("dls_random_sweep", "write_dls", sweeps.DLS_COLUMNS,
                   "dls-check: inequality failed or anomaly flagged"),
     "lemma4": ("lemma4_table", "write_lemma4", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
 }

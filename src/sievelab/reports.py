@@ -7,14 +7,15 @@ A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
 pipe (/dev/null, a FIFO) is written in place, and a path that names the
 file stdout has open (/dev/stdout, or the target of a >> redirect) is
-written through sys.stdout.  write_farey and write_lemma4 render their
-reports from one %-template per format, which holds the cells that are the
-same in every row, by the block of rows: farey.BLOCK rows to one % call.
+written through sys.stdout.  write_farey, write_lemma4 and write_dls render
+their reports from one %-template per format, which holds the cells that are
+the same in every row, by the block of rows: farey.BLOCK rows to one % call.
 """
 
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -96,18 +97,19 @@ def write_rows(rows, columns, path=None, fmt="csv"):
         raise ValueError("unknown format %r" % (fmt,))
 
 
-def _template(fmt, columns, cells, constants=()):
-    """(head, row, sep, tail) of a report in fmt; row is a %-template: the
-    conversions in cells, then each of constants (numbers or plain strings)
-    encoded once, as the generic writers do: str() for CSV, _encode for JSON."""
+def _template(fmt, columns, cells, constants={}):
+    """(head, row, sep, tail) of a report in fmt; row is a %-template: in a column of
+    constants its value (a number or plain string) encoded once as the generic writers
+    do, str() for CSV and _encode for JSON; in the other columns the cells, in order."""
+    if fmt not in ("csv", "json"):
+        raise ValueError("unknown format %r" % (fmt,))
+    encode, cells = str if fmt == "csv" else _encode, iter(cells)
+    cells = [encode(constants[c]).replace("%", "%%") if c in constants else next(cells)
+             for c in columns]
     if fmt == "csv":
-        cells = (*cells, *(str(v).replace("%", "%%") for v in constants))
         return ",".join(columns) + "\n", ",".join(cells), "\n", "\n"
-    if fmt == "json":
-        cells = (*cells, *(_encode(v).replace("%", "%%") for v in constants))
-        fields = ",\n    ".join(_encode(c) + ": " + cell for c, cell in zip(columns, cells))
-        return "[\n", "  {\n    " + fields + "\n  }", ",\n", "\n]\n"
-    raise ValueError("unknown format %r" % (fmt,))
+    fields = ",\n    ".join(_encode(c) + ": " + cell for c, cell in zip(columns, cells))
+    return "[\n", "  {\n    " + fields + "\n  }", ",\n", "\n]\n"
 
 
 def _write_rows(out, row_sep, columns, n):
@@ -158,12 +160,25 @@ def write_farey(Q, path=None, fmt="csv"):
 
 
 def write_lemma4(table, columns, path=None, fmt="csv"):
-    """A sweeps.Lemma4Table in the given columns, with the bytes write_rows
-    gives on its dict rows: m, n, both counts and agree vary per row, and
-    the table's constant cells sit in the template.  One block per m."""
-    template = _template(fmt, columns, ("%d", "%d", "%d", "%d", "%s"), table.constants)
-    S = table.S
+    """A sweeps.Lemma4Table in the given columns, with the bytes write_rows gives on its
+    dict rows; a block holds the rows of max(1, farey.BLOCK // N) values of m."""
+    template = _template(fmt, columns, ("%d",) * 4 + ("%s",), dict(zip(columns[5:], table.constants)))
+    S, k = table.S, max(1, farey.BLOCK // len(table.S))
     blocks = (
-        ([m] * len(S), S, t.tolist(), u.tolist(), list(map(_AGREE.__getitem__, (t == u).tolist())))
-        for m, t, u in zip(S, table.brute, table.divisor))
+        ([m for m in S[i:i + k] for _ in S], list(S) * len(t), t.ravel().tolist(),
+         u.ravel().tolist(), list(map(_AGREE.__getitem__, (t == u).ravel().tolist())))
+        for i in range(0, len(S), k) for t, u in [(table.brute[i:i + k], table.divisor[i:i + k])])
     _write_blocks(path, fmt, template, blocks, template[1])
+
+
+def write_dls(table, columns, path=None, fmt="csv"):
+    """A sweeps.DLSTable in the given columns, with the bytes write_rows gives on its
+    dict rows (with no row, write_rows writes it); its constants sit in the template."""
+    if not len(table):
+        return write_rows([], columns, path, fmt)
+    template = _template(fmt, columns, ("%d",) * 3 + ("%s",) * 6, dict(zip(columns[1:4], table.constants)))
+    cells = [range(len(table)), table.m_points, table.n_points, table.X, table.Y, table.lhs, table.rhs]
+    if fmt == "json":  # a float column with inf or nan: each cell as json.dumps writes it
+        cells[3:] = (c if math.isfinite(sum(c)) else list(map(_encode, c)) for c in cells[3:])
+    cells += (list(map(_AGREE.__getitem__, c)) for c in (table.holds, table.anomaly))
+    _write_blocks(path, fmt, template, [cells], template[1])

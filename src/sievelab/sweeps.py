@@ -16,8 +16,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -264,14 +264,23 @@ def _dls_chunk(rngs, size_max, lo, hi):
     return dls.DLSInstance.chunk(X, Y, m, n, xs, ys, a_re + 1j * a_im, b_re + 1j * b_im)
 
 
+class DLSTable(SimpleNamespace):
+    """dls-check's rows as columns: a list per DLS_COLUMNS cell from m_points to anomaly,
+    the seed, and constants, the seed, rng and version cells.  len() counts the rows."""
+
+    def __len__(self):
+        return len(self.lhs)
+
+
 def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
     """dls.dls_checks over seeded random instances, a chunk of rows at a
-    time.  Returns (rows, all_hold).
+    time.  Returns (DLSTable, all_hold), for reports.write_dls.
 
-    The arguments are checked before the first row: instances >= 0,
-    1 <= size_max <= DLS_SIZE_MAX, 0 < scale_min <= scale_max with the
+    The arguments are checked before the first row: instances >= 0 and 1 <= size_max <=
+    DLS_SIZE_MAX, both read by operator.index, 0 < scale_min <= scale_max with the
     largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite, and seed >= 0.
     """
+    instances, size_max = operator.index(instances), operator.index(size_max)
     if instances < 0:
         raise ValueError("instances must be >= 0, got %r" % (instances,))
     if not 1 <= size_max <= DLS_SIZE_MAX:
@@ -280,18 +289,18 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
     seed = _check_seed(seed)
-    rows = []
+    cells = {column: [] for column in DLS_COLUMNS[4:]}
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
     streams = _row_streams(seed, range(instances))
-    for start in range(0, instances, step):
+    for _ in range(0, instances, step):
         chunk = _dls_chunk(itertools.islice(streams, step),
                            size_max, float(scale_min), float(scale_max))
-        for i, (inst, check) in enumerate(zip(chunk, dls.dls_checks(chunk)), start):
-            rows.append(dict(zip(DLS_COLUMNS, (
-                i, seed, RNG_ID, __version__, len(inst.xs), len(inst.ys), inst.X, inst.Y, *check
-            ))))
-        del chunk, inst  # before the next chunk is drawn: it holds the chunk's arrays
-    return rows, all(r["holds"] and not r["anomaly"] for r in rows)
+        rows = ((len(i.xs), len(i.ys), i.X, i.Y, *c) for i, c in zip(chunk, dls.dls_checks(chunk)))
+        for column, values in zip(cells.values(), zip(*rows)):
+            column.extend(values)
+        del chunk  # before the next chunk is drawn: it holds the chunk's arrays
+    table = DLSTable(seed=seed, constants=(seed, RNG_ID, __version__), **cells)
+    return table, all(table.holds) and not any(table.anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +313,10 @@ LEMMA4_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Lemma4Table:
-    """T for every (m, n) in S^2 by both counters, as int64 arrays indexed
-    [m - S[0], n - S[0]], and the LEMMA4_COLUMNS cells after "agree", which
-    are the same in every row.  len() is the number of report rows."""
-
-    S: range
-    brute: np.ndarray
-    divisor: np.ndarray
-    constants: tuple
+class Lemma4Table(SimpleNamespace):
+    """T for every (m, n) in S^2 by both counters, as int64 arrays brute and
+    divisor indexed [m - S[0], n - S[0]], and constants, the LEMMA4_COLUMNS cells
+    after "agree", which are the same in every row.  len() is the number of rows."""
 
     def __len__(self):
         return len(self.S) ** 2
@@ -335,5 +338,5 @@ def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     )
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
     divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
-    table = Lemma4Table(range(M + 1, M + N + 1), brute, divisor, constants)
+    table = Lemma4Table(S=range(M + 1, M + N + 1), brute=brute, divisor=divisor, constants=constants)
     return table, bool(np.array_equal(brute, divisor))

@@ -91,14 +91,14 @@ def test_criterion_3_counterexample_reproduction():
 
 def test_criterion_4_double_large_sieve():
     with Budget(4, 30.0, "(pi/2)^4 double large sieve on 500 seeded instances"):
-        rows, all_hold = sweeps.dls_random_sweep(
+        table, all_hold = sweeps.dls_random_sweep(
             instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=2
         )
-        assert len(rows) == 500
+        assert len(table) == 500
         assert all_hold
-        for r in rows:
-            assert r["lhs"] <= r["rhs"] * (1.0 + 1e-9)
-            assert not r["anomaly"]
+        for lhs, rhs, holds, anomaly in zip(table.lhs, table.rhs, table.holds, table.anomaly):
+            assert lhs <= rhs * (1.0 + 1e-9)
+            assert holds and not anomaly
 
 
 LEMMA4_WINDOWS = [(0, 30), (-15, 30)]

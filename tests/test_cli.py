@@ -474,7 +474,8 @@ def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys,
         sweeps.dls_random_sweep(size_max=sweeps.DLS_SIZE_MAX + 1)
     with pytest.raises(ValueError, match="scale_max"):
         sweeps.dls_random_sweep(scale_min=1.0, scale_max=2e154)
-    assert sweeps.dls_random_sweep(instances=0, size_max=sweeps.DLS_SIZE_MAX) == ([], True)
+    table, all_hold = sweeps.dls_random_sweep(instances=0, size_max=sweeps.DLS_SIZE_MAX)
+    assert len(table) == 0 and all_hold
     for option in (["--size-max", str(sweeps.DLS_SIZE_MAX + 1)], ["--scale-max", "2e154"],
                    ["--scale-min", "1e200", "--scale-max", "1e200"]):
         assert_refused_in_process(["dls-check", "--instances", "3", *option], capsys, tmp_path)
@@ -483,10 +484,10 @@ def test_dls_size_and_scale_caps_are_refused_before_any_row(monkeypatch, capsys,
 def test_dls_largest_scale_below_the_cap_runs_without_warnings():
     # pyproject.toml turns a RuntimeWarning (numpy overflow) into an error here.
     # The right side overflows, so each row is an anomaly: it checks nothing.
-    rows, all_hold = sweeps.dls_random_sweep(instances=3, scale_min=1e154, scale_max=1e154)
-    assert not all_hold and len(rows) == 3
-    assert all(r["lhs"] == r["lhs"] and r["rhs"] == float("inf") for r in rows)
-    assert all(r["holds"] and r["anomaly"] for r in rows)
+    table, all_hold = sweeps.dls_random_sweep(instances=3, scale_min=1e154, scale_max=1e154)
+    assert not all_hold and len(table) == 3
+    assert all(lhs == lhs and rhs == float("inf") for lhs, rhs in zip(table.lhs, table.rhs))
+    assert all(table.holds) and all(table.anomaly)
 
 
 def test_zero_instances_write_a_header_only_report():

@@ -10,6 +10,13 @@ from sievelab import bounds, dls, sweeps
 from sievelab.sweeps import dls_random_sweep
 
 
+def table_rows(table):
+    """A sweeps.DLSTable's rows as the dicts dls_reference.reference_rows makes, every cell."""
+    cells = zip(table.m_points, table.n_points, table.X, table.Y,
+                table.lhs, table.rhs, table.holds, table.anomaly)
+    return [dict(zip(sweeps.DLS_COLUMNS, (i, *table.constants, *row))) for i, row in enumerate(cells)]
+
+
 def unit_instance(xs, ys, X, Y, aw=None, bw=None):
     aw = tuple(aw) if aw is not None else (1.0,) * len(xs)
     bw = tuple(bw) if bw is not None else (1.0,) * len(ys)
@@ -87,8 +94,8 @@ class TestDLSCheck:
         assert check.lhs == 0.0 and check.rhs == 0.0 and check.holds
 
     def test_random_instances_hold(self):
-        rows, all_hold = dls_random_sweep(instances=100, size_max=20, seed=77)
-        assert all_hold
+        table, all_hold = dls_random_sweep(instances=100, size_max=20, seed=77)
+        assert all_hold and len(table) == 100
 
     def test_instances_compare_by_identity(self):
         # eq=False, as CoeffSeq: a field-wise == on arrays would be ambiguous
@@ -284,7 +291,10 @@ class TestBatchedAgainstReference:
 def test_sweep_rows_equal_the_reference_rows(kwargs):
     # Merged draws and batched sums leave every row as it was drawn and
     # checked one call at a time.
-    assert dls_random_sweep(**kwargs)[0] == ref.reference_rows(**kwargs)
+    table, all_hold = dls_random_sweep(**kwargs)
+    rows = ref.reference_rows(**kwargs)
+    assert table_rows(table) == rows and len(table) == len(rows)
+    assert all_hold == all(r["holds"] and not r["anomaly"] for r in rows)
 
 
 @pytest.mark.parametrize("cells", [1, 2500, 10**4, 2**40])

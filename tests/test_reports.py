@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dls_reference
 import sievelab
 from farey_reference import farey_pairs
 from sievelab import bounds, dls, farey, reports, sweeps
@@ -396,6 +397,12 @@ LEMMA4_CASES = [
     {"N": 60, "M": -7, "alpha": Fraction(1, 5), "ratio": Fraction(2, 3)},
     {"N": 3, "M": -2, "alpha": Fraction(1, 10 ** 310), "ratio": Fraction(-1, 5)},  # inf bounds
     {"N": 3, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4), "eps": 1e6},  # inf bounds
+    # farey.BLOCK // N values of m to a block: 1024 at N = 2, 45 at N = 45, 44 at N = 46.
+    {"N": 1, "M": -4, "alpha": Fraction(1, 3)},
+    {"N": 2, "M": -1, "alpha": Fraction(1, 3), "ratio": Fraction(1, 2)},
+    {"N": 45, "M": -20, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4)},
+    {"N": 46, "alpha": Fraction(1, 5), "ratio": Fraction(2, 3)},
+    {"N": 46, "M": -50, "alpha": Fraction(2, 7), "ratio": Fraction(-1, 3)},
 ]
 
 
@@ -424,6 +431,17 @@ def test_lemma4_report_across_several_percent_calls(args, fmt, tmp_path, monkeyp
     # Two rows per %: each m of N = 7 takes four calls, the last one a single row.
     monkeypatch.setattr(farey, "BLOCK", 2)
     assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block", [5, 7])
+def test_lemma4_report_in_blocks_of_whole_m_rows(block, fmt, tmp_path, monkeypatch):
+    # block // N values of m to a block, the last block shorter: at block 7, N = 3 takes
+    # blocks of 2 and 1 m, N = 2 one block of both, and N = 4 one m a block.
+    monkeypatch.setattr(farey, "BLOCK", block)
+    for args in ({"N": 1}, {"N": 2, "M": -1}, {"N": 3, "M": -2, "alpha": Fraction(1, 2)},
+                 {"N": 4, "alpha": Fraction(1, 3), "ratio": Fraction(1, 2)}, {"N": 7}):
+        assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
 
 
 def test_lemma4_report_writes_disagreeing_counters(tmp_path):
@@ -463,3 +481,58 @@ def test_property_lemma4_report_matches_dict_rows(tmp_path):
             assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
 
     check()
+
+
+# The dls-check report, rendered from a sweeps.DLSTable, against write_rows on the
+# dict rows that dls_reference draws and checks one instance at a time.
+
+DLS_CASES = [
+    {"instances": 0},
+    {"instances": 210, "size_max": 50, "seed": 7},  # one row past the first chunk of 209
+    {"instances": 300, "size_max": 1, "seed": 4},
+    {"instances": 3, "scale_min": 1e154, "scale_max": 1e154},  # every rhs inf
+    {"instances": 2000, "seed": 401},
+]
+
+
+def assert_dls_matches_rows(table, rows, fmt, directory):
+    got, want = directory / ("got." + fmt), directory / ("want." + fmt)
+    reports.write_dls(table, sweeps.DLS_COLUMNS, str(got), fmt)
+    reports.write_rows(rows, sweeps.DLS_COLUMNS, str(want), fmt)
+    assert got.read_bytes() == want.read_bytes()
+    assert printed(lambda: reports.write_dls(table, sweeps.DLS_COLUMNS, None, fmt)) == (
+        printed(lambda: reports.write_rows(rows, sweeps.DLS_COLUMNS, None, fmt)))
+    return want.read_text()
+
+
+@pytest.mark.parametrize("kwargs", DLS_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_dls_report_matches_reference_rows(kwargs, tmp_path):
+    table, _ = sweeps.dls_random_sweep(**kwargs)
+    rows = dls_reference.reference_rows(**kwargs)
+    text = {fmt: assert_dls_matches_rows(table, rows, fmt, tmp_path) for fmt in ("csv", "json")}
+    if not rows:
+        assert text == {"csv": ",".join(sweeps.DLS_COLUMNS) + "\n", "json": "[]\n"}
+    if kwargs.get("scale_min") == 1e154:
+        assert [r["rhs"] for r in csv.DictReader(io.StringIO(text["csv"]))] == ["inf"] * 3
+        assert text["json"].count('"rhs": Infinity,') == 3
+
+
+def test_dls_report_writes_floats_and_bools_as_json_does(tmp_path):
+    # Built by hand: nan, -inf and -0.0 cells, which no drawn instance gives.
+    inf, nan = float("inf"), float("nan")
+    columns = ([1, 2, 50], [3, 1, 50], [0.25, 1e-300, 100.0], [1.5, 2.0, 7.0],
+               [nan, 1.5, -0.0], [inf, -inf, 0.1], [True, False, True], [True, True, False])
+    constants = (2**70, sweeps.RNG_ID, sievelab.__version__)
+    table = sweeps.DLSTable(seed=2**70, constants=constants,
+                            **dict(zip(sweeps.DLS_COLUMNS[4:], columns)))
+    rows = [dict(zip(sweeps.DLS_COLUMNS, (i, *constants, *row))) for i, row in enumerate(zip(*columns))]
+    for fmt in ("csv", "json"):
+        assert_dls_matches_rows(table, rows, fmt, tmp_path)
+
+
+@pytest.mark.parametrize("instances", [0, 2])
+def test_dls_report_unknown_format(instances, tmp_path):
+    table, _ = sweeps.dls_random_sweep(instances=instances, size_max=3)
+    with pytest.raises(ValueError, match="format"):
+        reports.write_dls(table, sweeps.DLS_COLUMNS, str(tmp_path / "r"), "xml")
+    assert os.listdir(tmp_path) == []

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -241,8 +242,25 @@ def test_row_driver_numpy_integers_are_their_ints():
     assert sweeps.verify_classical(**{k: np.int64(v) for k, v in config.items()}) == want
     grid = dict(q_values=(4,), n_values=(8,), eps_values=(0.1,))
     assert sweeps.theorem2_sweep(seed=np.int64(3), **grid) == sweeps.theorem2_sweep(seed=3, **grid)
-    rows, ok = sweeps.dls_random_sweep(instances=3, size_max=4, seed=np.int32(3))
-    assert ok and [r["seed"] for r in rows] == [3] * 3 and type(rows[0]["seed"]) is int
+    table, ok = sweeps.dls_random_sweep(instances=3, size_max=4, seed=np.int32(3))
+    assert ok and len(table) == 3 and table.seed == 3 and type(table.seed) is int
+
+
+@pytest.mark.parametrize("value", [Fraction(5, 2), Fraction(50), 2.5, np.float64(3)], ids=repr)
+@pytest.mark.parametrize("name", ["instances", "size_max"])
+def test_dls_counts_that_are_no_integers_are_refused(name, value, monkeypatch):
+    # Read by operator.index, as verify_classical reads its counts: size_max = Fraction(5, 2)
+    # once gave rows with m, n <= 2, and Fraction(50) ran as 50.
+    dls_reference.forbid_rows(monkeypatch)
+    with pytest.raises(TypeError):
+        sweeps.dls_random_sweep(**{name: value})
+
+
+def test_dls_counts_may_be_numpy_integers_or_bools():
+    # A DLSTable compares by its seed, constants and every cell of its columns.
+    run = functools.partial(sweeps.dls_random_sweep, seed=5)
+    assert run(instances=np.int64(3), size_max=np.int64(3)) == run(instances=3, size_max=3)
+    assert run(instances=True, size_max=True) == run(instances=1, size_max=1)
 
 
 @pytest.mark.parametrize("value", [0.5, "1/2", np.float64(0.5)], ids=repr)
