@@ -123,8 +123,8 @@ def _cmd_farey(args):
 
 
 def _cmd_theorem2_sweep(args):
-    columns, rows = sweeps.theorem2_sweep(**_options(args))
-    reports.write_rows(rows, columns, args.out, args.format)
+    columns, table = sweeps.theorem2_sweep(**_options(args))
+    reports.write_table(table, columns, args.out, args.format)
     return 0
 
 
@@ -142,9 +142,9 @@ def _cmd_counterexample(args):
 # when a check fails).  Both are looked up by name at call time, so a rebound
 # one (a tracer's) runs.
 _ROW_COMMANDS = {
-    "verify-classical": ("verify_classical", "write_rows", sweeps.VERIFY_COLUMNS,
+    "verify-classical": ("verify_classical", "write_table", sweeps.VERIFY_COLUMNS,
                          "verify-classical: bound violated on at least one instance"),
-    "dls-check": ("dls_random_sweep", "write_dls", sweeps.DLS_COLUMNS,
+    "dls-check": ("dls_random_sweep", "write_table", sweeps.DLS_COLUMNS,
                   "dls-check: inequality failed or anomaly flagged"),
     "lemma4": ("lemma4_table", "write_lemma4", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
 }
@@ -152,8 +152,8 @@ _ROW_COMMANDS = {
 
 def _cmd_rows(args):
     driver, writer, columns, failure = _ROW_COMMANDS[args.command]
-    rows, ok = getattr(sweeps, driver)(**_options(args))
-    getattr(reports, writer)(rows, columns, args.out, args.format)
+    table, ok = getattr(sweeps, driver)(**_options(args))
+    getattr(reports, writer)(table, columns, args.out, args.format)
     if not ok:
         print(failure, file=sys.stderr)
         return 1

@@ -7,13 +7,13 @@ A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
 pipe (/dev/null, a FIFO) is written in place, and a path that names the
 file stdout has open (/dev/stdout, or the target of a >> redirect) is
-written through sys.stdout.  write_farey, write_lemma4 and write_dls render
-their reports from one %-template per format, which holds the cells that are
-the same in every row, by the block of rows: farey.BLOCK rows to one % call.
+written through sys.stdout.  write_farey, write_lemma4 and write_table render their
+reports from one %-template per format, which holds the cells that are the same in every
+row, by the block of rows: farey.BLOCK rows to one % call.  The bytes are those csv.writer
+(bools as true, false) and json.dumps(rows, indent=2, default=str) give on dict rows.
 """
 
 import contextlib
-import csv
 import json
 import math
 import os
@@ -26,10 +26,10 @@ _FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
 # Three ints, a float and the gap "1/bd", left empty on the last row.
 _FAREY_CELLS = {"csv": ("%d", "%d", "%d", "%r", "1/%d"),
                 "json": ("%d", "%d", "%d", "%r", '"1/%d"')}
-_AGREE = ("false", "true")  # a bool cell, as both generic writers write it
+_AGREE = ("false", "true")  # a bool cell, in CSV as in JSON
 
-# write_json's row encoder; a str, int or float alone encodes as in a row.
-_encode = json.JSONEncoder(default=str, separators=(",\n    ", ": ")).encode
+# One JSON cell, as json.dumps(rows, indent=2, default=str) writes it in a row.
+_encode = json.JSONEncoder(default=str).encode
 
 
 def _is_stdout(path):
@@ -65,42 +65,10 @@ def output(path, newline=None):
         raise
 
 
-def write_csv(rows, columns, path=None):
-    """Write dict rows in the given column order; '-' or None means stdout."""
-    # csv.writer writes None as "" and other values by str(); only bools need mapping.
-    with output(path, newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(
-            ["true" if v is True else "false" if v is False else v for v in map(row.get, columns)]
-            for row in rows
-        )
-
-
-def write_json(rows, columns, path=None):
-    """JSON mirror of the CSV: json.dumps(rows, indent=2, default=str) + newline,
-    one C-encoder call per row, written as it comes."""
-    with output(path) as out:
-        sep = "[\n  {\n    "
-        for row in rows:
-            out.write(sep + _encode({c: row.get(c) for c in columns})[1:-1])
-            sep = "\n  },\n  {\n    "
-        out.write("[]\n" if sep[0] == "[" else "\n  }\n]\n")
-
-
-def write_rows(rows, columns, path=None, fmt="csv"):
-    if fmt == "csv":
-        write_csv(rows, columns, path)
-    elif fmt == "json":
-        write_json(rows, columns, path)
-    else:
-        raise ValueError("unknown format %r" % (fmt,))
-
-
 def _template(fmt, columns, cells, constants={}):
     """(head, row, sep, tail) of a report in fmt; row is a %-template: in a column of
-    constants its value (a number or plain string) encoded once as the generic writers
-    do, str() for CSV and _encode for JSON; in the other columns the cells, in order."""
+    constants its value (a number or plain string) encoded once, str() for CSV and
+    _encode for JSON; in the other columns the cells, in order."""
     if fmt not in ("csv", "json"):
         raise ValueError("unknown format %r" % (fmt,))
     encode, cells = str if fmt == "csv" else _encode, iter(cells)
@@ -160,8 +128,8 @@ def write_farey(Q, path=None, fmt="csv"):
 
 
 def write_lemma4(table, columns, path=None, fmt="csv"):
-    """A sweeps.Lemma4Table in the given columns, with the bytes write_rows gives on its
-    dict rows; a block holds the rows of max(1, farey.BLOCK // N) values of m."""
+    """A sweeps.Lemma4Table in the given columns; a block holds the rows of
+    max(1, farey.BLOCK // N) values of m."""
     template = _template(fmt, columns, ("%d",) * 4 + ("%s",), dict(zip(columns[5:], table.constants)))
     S, k = table.S, max(1, farey.BLOCK // len(table.S))
     blocks = (
@@ -171,14 +139,25 @@ def write_lemma4(table, columns, path=None, fmt="csv"):
     _write_blocks(path, fmt, template, blocks, template[1])
 
 
-def write_dls(table, columns, path=None, fmt="csv"):
-    """A sweeps.DLSTable in the given columns, with the bytes write_rows gives on its
-    dict rows (with no row, write_rows writes it); its constants sit in the template."""
-    if not len(table):
-        return write_rows([], columns, path, fmt)
-    template = _template(fmt, columns, ("%d",) * 3 + ("%s",) * 6, dict(zip(columns[1:4], table.constants)))
-    cells = [range(len(table)), table.m_points, table.n_points, table.X, table.Y, table.lhs, table.rhs]
-    if fmt == "json":  # a float column with inf or nan: each cell as json.dumps writes it
-        cells[3:] = (c if math.isfinite(sum(c)) else list(map(_encode, c)) for c in cells[3:])
-    cells += (list(map(_AGREE.__getitem__, c)) for c in (table.holds, table.anomaly))
-    _write_blocks(path, fmt, template, [cells], template[1])
+def _cells(column, fmt):  # a column's % code and cells, its types read once
+    types = set(map(type, column))
+    if types == {int} or types == {float} and math.isfinite(sum(column)):
+        return "%d" if types == {int} else "%r", column
+    if types == {bool}:
+        return "%s", list(map(_AGREE.__getitem__, column))
+    return "%s", (list(map(_encode, column)) if fmt == "json" else
+                  ["" if v is None else _AGREE[v] if type(v) is bool else str(v) for v in column])
+
+
+def write_table(table, columns, path=None, fmt="csv"):
+    """A sweeps.Table in the given columns, its constants in the template.  A column of ints or
+    finite floats goes to % as it is, one of bools through _AGREE, any other cell by cell: by
+    _encode, or as csv.writer writes it (None as "", the rest by str).  No CSV cell is quoted:
+    driver cells are numbers, bools, None, "p/q" and names, none with a comma, quote or newline."""
+    lists = [_cells(getattr(table, c), fmt) for c in columns if c not in table.constants]
+    template = _template(fmt, columns, [code for code, _ in lists], table.constants)
+    if len(table):
+        _write_blocks(path, fmt, template, [[cells for _, cells in lists]], template[1])
+    else:  # the header alone, or an empty list
+        with output(path, newline="" if fmt == "csv" else None) as out:
+            out.write(template[0] if fmt == "csv" else "[]\n")

@@ -9,9 +9,10 @@ up to 1024 rows at once; the first row drawn in a process loads
 numpy.random.  dls-check draws row by row but computes and checks its rows
 a chunk at a time; verify-classical and theorem2-sweep draw a row when
 expsum.ls_lhs_rows, which batches consecutive rows' DFTs bit-exactly, reads
-it.  Each driver returns all its rows to the writer.
+it.  Each driver returns all its rows, at most ROWS_MAX, to the writer.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -30,6 +31,7 @@ RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 # Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
 N_MAX = 2**22  # 16 times the largest scale run, 2^18; a row at the cap peaks near 260 MB RSS
+ROWS_MAX = 2**20  # rows in a run, all held until written: 0.19 KB a dls-check row, 240 MB here
 VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every right side is a float
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
 # arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:
@@ -90,6 +92,25 @@ def _check_dist(dist, density):
         raise ValueError("sparse density must be finite and in [0, 1], got %r" % (density,))
 
 
+class Table(SimpleNamespace):
+    """A row command's rows by column.  constants maps each column whose cell is the same in
+    every row to that cell; the first column, row, is range(len(table)), as a list of ints
+    it would take 0.7 MB at 20 000 dls-check rows; the others are lists, and extend appends
+    rows, tuples of their cells, to them.  A table with no row still has every column."""
+
+    def __init__(self, columns, **constants):
+        super().__init__(constants=constants, **{c: [] for c in columns[1:] if c not in constants})
+
+    def __len__(self):  # the cells of the last column
+        return len(list(vars(self).values())[-1])
+
+    row = property(lambda self: range(len(self)))
+
+    def extend(self, rows):
+        for column, cells in zip(list(vars(self).values())[1:], zip(*rows)):
+            column.extend(cells)
+
+
 def _check_seed(seed):
     if (seed := operator.index(seed)) < 0:
         raise ValueError("seed must be >= 0, got %r" % (seed,))
@@ -123,17 +144,16 @@ VERIFY_COLUMNS = [
 ]
 
 
-def verify_classical(
-    instances=200, q_max=32, n_max=256, seed=0, dist="gaussian", density=0.1, rhs_scale=1.0
-):
+def verify_classical(instances=200, q_max=32, n_max=256, seed=0, dist="gaussian", density=0.1,
+                     rhs_scale=1.0):
     """Hard check of the sharp and additive large sieve bounds, f(n) = n.
 
     rhs_scale shrinks both right sides and exists only to let the harness
-    prove it can fail.  Its integers are read by operator.index.  Returns (rows, all_hold).
+    prove it can fail.  Its integers are read by operator.index.  Returns (Table, all_hold).
     """
     instances, q_max, n_max = map(operator.index, (instances, q_max, n_max))
-    if instances < 0:
-        raise ValueError("instances must be >= 0, got %r" % (instances,))
+    if not 0 <= instances <= ROWS_MAX:
+        raise ValueError("instances must be in 0 .. %d, got %r" % (ROWS_MAX, instances))
     if not (2 <= q_max <= Q_MAX and 1 <= n_max <= N_MAX):
         raise ValueError("need 2 <= q_max <= %d and 1 <= n_max <= %d; got %r, %r"
                          % (Q_MAX, N_MAX, q_max, n_max))
@@ -142,24 +162,22 @@ def verify_classical(
     _check_dist(dist, density)
     seed = _check_seed(seed)
     f = LinearAmplitude(1, 0)
-    rows = []
+    table = Table(VERIFY_COLUMNS, seed=seed, rng=RNG_ID, version=__version__, dist=dist)
     farey = functools.cache(farey_by_denominator)  # per distinct Q, for this call only
-    def draw(i, rng):  # row i's draws, made when ls_lhs_rows reads the row
+    def draw(rng):  # a row's draws, made when ls_lhs_rows reads the row
         Q = int(rng.integers(2, q_max + 1))
         N = int(rng.integers(1, n_max + 1))
         M = int(rng.integers(-32, 33))
         seq = random_sequence(dist, M, N, rng, density)
         points = farey(Q)
-        return (i, Q, M, N, seq.power(), points.delta), seq, f, points
-    drawn = map(draw, range(instances), _row_streams(seed, range(instances)))
-    for (i, Q, M, N, Z, delta), lhs in ls_lhs_rows(drawn):
+        return (Q, M, N, seq.power(), points.delta), seq, f, points
+    drawn = map(draw, _row_streams(seed, range(instances)))
+    for (Q, M, N, Z, delta), lhs in ls_lhs_rows(drawn):
         rhs_sharp = bounds.sharp_rhs(delta, N, Z) * rhs_scale
         rhs_add = bounds.additive_rhs(Q, N, Z) * rhs_scale
         ok = bounds.holds(lhs, rhs_sharp) and bounds.holds(lhs, rhs_add)
-        rows.append(dict(zip(VERIFY_COLUMNS, (
-            i, seed, RNG_ID, __version__, dist, Q, M, N, Z, str(delta), lhs, rhs_sharp, rhs_add, ok
-        ))))
-    return rows, all(r["holds"] for r in rows)
+        table.extend([(Q, M, N, Z, str(delta), lhs, rhs_sharp, rhs_add, ok)])
+    return table, all(table.holds)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +200,10 @@ def theorem2_sweep(
 ):
     """Ratio sweep over the grid; never asserts the quadratic bound.
 
-    Returns (THEOREM2_COLUMNS, rows): the report columns and one dict per
-    row, in grid order (Q, M, N, alpha, ratio, eps), with a right side and
-    a ratio for every entry of bounds.RHS.  The grid is checked, its Q, N and
-    M read by operator.index and each alpha and a/b as an exact Fraction, before
+    Returns (THEOREM2_COLUMNS, Table): the report columns and the rows, in
+    grid order (Q, M, N, alpha, ratio, eps), with a right side and a ratio
+    for every entry of bounds.RHS.  The grid is checked, its Q, N and M read by
+    operator.index, each alpha and a/b as an exact Fraction and its size, before
     the first row: a bad grid is an error, never a row, and status=domain_error
     is left to negative radicands.  F(Q), which carries its gap as delta, is built
     once per distinct Q; y_exact is 2 dls.max_abs_g.
@@ -204,36 +222,33 @@ def theorem2_sweep(
         raise ValueError("every |M| and |a/b| must be below 2^64")
     if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ValueError("every eps must be finite and > 0")
+    axes = (q_values, m_values, n_values, alpha_values, ratios, eps_values)
+    if (rows := math.prod(map(len, axes))) > ROWS_MAX:
+        raise ValueError("the grid must have at most %d rows, got %d" % (ROWS_MAX, rows))
     _check_dist(dist, density)
     seed = _check_seed(seed)
     farey = functools.cache(farey_by_denominator)
-    rows = []
-    grid = list(itertools.product(q_values, m_values, n_values, alpha_values, ratios, eps_values))
+    table = Table(THEOREM2_COLUMNS, seed=seed, rng=RNG_ID, version=__version__, dist=dist)
     def draw(cell, rng):  # the row's draws, made when ls_lhs_rows reads it
-        index, (Q, M, N, alpha, ab, eps) = cell
+        Q, M, N, alpha, ab, eps = cell
         points = farey(Q)
         f = QuadraticAmplitude(alpha=alpha, beta=alpha * ab, gamma=Fraction(0))
         seq = random_sequence(dist, M, N, rng, density)
-        return (index, Q, M, N, alpha, ab, eps, seq.power(), points.delta), seq, f, points
-    drawn = map(draw, enumerate(grid), _row_streams(seed, range(len(grid))))
-    for (index, Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(drawn):
+        return (*cell, seq.power(), points.delta), seq, f, points
+    drawn = map(draw, itertools.product(*axes), _row_streams(seed, range(rows)))
+    for (Q, M, N, alpha, ab, eps, Z, delta), lhs in ls_lhs_rows(drawn):
         a, b = ab.numerator, ab.denominator
         params = dict(Q=Q, M=M, N=N, alpha=alpha, a=a, b=b, eps=eps, delta=delta, Z=Z)
         y_paper = 2 * abs(M) * N + N * N + N * ab
-        row = dict(zip(THEOREM2_COLUMNS, (
-            index, seed, RNG_ID, __version__, dist, Q, M, N, str(alpha), a, b, eps, Z,
-            str(delta), float(y_paper), float(2 * dls.max_abs_g(M, N, a, b)), lhs,
-        )), status="ok")
-        for name, formula in bounds.RHS.items():
-            try:
-                rhs = formula(**params)
-            except bounds.NegativeRadicandError:
-                rhs = None
-                row["status"] = "domain_error"
-            row["rhs_" + name] = rhs
-            row["ratio_" + name] = None if rhs is None or (lhs == 0.0 and rhs == 0.0) else lhs / rhs
-        rows.append(row)
-    return THEOREM2_COLUMNS, rows
+        rhs = [None] * len(bounds.RHS)  # None where a radicand is negative
+        for k, formula in enumerate(bounds.RHS.values()):
+            with contextlib.suppress(bounds.NegativeRadicandError):
+                rhs[k] = formula(**params)
+        ratio = [None if r is None or (lhs == 0.0 and r == 0.0) else lhs / r for r in rhs]
+        table.extend([(Q, M, N, str(alpha), a, b, eps, Z, str(delta), float(y_paper),
+                       float(2 * dls.max_abs_g(M, N, a, b)), lhs, *rhs, *ratio,
+                       "domain_error" if None in rhs else "ok")])
+    return THEOREM2_COLUMNS, table
 
 
 # ---------------------------------------------------------------------------
@@ -264,42 +279,31 @@ def _dls_chunk(rngs, size_max, lo, hi):
     return dls.DLSInstance.chunk(X, Y, m, n, xs, ys, a_re + 1j * a_im, b_re + 1j * b_im)
 
 
-class DLSTable(SimpleNamespace):
-    """dls-check's rows as columns: a list per DLS_COLUMNS cell from m_points to anomaly,
-    the seed, and constants, the seed, rng and version cells.  len() counts the rows."""
-
-    def __len__(self):
-        return len(self.lhs)
-
-
 def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0, seed=0):
     """dls.dls_checks over seeded random instances, a chunk of rows at a
-    time.  Returns (DLSTable, all_hold), for reports.write_dls.
+    time.  Returns (Table, all_hold), for reports.write_table.
 
-    The arguments are checked before the first row: instances >= 0 and 1 <= size_max <=
-    DLS_SIZE_MAX, both read by operator.index, 0 < scale_min <= scale_max with the
-    largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite, and seed >= 0.
+    The arguments are checked before the first row: 0 <= instances <= ROWS_MAX and
+    1 <= size_max <= DLS_SIZE_MAX, both read by operator.index, 0 < scale_min <= scale_max
+    with the largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite, and seed >= 0.
     """
     instances, size_max = operator.index(instances), operator.index(size_max)
-    if instances < 0:
-        raise ValueError("instances must be >= 0, got %r" % (instances,))
+    if not 0 <= instances <= ROWS_MAX:
+        raise ValueError("instances must be in 0 .. %d, got %r" % (ROWS_MAX, instances))
     if not 1 <= size_max <= DLS_SIZE_MAX:
         raise ValueError("size_max must be in 1 .. %d, got %r" % (DLS_SIZE_MAX, size_max))
     if not (0 < scale_min <= scale_max and math.isfinite(math.pi / 2 * scale_max * scale_max)):
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
     seed = _check_seed(seed)
-    cells = {column: [] for column in DLS_COLUMNS[4:]}
+    table = Table(DLS_COLUMNS, seed=seed, rng=RNG_ID, version=__version__)
     step = max(1, DLS_CHUNK_CELLS // size_max**2)
     streams = _row_streams(seed, range(instances))
     for _ in range(0, instances, step):
         chunk = _dls_chunk(itertools.islice(streams, step),
                            size_max, float(scale_min), float(scale_max))
-        rows = ((len(i.xs), len(i.ys), i.X, i.Y, *c) for i, c in zip(chunk, dls.dls_checks(chunk)))
-        for column, values in zip(cells.values(), zip(*rows)):
-            column.extend(values)
+        table.extend((len(x.xs), len(x.ys), x.X, x.Y, *c) for x, c in zip(chunk, dls.dls_checks(chunk)))
         del chunk  # before the next chunk is drawn: it holds the chunk's arrays
-    table = DLSTable(seed=seed, constants=(seed, RNG_ID, __version__), **cells)
     return table, all(table.holds) and not any(table.anomaly)
 
 

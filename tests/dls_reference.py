@@ -7,9 +7,11 @@ must match bit for bit.  Both write e(t) as np.exp(2j*pi*t).
 numpy call per drawn quantity, as the sweep used to, each from `_row_rng`:
 the generator numpy's own SeedSequence makes for a row, which every
 generator of `sweeps._row_streams` must equal.  `forbid_rows` makes
-drawing a sweep row fail a test.
+drawing a sweep row fail a test, and `table_rows` reads any sweep's
+`sweeps.Table` as dict rows, the form the report oracles and reference rows take.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,8 +26,9 @@ def _row_rng(seed, index):
 
 
 def _no_rows(seed, rows):  # a generator: it fails when a row is taken, not when it is made
-    pytest.fail("a row was drawn")
-    yield
+    if rows:  # as sweeps._row_streams, it has nothing to give for no row
+        pytest.fail("a row was drawn")
+    yield from ()
 
 
 def forbid_rows(monkeypatch):
@@ -38,6 +41,13 @@ def forbid_rows(monkeypatch):
                 lambda: sweeps.theorem2_sweep(q_values=(4,))):
         with pytest.raises(pytest.fail.Exception, match="a row was drawn"):
             run()
+
+
+def table_rows(table, columns):
+    """A sweeps.Table's rows as dicts over columns, each with the table's constants."""
+    cells = [itertools.repeat(table.constants[c]) if c in table.constants else getattr(table, c)
+             for c in columns]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
 
 
 def _kernel_array(diffs):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dls_reference import table_rows
 from farey_reference import min_gap_mod1
 from pair_reference import bg_eval
 from sievelab import bounds, counterexample as cx, dls, sweeps
@@ -65,15 +66,15 @@ def test_criterion_1_farey_exact():
 
 def test_criterion_2_classical_hard_bounds():
     with Budget(2, 30.0, "sharp and additive large sieve bounds on 200 random instances"):
-        rows, all_hold = sweeps.verify_classical(
+        table, all_hold = sweeps.verify_classical(
             instances=200, q_max=32, n_max=256, seed=1, dist="gaussian"
         )
-        assert len(rows) == 200
+        assert len(table) == 200
         assert all_hold
         slack = 1.0 + 1e-9
-        for r in rows:
-            assert r["lhs"] <= r["rhs_sharp"] * slack
-            assert r["lhs"] <= r["rhs_additive"] * slack
+        for lhs, sharp, additive in zip(table.lhs, table.rhs_sharp, table.rhs_additive):
+            assert lhs <= sharp * slack
+            assert lhs <= additive * slack
 
 
 def test_criterion_3_counterexample_reproduction():
@@ -171,7 +172,8 @@ def _load_golden():
 def test_criterion_8_theorem2_ratio_regression():
     with Budget(8, 120.0, "sweep ratios reproduce the golden table; max ratio stable"):
         golden = _load_golden()
-        _, rows = sweeps.theorem2_sweep(eps_values=(0.1,), seed=GOLDEN_SEED)
+        columns, table = sweeps.theorem2_sweep(eps_values=(0.1,), seed=GOLDEN_SEED)
+        rows = table_rows(table, columns)
         assert len(rows) == len(golden) == 72
         ratio_cols = [c for c in sweeps.THEOREM2_COLUMNS if c.startswith("ratio_")]
         for got, want in zip(rows, golden):

@@ -247,9 +247,11 @@ def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch,
     # it), and an option left out must leave the driver's own default in force.
     calls = []
     returned = {
-        "theorem2_sweep": (sweeps.THEOREM2_COLUMNS, []),
+        "theorem2_sweep": (sweeps.THEOREM2_COLUMNS, sweeps.Table(sweeps.THEOREM2_COLUMNS)),
+        "verify_classical": (sweeps.Table(sweeps.VERIFY_COLUMNS), True),  # no row
+        "dls_random_sweep": (sweeps.Table(sweeps.DLS_COLUMNS), True),
         "lemma4_table": sweeps.lemma4_table(1),  # a one-row table, for write_lemma4
-    }.get(driver, ([], True))
+    }[driver]
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
@@ -368,11 +370,50 @@ def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp
         sweeps.theorem2_sweep(n_values=(16, over))
     with pytest.raises(ValueError, match="cap"):
         counterexample.build(2, over + 1)
-    assert sweeps.verify_classical(instances=0, n_max=sweeps.N_MAX) == ([], True)
-    assert sweeps.theorem2_sweep(q_values=(), n_values=(sweeps.N_MAX,))[1] == []  # no row drawn
+    table, all_hold = sweeps.verify_classical(instances=0, n_max=sweeps.N_MAX)
+    assert len(table) == 0 and all_hold
+    assert len(sweeps.theorem2_sweep(q_values=(), n_values=(sweeps.N_MAX,))[1]) == 0  # no row drawn
     for argv in (["verify-classical", "--N", str(over)], ["theorem2-sweep", "--N", str(over)],
                  ["counterexample", "--p", "2", "--N", str(over + 1)]):
         assert_refused_in_process(argv, capsys, tmp_path)
+
+
+# Grids of 2^20 rows (1024 x 1024) and of 2^20 + 1 (17 x 61681), on the Q and eps axes.
+ROW_GRIDS = {sweeps.ROWS_MAX: (1024, 1024), sweeps.ROWS_MAX + 1: (17, 61681)}
+
+
+def test_rows_above_the_cap_are_refused_before_any_row(monkeypatch, capsys, tmp_path):
+    # Every row is held until the report is written, so a run's row count is capped.  At
+    # the cap, the first row is drawn (and made to fail here); past it, nothing is.
+    assert ROW_GRIDS.keys() == {2**20, 2**20 + 1} and all(a * b == n for n, (a, b) in ROW_GRIDS.items())
+    dls_reference.forbid_rows(monkeypatch)
+    monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
+    for rows, message in ((sweeps.ROWS_MAX, "a row was drawn"), (sweeps.ROWS_MAX + 1, None)):
+        q_count, eps_count = ROW_GRIDS[rows]
+        runs = {
+            "verify-classical": lambda: sweeps.verify_classical(instances=rows),
+            "dls-check": lambda: sweeps.dls_random_sweep(instances=rows),
+            "theorem2-sweep": lambda: sweeps.theorem2_sweep(
+                q_values=(4,) * q_count, n_values=(16,), alpha_values=(1,), ratios=(0,),
+                eps_values=(0.1,) * eps_count),
+        }
+        argvs = {
+            "verify-classical": ["verify-classical", "--instances", str(rows)],
+            "dls-check": ["dls-check", "--instances", str(rows)],
+            "theorem2-sweep": ["theorem2-sweep", "--Q", ",".join(["4"] * q_count), "--N", "16",
+                               "--alpha", "1", "--ratio", "0", "--eps", ",".join(["0.1"] * eps_count)],
+        }
+        for command, run in runs.items():
+            if message:
+                with pytest.raises(pytest.fail.Exception, match=message):
+                    run()
+                with pytest.raises(pytest.fail.Exception, match=message):
+                    cli.main(argvs[command] + ["--out", str(tmp_path / "report")])
+            else:
+                with pytest.raises(ValueError, match="1048576"):
+                    run()
+                assert_refused_in_process(argvs[command], capsys, tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
 def assert_refused_in_process(argv, capsys, tmp_path):
@@ -403,10 +444,10 @@ def test_grid_values_past_the_float_cap_are_refused(option, monkeypatch, capsys,
 def test_grid_values_just_below_the_float_cap_give_rows(field):
     below = sweeps.VALUE_MAX - 1
     grid = {"m_values": (below,), "alpha_values": (Fraction(below),), "ratios": (Fraction(below),)}
-    _, rows = sweeps.theorem2_sweep(q_values=(4,), n_values=(16,), eps_values=(0.1,),
-                                    **{field: grid[field]})
-    assert rows and all(r["status"] == "ok" for r in rows)
-    assert all(0.0 < r["rhs_theorem2"] < float("inf") for r in rows)
+    _, table = sweeps.theorem2_sweep(q_values=(4,), n_values=(16,), eps_values=(0.1,),
+                                     **{field: grid[field]})
+    assert len(table) and all(status == "ok" for status in table.status)
+    assert all(0.0 < rhs < float("inf") for rhs in table.rhs_theorem2)
 
 
 @pytest.mark.parametrize("option", [
@@ -433,8 +474,9 @@ def test_q_above_the_cap_is_refused_before_any_farey_build(monkeypatch, capsys, 
         sweeps.verify_classical(q_max=over)
     with pytest.raises(ValueError, match="every Q"):
         sweeps.theorem2_sweep(q_values=(4, over))
-    assert sweeps.theorem2_sweep(q_values=(sweeps.Q_MAX,), m_values=())[1] == []
-    assert sweeps.verify_classical(instances=0, q_max=sweeps.Q_MAX) == ([], True)
+    assert len(sweeps.theorem2_sweep(q_values=(sweeps.Q_MAX,), m_values=())[1]) == 0
+    table, all_hold = sweeps.verify_classical(instances=0, q_max=sweeps.Q_MAX)
+    assert len(table) == 0 and all_hold
     for argv in (["verify-classical", "--Q", str(over)], ["theorem2-sweep", "--Q", str(over)]):
         assert_refused_in_process(argv, capsys, tmp_path)
 

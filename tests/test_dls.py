@@ -10,13 +10,6 @@ from sievelab import bounds, dls, sweeps
 from sievelab.sweeps import dls_random_sweep
 
 
-def table_rows(table):
-    """A sweeps.DLSTable's rows as the dicts dls_reference.reference_rows makes, every cell."""
-    cells = zip(table.m_points, table.n_points, table.X, table.Y,
-                table.lhs, table.rhs, table.holds, table.anomaly)
-    return [dict(zip(sweeps.DLS_COLUMNS, (i, *table.constants, *row))) for i, row in enumerate(cells)]
-
-
 def unit_instance(xs, ys, X, Y, aw=None, bw=None):
     aw = tuple(aw) if aw is not None else (1.0,) * len(xs)
     bw = tuple(bw) if bw is not None else (1.0,) * len(ys)
@@ -293,7 +286,7 @@ def test_sweep_rows_equal_the_reference_rows(kwargs):
     # checked one call at a time.
     table, all_hold = dls_random_sweep(**kwargs)
     rows = ref.reference_rows(**kwargs)
-    assert table_rows(table) == rows and len(table) == len(rows)
+    assert ref.table_rows(table, sweeps.DLS_COLUMNS) == rows and len(table) == len(rows)
     assert all_hold == all(r["holds"] and not r["anomaly"] for r in rows)
 
 

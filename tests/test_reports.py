@@ -53,56 +53,87 @@ def oracle_json(rows, columns, path=None):
             fh.write(text + "\n")
 
 
-WRITERS = {"csv": (reports.write_csv, oracle_csv), "json": (reports.write_json, oracle_json)}
+ORACLES = {"csv": oracle_csv, "json": oracle_json}
 
 
-def stdout_of(write, rows, columns):
+def stdout_of(write, *args):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        write(rows, columns)
+        write(*args)
     return buf.getvalue()
 
 
-def assert_same_bytes(fmt, rows, columns, directory):
-    new, old = WRITERS[fmt]
-    assert stdout_of(new, rows, columns) == stdout_of(old, rows, columns)
-    got, want = directory / ("new." + fmt), directory / ("old." + fmt)
-    new(rows, columns, str(got))
-    old(rows, columns, str(want))
+def make_table(columns, constants={}):
+    """A sweeps.Table of the given list columns (a name -> cells dict, row left out) and
+    constants, its report columns row, the constants, then the lists."""
+    names = ["row", *constants, *columns]
+    table = sweeps.Table(names, **constants)
+    table.extend(zip(*columns.values()))
+    return table, names
+
+
+def assert_table_matches_oracle(table, columns, fmt, directory):
+    """write_table against the oracle on the table's dict rows, byte for byte, to a
+    file and to stdout; returns the report's text."""
+    rows, oracle = dls_reference.table_rows(table, columns), ORACLES[fmt]
+    assert stdout_of(reports.write_table, table, columns, None, fmt) == stdout_of(oracle, rows, columns)
+    got, want = directory / ("got." + fmt), directory / ("want." + fmt)
+    reports.write_table(table, columns, str(got), fmt)
+    oracle(rows, columns, str(want))
     assert got.read_bytes() == want.read_bytes()
+    return want.read_text()
 
 
-MIXED_ROWS = [
-    {"a": None, "b": True, "c": False, "d": 2 ** 64 + 1, "e": float("nan")},
-    {"a": float("inf"), "b": float("-inf"), "c": -0.0, "d": 1e-300, "e": 'say "hi", then\nbye'},
-    {"a": "naïve ∑ 😀", "b": Fraction(-3, 4), "c": -(2 ** 70), "e": 0.1},  # "d" missing
-    {"a": "", "extra": 1},
-]
+INF, NAN = float("inf"), float("nan")
+# Every kind of column write_table types: ints, finite and other floats, bools, and
+# mixed ones written cell by cell; no string holds a comma, a quote, \r or \n.
+MIXED_COLUMNS = {
+    "ints": [0, -(2 ** 70), 2 ** 64 + 1],
+    "floats": [0.1, -0.0, 1e-300],
+    "special": [NAN, INF, -INF],
+    "bools": [True, False, True],
+    "optional": [None, 2.5, INF],
+    "names": ["ok", "domain_error", "naïve ∑ 😀 50%"],
+    "mixed": [None, True, Fraction(-3, 4)],
+}
+MIXED_CONSTANTS = {"seed": 2 ** 70, "rng": sweeps.RNG_ID, "version": sievelab.__version__,
+                   "dist": "100% gaussian"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [MIXED_ROWS, []], ids=["mixed", "empty"])
+@pytest.mark.parametrize("rows", [3, 0], ids=["mixed", "empty"])
 def test_writers_match_oracle(fmt, rows, tmp_path):
-    assert_same_bytes(fmt, rows, ["a", "b", "c", "d", "e"], tmp_path)
+    columns = {name: cells[:rows] for name, cells in MIXED_COLUMNS.items()}
+    table, names = make_table(columns, MIXED_CONSTANTS)
+    assert len(table) == rows
+    text = assert_table_matches_oracle(table, names, fmt, tmp_path)
+    if not rows:  # the header alone, or an empty list
+        assert text == {"csv": ",".join(names) + "\n", "json": "[]\n"}[fmt]
 
 
 def test_empty_json_is_an_empty_list(tmp_path):
-    reports.write_json([], ["a"], str(tmp_path / "r.json"))
+    table, names = make_table({"x": []})
+    reports.write_table(table, names, str(tmp_path / "r.json"), "json")
     assert (tmp_path / "r.json").read_text() == "[]\n"
 
 
-class Boom:
-    def __str__(self):
-        raise RuntimeError("boom")
+class Boom(list):
+    """A column of ints whose second block of rows fails, after the first is written."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.start:
+            raise RuntimeError("boom")
+        return super().__getitem__(index)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_write_leaves_old_file(fmt, tmp_path):
     path = tmp_path / ("report." + fmt)
     path.write_text("old report\n")
-    rows = [{"x": i} for i in range(5000)] + [{"x": Boom()}]
+    table, names = make_table({"x": range(5000)})
+    table.x = Boom(table.x)
     with pytest.raises(RuntimeError, match="boom"):
-        reports.write_rows(rows, ["x"], str(path), fmt)
+        reports.write_table(table, names, str(path), fmt)
     assert path.read_text() == "old report\n"
     assert os.listdir(tmp_path) == [path.name]
 
@@ -110,7 +141,7 @@ def test_failed_write_leaves_old_file(fmt, tmp_path):
 def test_new_file_mode_matches_plain_open(tmp_path):
     with open(tmp_path / "plain.csv", "w"):
         pass
-    reports.write_csv([{"x": 1}], ["x"], str(tmp_path / "r.csv"))
+    reports.write_table(*make_table({"x": [1]}), str(tmp_path / "r.csv"))
     assert os.stat(tmp_path / "r.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
     assert sorted(os.listdir(tmp_path)) == ["plain.csv", "r.csv"]
 
@@ -119,23 +150,23 @@ def test_existing_file_keeps_its_mode(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("old\n")
     os.chmod(path, 0o640)
-    reports.write_json([{"x": 1}], ["x"], str(path))
+    reports.write_table(*make_table({"x": [1]}), str(path), "json")
     assert os.stat(path).st_mode & 0o7777 == 0o640
-    assert json.loads(path.read_text()) == [{"x": 1}]
+    assert json.loads(path.read_text()) == [{"row": 0, "x": 1}]
 
 
 def test_symlink_is_written_through(tmp_path):
     target = tmp_path / "target.csv"
     target.write_text("old\n")
     (tmp_path / "link.csv").symlink_to(target)
-    reports.write_csv([{"x": 1}], ["x"], str(tmp_path / "link.csv"))
+    reports.write_table(*make_table({"x": [1]}), str(tmp_path / "link.csv"))
     assert (tmp_path / "link.csv").is_symlink()
-    assert target.read_text() == "x\n1\n"
+    assert target.read_text() == "row,x\n0,1\n"
 
 
 def test_devnull_stays_a_device():
     for fmt in ("csv", "json"):
-        reports.write_rows([{"x": 1}], ["x"], os.devnull, fmt)
+        reports.write_table(*make_table({"x": [1]}), os.devnull, fmt)
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
     leftovers = [f for f in os.listdir(os.path.dirname(os.devnull)) if f.endswith(".tmp")]
     assert not [f for f in leftovers if f.startswith(os.path.basename(os.devnull) + ".")]
@@ -149,52 +180,62 @@ def test_named_pipe_is_written_in_place(fmt, tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    rows = [{"x": i, "y": i / 7} for i in range(3000)]  # more than a pipe buffer holds
-    reports.write_rows(rows, ["x", "y"], str(fifo), fmt)
+    table, names = make_table({"x": range(3000), "y": [i / 7 for i in range(3000)]})
+    reports.write_table(table, names, str(fifo), fmt)  # more than a pipe buffer holds
     reader.join(timeout=10)
     assert not reader.is_alive()
     want = tmp_path / ("want." + fmt)
-    WRITERS[fmt][1](rows, ["x", "y"], str(want))
+    ORACLES[fmt](dls_reference.table_rows(table, names), names, str(want))
     assert received == [want.read_bytes()]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["pipe", "want." + fmt]
 
 
-def test_unknown_format():
-    with pytest.raises(ValueError):
-        reports.write_rows([], ["x"], None, "xml")
+def test_unknown_format(tmp_path, capsys):
+    for rows in ([], [1, 2]):
+        table, names = make_table({"x": rows})
+        for path in (str(tmp_path / "r"), None):
+            with pytest.raises(ValueError, match="format"):
+                reports.write_table(table, names, path, "xml")
+    assert os.listdir(tmp_path) == [] and capsys.readouterr().out == ""
 
 
 def test_property_writers_match_oracle(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    columns = ["a", "b", "c", "d", "e"]
-    scalars = st.one_of(
+    text = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters=',"\r\n'))
+    scalars = [
         st.none(),
         st.booleans(),
         st.integers(),
         st.integers(2 ** 63, 2 ** 80).flatmap(lambda n: st.sampled_from([n, -n])),
         st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300]),
-        st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
-        st.sampled_from(['"', ",", "\n", "\r\n", 'a,"b"\nc', "é", "∑", "😀"]),
+        st.sampled_from([NAN, INF, -INF, -0.0, 1e-300]),
+        text,
         st.fractions(),
-    )
+    ]
+    # A column of one kind (as a driver's), or of cells of any kind.
+    column = st.one_of(*(st.lists(s, min_size=4, max_size=4) for s in scalars),
+                       st.lists(st.one_of(*scalars), min_size=4, max_size=4))
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
-        rows=st.lists(st.dictionaries(st.sampled_from(columns + ["extra"]), scalars), max_size=6),
-        picked=st.lists(st.sampled_from(columns), min_size=1, unique=True),
+        columns=st.lists(column, min_size=1, max_size=5),
+        rows=st.integers(0, 4),
+        constants=st.dictionaries(st.sampled_from(["seed", "rng", "dist"]),
+                                  st.one_of(st.integers(), st.floats(), text)),
     )
-    def check(rows, picked):
-        for fmt in WRITERS:
-            assert_same_bytes(fmt, rows, picked, tmp_path)
+    def check(columns, rows, constants):
+        table, names = make_table({"c%d" % i: c[:rows] for i, c in enumerate(columns)}, constants)
+        for fmt in ORACLES:
+            assert_table_matches_oracle(table, names, fmt, tmp_path)
 
     check()
 
 
-# The farey report, written from farey_blocks, against write_rows on the dict
+# The farey report, written from farey_blocks, against the oracles on the dict
 # rows the farey command built before it streamed.
 
 FAREY_COLUMNS = ["index", "p", "q", "value", "gap_to_next"]
@@ -211,7 +252,7 @@ def farey_dict_rows(Q):
 
 def farey_oracle_bytes(Q, fmt, directory):
     want = directory / ("want." + fmt)
-    reports.write_rows(farey_dict_rows(Q), FAREY_COLUMNS, str(want), fmt)
+    ORACLES[fmt](farey_dict_rows(Q), FAREY_COLUMNS, str(want))
     return want.read_bytes()
 
 
@@ -223,7 +264,7 @@ def printed(write):
 
 
 def assert_farey_stdout_matches(Q, fmt):
-    want = printed(lambda: reports.write_rows(farey_dict_rows(Q), FAREY_COLUMNS, None, fmt))
+    want = printed(lambda: ORACLES[fmt](farey_dict_rows(Q), FAREY_COLUMNS))
     assert printed(lambda: reports.write_farey(Q, None, fmt)) == want
 
 
@@ -355,7 +396,7 @@ def test_property_farey_report_matches_dict_rows():
     check()
 
 
-# The lemma4 report, rendered from the two count tables, against write_rows on
+# The lemma4 report, rendered from the two count tables, against the oracles on
 # the dict rows that sweeps.lemma4_table built before it returned the tables.
 
 def lemma4_dict_rows(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
@@ -383,11 +424,11 @@ def assert_lemma4_matches_dict_rows(args, fmt, directory, stdout=True, built=Non
     assert len(table) == len(rows)
     got, want = directory / ("got." + fmt), directory / ("want." + fmt)
     reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(got), fmt)
-    reports.write_rows(rows, sweeps.LEMMA4_COLUMNS, str(want), fmt)
+    ORACLES[fmt](rows, sweeps.LEMMA4_COLUMNS, str(want))
     assert got.read_bytes() == want.read_bytes()
     if stdout:
         assert printed(lambda: reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, None, fmt)) == (
-            printed(lambda: reports.write_rows(rows, sweeps.LEMMA4_COLUMNS, None, fmt))
+            printed(lambda: ORACLES[fmt](rows, sweeps.LEMMA4_COLUMNS))
         )
 
 
@@ -483,7 +524,7 @@ def test_property_lemma4_report_matches_dict_rows(tmp_path):
     check()
 
 
-# The dls-check report, rendered from a sweeps.DLSTable, against write_rows on the
+# The dls-check report, rendered from a sweeps.Table, against the oracles on the
 # dict rows that dls_reference draws and checks one instance at a time.
 
 DLS_CASES = [
@@ -496,13 +537,8 @@ DLS_CASES = [
 
 
 def assert_dls_matches_rows(table, rows, fmt, directory):
-    got, want = directory / ("got." + fmt), directory / ("want." + fmt)
-    reports.write_dls(table, sweeps.DLS_COLUMNS, str(got), fmt)
-    reports.write_rows(rows, sweeps.DLS_COLUMNS, str(want), fmt)
-    assert got.read_bytes() == want.read_bytes()
-    assert printed(lambda: reports.write_dls(table, sweeps.DLS_COLUMNS, None, fmt)) == (
-        printed(lambda: reports.write_rows(rows, sweeps.DLS_COLUMNS, None, fmt)))
-    return want.read_text()
+    assert dls_reference.table_rows(table, sweeps.DLS_COLUMNS) == rows
+    return assert_table_matches_oracle(table, sweeps.DLS_COLUMNS, fmt, directory)
 
 
 @pytest.mark.parametrize("kwargs", DLS_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
@@ -519,12 +555,11 @@ def test_dls_report_matches_reference_rows(kwargs, tmp_path):
 
 def test_dls_report_writes_floats_and_bools_as_json_does(tmp_path):
     # Built by hand: nan, -inf and -0.0 cells, which no drawn instance gives.
-    inf, nan = float("inf"), float("nan")
     columns = ([1, 2, 50], [3, 1, 50], [0.25, 1e-300, 100.0], [1.5, 2.0, 7.0],
-               [nan, 1.5, -0.0], [inf, -inf, 0.1], [True, False, True], [True, True, False])
+               [NAN, 1.5, -0.0], [INF, -INF, 0.1], [True, False, True], [True, True, False])
     constants = (2**70, sweeps.RNG_ID, sievelab.__version__)
-    table = sweeps.DLSTable(seed=2**70, constants=constants,
-                            **dict(zip(sweeps.DLS_COLUMNS[4:], columns)))
+    table = sweeps.Table(sweeps.DLS_COLUMNS, **dict(zip(sweeps.DLS_COLUMNS[1:4], constants)))
+    table.extend(zip(*columns))
     rows = [dict(zip(sweeps.DLS_COLUMNS, (i, *constants, *row))) for i, row in enumerate(zip(*columns))]
     for fmt in ("csv", "json"):
         assert_dls_matches_rows(table, rows, fmt, tmp_path)
@@ -534,5 +569,57 @@ def test_dls_report_writes_floats_and_bools_as_json_does(tmp_path):
 def test_dls_report_unknown_format(instances, tmp_path):
     table, _ = sweeps.dls_random_sweep(instances=instances, size_max=3)
     with pytest.raises(ValueError, match="format"):
-        reports.write_dls(table, sweeps.DLS_COLUMNS, str(tmp_path / "r"), "xml")
+        reports.write_table(table, sweeps.DLS_COLUMNS, str(tmp_path / "r"), "xml")
     assert os.listdir(tmp_path) == []
+
+
+# The verify-classical and theorem2-sweep reports, rendered from a sweeps.Table,
+# against the oracles on the table's dict rows.  Each case names what its rows hold.
+
+def has_cell(column, value):
+    return lambda table: any(cell == value for cell in getattr(table, column))
+
+
+SWEEP = {"alpha_values": (Fraction(1, 3),), "ratios": (Fraction(1, 2),), "eps_values": (0.1,)}
+ROW_CASES = {
+    "verify-default": ("verify_classical", {}, has_cell("holds", True)),
+    "verify-rhs-scale": ("verify_classical", {"rhs_scale": 1e-3}, has_cell("holds", False)),
+    "verify-no-row": ("verify_classical", {"instances": 0}, lambda table: not len(table)),
+    "verify-z0": ("verify_classical", {"instances": 30, "dist": "sparse", "density": 0.0},
+                  has_cell("Z", 0.0)),
+    "theorem2-golden": ("theorem2_sweep", {"eps_values": (0.1,), "seed": 20260823},
+                        lambda table: len(table) == 72),
+    "theorem2-wide-q": ("theorem2_sweep", {**SWEEP, "q_values": (128,), "n_values": (64,)},
+                        has_cell("Q", 128)),
+    "theorem2-long-n": ("theorem2_sweep", {**SWEEP, "q_values": (32,), "n_values": (2048,)},
+                        has_cell("N", 2048)),
+    "theorem2-domain-error": ("theorem2_sweep", {"n_values": (1, 16), "ratios": (0, -7),
+                                                  "eps_values": (0.1, 1e300)},
+                              lambda table: (has_cell("status", "domain_error")(table)
+                                             and has_cell("rhs_theorem2", None)(table)
+                                             and has_cell("rhs_theorem2", INF)(table))),
+    "theorem2-z0": ("theorem2_sweep", {"q_values": (4, 8), "n_values": (16,), "dist": "sparse",
+                                        "density": 0.0}, has_cell("Z", 0.0)),
+    "theorem2-big-m": ("theorem2_sweep", {"q_values": (8, 32), "n_values": (256,),
+                                           "m_values": (5 * 10**9,), "eps_values": (0.1,)},
+                       has_cell("M", 5 * 10**9)),
+    "theorem2-no-row": ("theorem2_sweep", {"q_values": ()}, lambda table: not len(table)),
+}
+
+
+@pytest.fixture(scope="module")
+def row_tables():
+    tables = {}
+    for name, (driver, kwargs, _) in ROW_CASES.items():
+        result = getattr(sweeps, driver)(**kwargs)
+        tables[name] = ((result[0], sweeps.VERIFY_COLUMNS) if driver == "verify_classical"
+                        else result[::-1])
+    return tables
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_row_report_matches_oracle(case, fmt, tmp_path, row_tables):
+    table, columns = row_tables[case]
+    assert ROW_CASES[case][2](table)
+    assert_table_matches_oracle(table, columns, fmt, tmp_path)

@@ -26,8 +26,8 @@ def counting(monkeypatch, owner, name):
 def test_theorem2_sweep_shares_per_argument_work(monkeypatch):
     farey = counting(monkeypatch, sweeps, "farey_by_denominator")
     grid = dict(q_values=(4, 8, 4), n_values=(8, 16), eps_values=(0.1, 0.5))
-    _, rows = sweeps.theorem2_sweep(**grid)
-    assert len(rows) == 3 * 2 * 3 * 2 * 2
+    _, table = sweeps.theorem2_sweep(**grid)
+    assert len(table) == 3 * 2 * 3 * 2 * 2
     assert sorted(farey) == [(4,), (8,)]
     # Each call builds its own F(Q); only the numerator arrays are kept (farey).
     sweeps.theorem2_sweep(**grid)
@@ -76,24 +76,25 @@ def test_theorem2_grid_is_checked_before_any_work(grid, message, monkeypatch):
 def test_theorem2_grid_caps_are_accepted(grid, monkeypatch):
     # An empty grid checks its values and returns no row.
     no_work(monkeypatch)
-    assert sweeps.theorem2_sweep(**grid) == (sweeps.THEOREM2_COLUMNS, [])
+    columns, table = sweeps.theorem2_sweep(**grid)
+    assert columns == sweeps.THEOREM2_COLUMNS and len(table) == 0
 
 
 def test_theorem2_grid_may_be_iterators():
     # Each axis is read once: an iterator grid gives the rows of the same grid as lists.
     grid = dict(q_values=[4, 5], m_values=[0, -3], n_values=[8], alpha_values=[Fraction(1, 3)],
                 ratios=[Fraction(0), Fraction(1, 2)], eps_values=[0.1, 0.5], seed=3)
-    columns, rows = sweeps.theorem2_sweep(**grid)
-    assert len(rows) == 16
+    columns, table = sweeps.theorem2_sweep(**grid)
+    assert len(table) == 16
     once = {k: iter(v) if isinstance(v, list) else v for k, v in grid.items()}
-    assert sweeps.theorem2_sweep(**once) == (columns, rows)
+    assert sweeps.theorem2_sweep(**once) == (columns, table)
 
 
 def test_verify_classical_builds_each_order_once(monkeypatch):
     farey = counting(monkeypatch, sweeps, "farey_by_denominator")
-    rows, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
+    table, ok = sweeps.verify_classical(instances=30, q_max=6, n_max=16, seed=2)
     assert ok
-    assert sorted(farey) == sorted({(r["Q"],) for r in rows})
+    assert sorted(farey) == sorted({(Q,) for Q in table.Q})
 
 
 def test_verify_classical_builds_each_denominator_once_per_process(monkeypatch):
@@ -103,15 +104,15 @@ def test_verify_classical_builds_each_denominator_once_per_process(monkeypatch):
     farey._kept_numerators.cache_clear()
     built = counting(monkeypatch, farey, "_numerators")
     config = dict(instances=40, q_max=32, n_max=256, seed=1)
-    rows, ok = sweeps.verify_classical(**config)
+    table, ok = sweeps.verify_classical(**config)
     assert ok and len(built) <= 32
     first = len(built)
-    assert sweeps.verify_classical(**config) == (rows, ok) and len(built) == first
+    assert sweeps.verify_classical(**config) == (table, ok) and len(built) == first
     # The same rows when no row can see an earlier row's numerators.
     row_streams = sweeps._row_streams
     monkeypatch.setattr(sweeps, "_row_streams", lambda *a: (
         farey._kept_numerators.cache_clear() or rng for rng in row_streams(*a)))
-    assert sweeps.verify_classical(**config) == (rows, ok) and len(built) > 32
+    assert sweeps.verify_classical(**config) == (table, ok) and len(built) > 32
 
 
 def test_farey_points_are_not_converted_one_by_one(monkeypatch):
@@ -165,8 +166,9 @@ def test_dist_and_density_are_checked_before_any_work(driver, kwargs, message, m
 def test_density_is_read_only_for_sparse(monkeypatch):
     sweeps.random_sequence("gaussian", 0, 4, np.random.default_rng(0), NAN)
     no_work(monkeypatch)
-    assert sweeps.theorem2_sweep(q_values=(), dist="gaussian", density=NAN)[1] == []
-    assert sweeps.verify_classical(instances=0, dist="unit", density=NAN) == ([], True)
+    assert len(sweeps.theorem2_sweep(q_values=(), dist="gaussian", density=NAN)[1]) == 0
+    table, all_hold = sweeps.verify_classical(instances=0, dist="unit", density=NAN)
+    assert len(table) == 0 and all_hold
 
 
 def test_lemma4_table_has_one_row_per_base_pair():
@@ -243,7 +245,8 @@ def test_row_driver_numpy_integers_are_their_ints():
     grid = dict(q_values=(4,), n_values=(8,), eps_values=(0.1,))
     assert sweeps.theorem2_sweep(seed=np.int64(3), **grid) == sweeps.theorem2_sweep(seed=3, **grid)
     table, ok = sweeps.dls_random_sweep(instances=3, size_max=4, seed=np.int32(3))
-    assert ok and len(table) == 3 and table.seed == 3 and type(table.seed) is int
+    assert ok and len(table) == 3 and type(table.constants["seed"]) is int
+    assert table.constants == {"seed": 3, "rng": sweeps.RNG_ID, "version": sweeps.__version__}
 
 
 @pytest.mark.parametrize("value", [Fraction(5, 2), Fraction(50), 2.5, np.float64(3)], ids=repr)
@@ -257,7 +260,7 @@ def test_dls_counts_that_are_no_integers_are_refused(name, value, monkeypatch):
 
 
 def test_dls_counts_may_be_numpy_integers_or_bools():
-    # A DLSTable compares by its seed, constants and every cell of its columns.
+    # A Table compares by its constants and every cell of its columns.
     run = functools.partial(sweeps.dls_random_sweep, seed=5)
     assert run(instances=np.int64(3), size_max=np.int64(3)) == run(instances=3, size_max=3)
     assert run(instances=True, size_max=True) == run(instances=1, size_max=1)
