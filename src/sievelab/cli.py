@@ -123,8 +123,7 @@ def _cmd_farey(args):
 
 
 def _cmd_theorem2_sweep(args):
-    columns, table = sweeps.theorem2_sweep(**_options(args))
-    reports.write_table(table, columns, args.out, args.format)
+    reports.write_table(sweeps.theorem2_sweep(**_options(args))[1], args.out, args.format)
     return 0
 
 
@@ -138,22 +137,20 @@ def _cmd_counterexample(args):
     return 0
 
 
-# command -> (driver in sweeps, writer in reports, report columns, stderr line
-# when a check fails).  Both are looked up by name at call time, so a rebound
-# one (a tracer's) runs.
+# command -> (driver in sweeps, stderr line when a check fails).  The driver is
+# looked up by name at call time, so a rebound one (a tracer's) runs.
 _ROW_COMMANDS = {
-    "verify-classical": ("verify_classical", "write_table", sweeps.VERIFY_COLUMNS,
+    "verify-classical": ("verify_classical",
                          "verify-classical: bound violated on at least one instance"),
-    "dls-check": ("dls_random_sweep", "write_table", sweeps.DLS_COLUMNS,
-                  "dls-check: inequality failed or anomaly flagged"),
-    "lemma4": ("lemma4_table", "write_lemma4", sweeps.LEMMA4_COLUMNS, "lemma4: counters disagree"),
+    "dls-check": ("dls_random_sweep", "dls-check: inequality failed or anomaly flagged"),
+    "lemma4": ("lemma4_table", "lemma4: counters disagree"),
 }
 
 
 def _cmd_rows(args):
-    driver, writer, columns, failure = _ROW_COMMANDS[args.command]
+    driver, failure = _ROW_COMMANDS[args.command]
     table, ok = getattr(sweeps, driver)(**_options(args))
-    getattr(reports, writer)(table, columns, args.out, args.format)
+    reports.write_table(table, args.out, args.format)
     if not ok:
         print(failure, file=sys.stderr)
         return 1

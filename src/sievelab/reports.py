@@ -7,10 +7,11 @@ A report file is written to <path>.<pid>.tmp and renamed onto the path,
 so a run that fails leaves the previous file as it was; a device or a
 pipe (/dev/null, a FIFO) is written in place, and a path that names the
 file stdout has open (/dev/stdout, or the target of a >> redirect) is
-written through sys.stdout.  write_farey, write_lemma4 and write_table render their
-reports from one %-template per format, which holds the cells that are the same in every
-row, by the block of rows: farey.BLOCK rows to one % call.  The bytes are those csv.writer
-(bools as true, false) and json.dumps(rows, indent=2, default=str) give on dict rows.
+written through sys.stdout.  write_farey renders the Farey report and write_table the report
+of any sweeps.Table, every row command's, from one %-template per format, which holds the cells
+that are the same in every row, by the block of rows: farey.BLOCK rows to one % call.  The
+bytes are those csv.writer (bools as true, false) and json.dumps(rows, indent=2, default=str)
+give on dict rows.
 """
 
 import contextlib
@@ -96,8 +97,7 @@ def _write_blocks(path, fmt, template, blocks, last_row):
     columns) but the last, last_row % that one, then tail.  The first block is
     drawn before the output is opened, so a bad argument leaves it untouched."""
     head, row, sep, tail = template
-    blocks = iter(blocks)
-    block = next(blocks)
+    block = next(blocks := iter(blocks))
     with output(path, newline="" if fmt == "csv" else None) as out:
         out.write(head)
         for following in blocks:
@@ -127,35 +127,23 @@ def write_farey(Q, path=None, fmt="csv"):
     _write_blocks(path, fmt, template, _farey_columns(Q), last_row)
 
 
-def write_lemma4(table, columns, path=None, fmt="csv"):
-    """A sweeps.Lemma4Table in the given columns; a block holds the rows of
-    max(1, farey.BLOCK // N) values of m."""
-    template = _template(fmt, columns, ("%d",) * 4 + ("%s",), dict(zip(columns[5:], table.constants)))
-    S, k = table.S, max(1, farey.BLOCK // len(table.S))
-    blocks = (
-        ([m for m in S[i:i + k] for _ in S], list(S) * len(t), t.ravel().tolist(),
-         u.ravel().tolist(), list(map(_AGREE.__getitem__, (t == u).ravel().tolist())))
-        for i in range(0, len(S), k) for t, u in [(table.brute[i:i + k], table.divisor[i:i + k])])
-    _write_blocks(path, fmt, template, blocks, template[1])
-
-
 def _cells(column, fmt):  # a column's % code and cells, its types read once
     types = set(map(type, column))
     if types == {int} or types == {float} and math.isfinite(sum(column)):
-        return "%d" if types == {int} else "%r", column
+        return "%s" if types == {int} else "%r", column  # %s writes an int as %d does, and sooner
     if types == {bool}:
         return "%s", list(map(_AGREE.__getitem__, column))
     return "%s", (list(map(_encode, column)) if fmt == "json" else
                   ["" if v is None else _AGREE[v] if type(v) is bool else str(v) for v in column])
 
 
-def write_table(table, columns, path=None, fmt="csv"):
-    """A sweeps.Table in the given columns, its constants in the template.  A column of ints or
+def write_table(table, path=None, fmt="csv"):
+    """A sweeps.Table in its columns, its constants in the template.  A column of ints or
     finite floats goes to % as it is, one of bools through _AGREE, any other cell by cell: by
     _encode, or as csv.writer writes it (None as "", the rest by str).  No CSV cell is quoted:
     driver cells are numbers, bools, None, "p/q" and names, none with a comma, quote or newline."""
-    lists = [_cells(getattr(table, c), fmt) for c in columns if c not in table.constants]
-    template = _template(fmt, columns, [code for code, _ in lists], table.constants)
+    lists = [_cells(getattr(table, c), fmt) for c in table.columns if c not in table.constants]
+    template = _template(fmt, table.columns, [code for code, _ in lists], table.constants)
     if len(table):
         _write_blocks(path, fmt, template, [[cells for _, cells in lists]], template[1])
     else:  # the header alone, or an empty list

@@ -9,7 +9,7 @@ up to 1024 rows at once; the first row drawn in a process loads
 numpy.random.  dls-check draws row by row but computes and checks its rows
 a chunk at a time; verify-classical and theorem2-sweep draw a row when
 expsum.ls_lhs_rows, which batches consecutive rows' DFTs bit-exactly, reads
-it.  Each driver returns all its rows, at most ROWS_MAX, to the writer.
+it.  Each driver returns all its rows, a Table of at most CELLS_MAX cells, to the writer.
 """
 
 import contextlib
@@ -31,14 +31,15 @@ RNG_ID = "numpy-pcg64"
 DISTS = ("unit", "gaussian", "sparse")  # random_sequence's distributions
 # Most terms N in one row, refused before any is drawn (the kernel allows 2^30):
 N_MAX = 2**22  # 16 times the largest scale run, 2^18; a row at the cap peaks near 260 MB RSS
-ROWS_MAX = 2**20  # rows in a run, all held until written: 0.19 KB a dls-check row, 240 MB here
+CELLS_MAX = 2**23  # list cells in a Table, all held until written: 2^20 dls-check rows of 8
 VALUE_MAX = 2**64  # |M|, alpha and |a/b| of a sweep stay below it, so every right side is a float
 # Most points per family in a dls-check instance, whose m x n, m x m and n x n
 # arrays are dense; one at m = n = 2^11 peaks at 163 MB RSS in 0.7 s on a 2-vCPU VM:
 DLS_SIZE_MAX = 2**11
 # dls-check draws and checks DLS_CHUNK_CELLS // size_max^2 rows at a time (at
-# least one), so a stacked kernel holds at most 2^19 cells (4 MB as floats):
+# least one, at most ROW_BATCH), so a stacked kernel holds at most 2^19 cells (4 MB as floats):
 DLS_CHUNK_CELLS = 2**19
+ROW_BATCH = 1024  # rows _row_streams seeds at once, and most rows in a dls-check chunk
 
 
 def _words(n):  # n >= 0 as SeedSequence splits an int: little-endian uint32 words, 0 is one
@@ -72,7 +73,7 @@ def _seed_words(seed, rows):
 
 def _row_streams(seed, rows):
     """Yield a Generator for each index i of the sequence rows, with the stream of
-    default_rng(SeedSequence(seed, spawn_key=(i,))), from _seed_words 1024 rows at a time."""
+    default_rng(SeedSequence(seed, spawn_key=(i,))), from _seed_words ROW_BATCH rows at a time."""
     from numpy.random import PCG64, Generator  # numpy.random loads at the first row
     from numpy.random.bit_generator import ISeedSequence
     class Words(ISeedSequence):  # PCG64's own seeding asks it for (4, np.uint64): a row's words
@@ -80,8 +81,8 @@ def _row_streams(seed, rows):
             self.words = words
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
-    for start in range(0, len(rows), 1024):  # in runs of indices with one word count
-        for _, same in itertools.groupby(rows[start:start + 1024], lambda i: len(_words(i))):
+    for start in range(0, len(rows), ROW_BATCH):  # in runs of indices with one word count
+        for _, same in itertools.groupby(rows[start:start + ROW_BATCH], lambda i: len(_words(i))):
             yield from (Generator(PCG64(Words(w))) for w in _seed_words(seed, list(same)))
 
 
@@ -93,22 +94,28 @@ def _check_dist(dist, density):
 
 
 class Table(SimpleNamespace):
-    """A row command's rows by column.  constants maps each column whose cell is the same in
-    every row to that cell; the first column, row, is range(len(table)), as a list of ints
-    it would take 0.7 MB at 20 000 dls-check rows; the others are lists, and extend appends
-    rows, tuples of their cells, to them.  A table with no row still has every column."""
+    """A row command's rows by column; columns are the report's, in order.  constants maps each
+    column whose cell is the same in every row to that cell; a column named row is
+    range(len(table)), as a list of ints it would take 0.7 MB at 20 000 dls-check rows; every
+    other column is a list, and extend appends rows, tuples of their cells, to the lists in
+    order.  A table with no row still has every column."""
 
     def __init__(self, columns, **constants):
-        super().__init__(constants=constants, **{c: [] for c in columns[1:] if c not in constants})
+        super().__init__(columns=columns, constants=constants,
+                         **{c: [] for c in columns if c != "row" and c not in constants})
 
-    def __len__(self):  # the cells of the last column
+    def __len__(self):  # the cells of the last list
         return len(list(vars(self).values())[-1])
 
     row = property(lambda self: range(len(self)))
 
     def extend(self, rows):
-        for column, cells in zip(list(vars(self).values())[1:], zip(*rows)):
+        for column, cells in zip(list(vars(self).values())[2:], zip(*rows)):
             column.extend(cells)
+
+    def check_rows(self, rows, name):  # ValueError unless rows of the lists hold <= CELLS_MAX cells
+        if rows not in (allowed := range(CELLS_MAX // (len(vars(self)) - 2) + 1)):
+            raise ValueError("%s must be in 0 .. %d, got %r" % (name, allowed[-1], rows))
 
 
 def _check_seed(seed):
@@ -152,17 +159,16 @@ def verify_classical(instances=200, q_max=32, n_max=256, seed=0, dist="gaussian"
     prove it can fail.  Its integers are read by operator.index.  Returns (Table, all_hold).
     """
     instances, q_max, n_max = map(operator.index, (instances, q_max, n_max))
-    if not 0 <= instances <= ROWS_MAX:
-        raise ValueError("instances must be in 0 .. %d, got %r" % (ROWS_MAX, instances))
+    seed = _check_seed(seed)
+    table = Table(VERIFY_COLUMNS, seed=seed, rng=RNG_ID, version=__version__, dist=dist)
+    table.check_rows(instances, "instances")
     if not (2 <= q_max <= Q_MAX and 1 <= n_max <= N_MAX):
         raise ValueError("need 2 <= q_max <= %d and 1 <= n_max <= %d; got %r, %r"
                          % (Q_MAX, N_MAX, q_max, n_max))
     if not (math.isfinite(rhs_scale) and rhs_scale > 0):
         raise ValueError("rhs_scale must be finite and > 0, got %r" % (rhs_scale,))
     _check_dist(dist, density)
-    seed = _check_seed(seed)
     f = LinearAmplitude(1, 0)
-    table = Table(VERIFY_COLUMNS, seed=seed, rng=RNG_ID, version=__version__, dist=dist)
     farey = functools.cache(farey_by_denominator)  # per distinct Q, for this call only
     def draw(rng):  # a row's draws, made when ls_lhs_rows reads the row
         Q = int(rng.integers(2, q_max + 1))
@@ -222,13 +228,12 @@ def theorem2_sweep(
         raise ValueError("every |M| and |a/b| must be below 2^64")
     if not all(math.isfinite(eps) and eps > 0 for eps in eps_values):
         raise ValueError("every eps must be finite and > 0")
-    axes = (q_values, m_values, n_values, alpha_values, ratios, eps_values)
-    if (rows := math.prod(map(len, axes))) > ROWS_MAX:
-        raise ValueError("the grid must have at most %d rows, got %d" % (ROWS_MAX, rows))
     _check_dist(dist, density)
     seed = _check_seed(seed)
-    farey = functools.cache(farey_by_denominator)
     table = Table(THEOREM2_COLUMNS, seed=seed, rng=RNG_ID, version=__version__, dist=dist)
+    axes = (q_values, m_values, n_values, alpha_values, ratios, eps_values)
+    table.check_rows(rows := math.prod(map(len, axes)), "grid rows")
+    farey = functools.cache(farey_by_denominator)
     def draw(cell, rng):  # the row's draws, made when ls_lhs_rows reads it
         Q, M, N, alpha, ab, eps = cell
         points = farey(Q)
@@ -283,21 +288,20 @@ def dls_random_sweep(instances=500, size_max=50, scale_min=0.25, scale_max=100.0
     """dls.dls_checks over seeded random instances, a chunk of rows at a
     time.  Returns (Table, all_hold), for reports.write_table.
 
-    The arguments are checked before the first row: 0 <= instances <= ROWS_MAX and
+    The arguments are checked before the first row: instances by Table.check_rows and
     1 <= size_max <= DLS_SIZE_MAX, both read by operator.index, 0 < scale_min <= scale_max
     with the largest phase, 2 pi (X/2)(Y/2) <= pi/2 scale_max^2, finite, and seed >= 0.
     """
     instances, size_max = operator.index(instances), operator.index(size_max)
-    if not 0 <= instances <= ROWS_MAX:
-        raise ValueError("instances must be in 0 .. %d, got %r" % (ROWS_MAX, instances))
+    seed = _check_seed(seed)
+    table = Table(DLS_COLUMNS, seed=seed, rng=RNG_ID, version=__version__)
+    table.check_rows(instances, "instances")
     if not 1 <= size_max <= DLS_SIZE_MAX:
         raise ValueError("size_max must be in 1 .. %d, got %r" % (DLS_SIZE_MAX, size_max))
     if not (0 < scale_min <= scale_max and math.isfinite(math.pi / 2 * scale_max * scale_max)):
         raise ValueError("need 0 < scale_min <= scale_max with pi/2 scale_max^2 finite, got %r and %r"
                          % (scale_min, scale_max))
-    seed = _check_seed(seed)
-    table = Table(DLS_COLUMNS, seed=seed, rng=RNG_ID, version=__version__)
-    step = max(1, DLS_CHUNK_CELLS // size_max**2)
+    step = min(max(1, DLS_CHUNK_CELLS // size_max**2), ROW_BATCH)
     streams = _row_streams(seed, range(instances))
     for _ in range(0, instances, step):
         chunk = _dls_chunk(itertools.islice(streams, step),
@@ -317,30 +321,23 @@ LEMMA4_COLUMNS = [
 ]
 
 
-class Lemma4Table(SimpleNamespace):
-    """T for every (m, n) in S^2 by both counters, as int64 arrays brute and
-    divisor indexed [m - S[0], n - S[0]], and constants, the LEMMA4_COLUMNS cells
-    after "agree", which are the same in every row.  len() is the number of rows."""
-
-    def __len__(self):
-        return len(self.S) ** 2
-
-
 def lemma4_table(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     """T for every (m, n) in S^2 by both counters, with both bound forms, for g(x, y) =
     (x - y)(x + y + a/b), a/b = ratio; N and M are read by operator.index, alpha and ratio exactly.
 
-    Returns (Lemma4Table, counters_agree); reports.write_lemma4 writes the table.
+    Returns (Table, counters_agree): the lists m, n, T_bruteforce, T_divisor and agree, in
+    the order (m, n) of S^2, and the other LEMMA4_COLUMNS as constants.
     """
     N, M = operator.index(N), operator.index(M)
     alpha, ratio = (Fraction(*_exact(v)) for v in (alpha, ratio))
     a, b = ratio.numerator, ratio.denominator
-    constants = (
-        bounds.lemma4_bound(alpha, a, b, M, N, eps),
-        bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
-        str(alpha), a, b, M, N, eps, __version__,
-    )
+    table = Table(LEMMA4_COLUMNS, bound_statement=bounds.lemma4_bound(alpha, a, b, M, N, eps),
+                  bound_proof_form=bounds.lemma4_bound_proof_form(alpha, a, b, M, N, eps),
+                  alpha=str(alpha), a=a, b=b, M=M, N=N, eps=eps, version=__version__)
     brute = dls.lemma4_count_bruteforce(M, N, alpha, a, b)
     divisor = dls.lemma4_count_divisor(M, N, alpha, a, b)
-    table = Lemma4Table(S=range(M + 1, M + N + 1), brute=brute, divisor=divisor, constants=constants)
+    S = range(M + 1, M + N + 1)
+    table.m, table.n = [m for m in S for _ in S], list(S) * N
+    table.T_bruteforce, table.T_divisor = brute.ravel().tolist(), divisor.ravel().tolist()
+    table.agree = (brute == divisor).ravel().tolist()
     return table, bool(np.array_equal(brute, divisor))

@@ -43,11 +43,11 @@ def forbid_rows(monkeypatch):
             run()
 
 
-def table_rows(table, columns):
-    """A sweeps.Table's rows as dicts over columns, each with the table's constants."""
+def table_rows(table):
+    """A sweeps.Table's rows as dicts over its columns, each with the table's constants."""
     cells = [itertools.repeat(table.constants[c]) if c in table.constants else getattr(table, c)
-             for c in columns]
-    return [dict(zip(columns, row)) for row in zip(*cells)]
+             for c in table.columns]
+    return [dict(zip(table.columns, row)) for row in zip(*cells)]
 
 
 def _kernel_array(diffs):

@@ -172,8 +172,8 @@ def _load_golden():
 def test_criterion_8_theorem2_ratio_regression():
     with Budget(8, 120.0, "sweep ratios reproduce the golden table; max ratio stable"):
         golden = _load_golden()
-        columns, table = sweeps.theorem2_sweep(eps_values=(0.1,), seed=GOLDEN_SEED)
-        rows = table_rows(table, columns)
+        _, table = sweeps.theorem2_sweep(eps_values=(0.1,), seed=GOLDEN_SEED)
+        rows = table_rows(table)
         assert len(rows) == len(golden) == 72
         ratio_cols = [c for c in sweeps.THEOREM2_COLUMNS if c.startswith("ratio_")]
         for got, want in zip(rows, golden):

@@ -250,7 +250,7 @@ def test_driver_gets_only_the_given_options(argv, driver, expected, monkeypatch,
         "theorem2_sweep": (sweeps.THEOREM2_COLUMNS, sweeps.Table(sweeps.THEOREM2_COLUMNS)),
         "verify_classical": (sweeps.Table(sweeps.VERIFY_COLUMNS), True),  # no row
         "dls_random_sweep": (sweeps.Table(sweeps.DLS_COLUMNS), True),
-        "lemma4_table": sweeps.lemma4_table(1),  # a one-row table, for write_lemma4
+        "lemma4_table": sweeps.lemma4_table(1),  # a one-row table with no row column
     }[driver]
 
     def record(*args, **kwargs):
@@ -378,28 +378,42 @@ def test_n_above_the_row_cap_is_refused_before_any_draw(monkeypatch, capsys, tmp
         assert_refused_in_process(argv, capsys, tmp_path)
 
 
-# Grids of 2^20 rows (1024 x 1024) and of 2^20 + 1 (17 x 61681), on the Q and eps axes.
-ROW_GRIDS = {sweeps.ROWS_MAX: (1024, 1024), sweeps.ROWS_MAX + 1: (17, 61681)}
+# Each row command's row limit, 2^23 list cells over its list columns: 9, 8 and 25.
+ROW_LIMITS = {"verify-classical": 932067, "dls-check": 2**20, "theorem2-sweep": 335544}
+# theorem2-sweep grids of the limit (264 x 1271) and of one row more (35 x 9587), on the
+# Q and eps axes.
+THEOREM2_GRIDS = {335544: (264, 1271), 335545: (35, 9587)}
 
 
 def test_rows_above_the_cap_are_refused_before_any_row(monkeypatch, capsys, tmp_path):
-    # Every row is held until the report is written, so a run's row count is capped.  At
-    # the cap, the first row is drawn (and made to fail here); past it, nothing is.
-    assert ROW_GRIDS.keys() == {2**20, 2**20 + 1} and all(a * b == n for n, (a, b) in ROW_GRIDS.items())
+    # Every list cell is held until the report is written, so a run's cells are capped.  At
+    # a command's row limit, the first row is drawn (and made to fail here); past it, nothing is.
+    constants = dict(seed=0, rng=sweeps.RNG_ID, version=sweeps.__version__)
+    tables = {"verify-classical": sweeps.Table(sweeps.VERIFY_COLUMNS, **constants, dist="unit"),
+              "dls-check": sweeps.Table(sweeps.DLS_COLUMNS, **constants),
+              "theorem2-sweep": sweeps.Table(sweeps.THEOREM2_COLUMNS, **constants, dist="unit")}
+    assert sweeps.CELLS_MAX == 2**23
+    lists = {c: [name for name in t.columns if name not in t.constants
+                 and type(getattr(t, name)) is list] for c, t in tables.items()}
+    assert {c: len(names) for c, names in lists.items()} == {
+        "verify-classical": 9, "dls-check": 8, "theorem2-sweep": 25}
+    assert ROW_LIMITS == {c: 2**23 // len(names) for c, names in lists.items()}
+    assert all(a * b == n for n, (a, b) in THEOREM2_GRIDS.items())
     dls_reference.forbid_rows(monkeypatch)
     monkeypatch.setattr(sweeps, "farey_by_denominator", lambda Q: pytest.fail("F(Q) was built"))
-    for rows, message in ((sweeps.ROWS_MAX, "a row was drawn"), (sweeps.ROWS_MAX + 1, None)):
-        q_count, eps_count = ROW_GRIDS[rows]
+    for over, message in ((0, "a row was drawn"), (1, None)):
+        rows = {command: limit + over for command, limit in ROW_LIMITS.items()}
+        q_count, eps_count = THEOREM2_GRIDS[rows["theorem2-sweep"]]
         runs = {
-            "verify-classical": lambda: sweeps.verify_classical(instances=rows),
-            "dls-check": lambda: sweeps.dls_random_sweep(instances=rows),
+            "verify-classical": lambda: sweeps.verify_classical(instances=rows["verify-classical"]),
+            "dls-check": lambda: sweeps.dls_random_sweep(instances=rows["dls-check"]),
             "theorem2-sweep": lambda: sweeps.theorem2_sweep(
                 q_values=(4,) * q_count, n_values=(16,), alpha_values=(1,), ratios=(0,),
                 eps_values=(0.1,) * eps_count),
         }
         argvs = {
-            "verify-classical": ["verify-classical", "--instances", str(rows)],
-            "dls-check": ["dls-check", "--instances", str(rows)],
+            "verify-classical": ["verify-classical", "--instances", str(rows["verify-classical"])],
+            "dls-check": ["dls-check", "--instances", str(rows["dls-check"])],
             "theorem2-sweep": ["theorem2-sweep", "--Q", ",".join(["4"] * q_count), "--N", "16",
                                "--alpha", "1", "--ratio", "0", "--eps", ",".join(["0.1"] * eps_count)],
         }
@@ -410,7 +424,8 @@ def test_rows_above_the_cap_are_refused_before_any_row(monkeypatch, capsys, tmp_
                 with pytest.raises(pytest.fail.Exception, match=message):
                     cli.main(argvs[command] + ["--out", str(tmp_path / "report")])
             else:
-                with pytest.raises(ValueError, match="1048576"):
+                with pytest.raises(ValueError, match="must be in 0 .. %d, got %d"
+                                   % (ROW_LIMITS[command], rows[command])):
                     run()
                 assert_refused_in_process(argvs[command], capsys, tmp_path)
     assert os.listdir(tmp_path) == []

@@ -286,7 +286,7 @@ def test_sweep_rows_equal_the_reference_rows(kwargs):
     # checked one call at a time.
     table, all_hold = dls_random_sweep(**kwargs)
     rows = ref.reference_rows(**kwargs)
-    assert ref.table_rows(table, sweeps.DLS_COLUMNS) == rows and len(table) == len(rows)
+    assert ref.table_rows(table) == rows and len(table) == len(rows)
     assert all_hold == all(r["holds"] and not r["anomaly"] for r in rows)
 
 
@@ -295,6 +295,28 @@ def test_sweep_rows_do_not_depend_on_the_chunk(cells, monkeypatch):
     rows = dls_random_sweep(instances=120, size_max=10, seed=8)
     monkeypatch.setattr(sweeps, "DLS_CHUNK_CELLS", cells)
     assert dls_random_sweep(instances=120, size_max=10, seed=8) == rows
+
+
+def test_a_chunk_holds_at_most_row_batch_rows(monkeypatch):
+    # At size_max 1 the kernel cells alone would let 2^19 rows, some 1.5 KB each, into
+    # one chunk; ROW_BATCH caps it, and the rows are bit-identical to one chunk's.
+    sizes, chunk = [], sweeps._dls_chunk
+
+    def spy(rngs, *args):
+        rngs = list(rngs)
+        sizes.append(len(rngs))
+        return chunk(rngs, *args)
+
+    monkeypatch.setattr(sweeps, "_dls_chunk", spy)
+    capped = dls_random_sweep(instances=2500, size_max=1, seed=9)
+    assert sweeps.ROW_BATCH == 1024 and sizes == [1024, 1024, 452]
+    sizes.clear()
+    dls_random_sweep(instances=418, size_max=50, seed=9)
+    assert sizes == [209, 209]  # 2^19 // 50^2 rows: the cap leaves them as they were
+    sizes.clear()
+    monkeypatch.setattr(sweeps, "ROW_BATCH", 2**40)
+    uncapped = dls_random_sweep(instances=2500, size_max=1, seed=9)
+    assert sizes == [2500] and repr(uncapped) == repr(capped) and uncapped == capped
 
 
 class TestGEval:

@@ -63,22 +63,21 @@ def stdout_of(write, *args):
     return buf.getvalue()
 
 
-def make_table(columns, constants={}):
+def make_table(columns, constants={}, row=True):
     """A sweeps.Table of the given list columns (a name -> cells dict, row left out) and
-    constants, its report columns row, the constants, then the lists."""
-    names = ["row", *constants, *columns]
-    table = sweeps.Table(names, **constants)
+    constants; its report columns are row (unless row is false), the constants, then the lists."""
+    table = sweeps.Table(["row"] * row + [*constants, *columns], **constants)
     table.extend(zip(*columns.values()))
-    return table, names
+    return table
 
 
-def assert_table_matches_oracle(table, columns, fmt, directory):
+def assert_table_matches_oracle(table, fmt, directory):
     """write_table against the oracle on the table's dict rows, byte for byte, to a
     file and to stdout; returns the report's text."""
-    rows, oracle = dls_reference.table_rows(table, columns), ORACLES[fmt]
-    assert stdout_of(reports.write_table, table, columns, None, fmt) == stdout_of(oracle, rows, columns)
+    rows, oracle, columns = dls_reference.table_rows(table), ORACLES[fmt], table.columns
+    assert stdout_of(reports.write_table, table, None, fmt) == stdout_of(oracle, rows, columns)
     got, want = directory / ("got." + fmt), directory / ("want." + fmt)
-    reports.write_table(table, columns, str(got), fmt)
+    reports.write_table(table, str(got), fmt)
     oracle(rows, columns, str(want))
     assert got.read_bytes() == want.read_bytes()
     return want.read_text()
@@ -104,16 +103,28 @@ MIXED_CONSTANTS = {"seed": 2 ** 70, "rng": sweeps.RNG_ID, "version": sievelab.__
 @pytest.mark.parametrize("rows", [3, 0], ids=["mixed", "empty"])
 def test_writers_match_oracle(fmt, rows, tmp_path):
     columns = {name: cells[:rows] for name, cells in MIXED_COLUMNS.items()}
-    table, names = make_table(columns, MIXED_CONSTANTS)
+    table = make_table(columns, MIXED_CONSTANTS)
     assert len(table) == rows
-    text = assert_table_matches_oracle(table, names, fmt, tmp_path)
+    text = assert_table_matches_oracle(table, fmt, tmp_path)
     if not rows:  # the header alone, or an empty list
-        assert text == {"csv": ",".join(names) + "\n", "json": "[]\n"}[fmt]
+        assert text == {"csv": ",".join(table.columns) + "\n", "json": "[]\n"}[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_without_a_row_column(fmt, tmp_path):
+    # As lemma4's: every column a list or a constant, and len() the cells of the last list.
+    table = make_table({"m": [], "agree": []}, {"N": 3}, row=False)
+    assert table.columns == ["N", "m", "agree"] and len(table) == 0
+    table.extend([(1, True), (2, False)])
+    table.extend([(3, True)])
+    assert len(table) == 3 and (table.m, table.agree) == ([1, 2, 3], [True, False, True])
+    text = assert_table_matches_oracle(table, fmt, tmp_path)
+    assert text.splitlines()[:2] == {"csv": ["N,m,agree", "3,1,true"], "json": ["[", "  {"]}[fmt]
 
 
 def test_empty_json_is_an_empty_list(tmp_path):
-    table, names = make_table({"x": []})
-    reports.write_table(table, names, str(tmp_path / "r.json"), "json")
+    table = make_table({"x": []})
+    reports.write_table(table, str(tmp_path / "r.json"), "json")
     assert (tmp_path / "r.json").read_text() == "[]\n"
 
 
@@ -130,10 +141,10 @@ class Boom(list):
 def test_failed_write_leaves_old_file(fmt, tmp_path):
     path = tmp_path / ("report." + fmt)
     path.write_text("old report\n")
-    table, names = make_table({"x": range(5000)})
+    table = make_table({"x": range(5000)})
     table.x = Boom(table.x)
     with pytest.raises(RuntimeError, match="boom"):
-        reports.write_table(table, names, str(path), fmt)
+        reports.write_table(table, str(path), fmt)
     assert path.read_text() == "old report\n"
     assert os.listdir(tmp_path) == [path.name]
 
@@ -141,7 +152,7 @@ def test_failed_write_leaves_old_file(fmt, tmp_path):
 def test_new_file_mode_matches_plain_open(tmp_path):
     with open(tmp_path / "plain.csv", "w"):
         pass
-    reports.write_table(*make_table({"x": [1]}), str(tmp_path / "r.csv"))
+    reports.write_table(make_table({"x": [1]}), str(tmp_path / "r.csv"))
     assert os.stat(tmp_path / "r.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
     assert sorted(os.listdir(tmp_path)) == ["plain.csv", "r.csv"]
 
@@ -150,7 +161,7 @@ def test_existing_file_keeps_its_mode(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("old\n")
     os.chmod(path, 0o640)
-    reports.write_table(*make_table({"x": [1]}), str(path), "json")
+    reports.write_table(make_table({"x": [1]}), str(path), "json")
     assert os.stat(path).st_mode & 0o7777 == 0o640
     assert json.loads(path.read_text()) == [{"row": 0, "x": 1}]
 
@@ -159,14 +170,14 @@ def test_symlink_is_written_through(tmp_path):
     target = tmp_path / "target.csv"
     target.write_text("old\n")
     (tmp_path / "link.csv").symlink_to(target)
-    reports.write_table(*make_table({"x": [1]}), str(tmp_path / "link.csv"))
+    reports.write_table(make_table({"x": [1]}), str(tmp_path / "link.csv"))
     assert (tmp_path / "link.csv").is_symlink()
     assert target.read_text() == "row,x\n0,1\n"
 
 
 def test_devnull_stays_a_device():
     for fmt in ("csv", "json"):
-        reports.write_table(*make_table({"x": [1]}), os.devnull, fmt)
+        reports.write_table(make_table({"x": [1]}), os.devnull, fmt)
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
     leftovers = [f for f in os.listdir(os.path.dirname(os.devnull)) if f.endswith(".tmp")]
     assert not [f for f in leftovers if f.startswith(os.path.basename(os.devnull) + ".")]
@@ -180,12 +191,12 @@ def test_named_pipe_is_written_in_place(fmt, tmp_path):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    table, names = make_table({"x": range(3000), "y": [i / 7 for i in range(3000)]})
-    reports.write_table(table, names, str(fifo), fmt)  # more than a pipe buffer holds
+    table = make_table({"x": range(3000), "y": [i / 7 for i in range(3000)]})
+    reports.write_table(table, str(fifo), fmt)  # more than a pipe buffer holds
     reader.join(timeout=10)
     assert not reader.is_alive()
     want = tmp_path / ("want." + fmt)
-    ORACLES[fmt](dls_reference.table_rows(table, names), names, str(want))
+    ORACLES[fmt](dls_reference.table_rows(table), table.columns, str(want))
     assert received == [want.read_bytes()]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["pipe", "want." + fmt]
@@ -193,10 +204,10 @@ def test_named_pipe_is_written_in_place(fmt, tmp_path):
 
 def test_unknown_format(tmp_path, capsys):
     for rows in ([], [1, 2]):
-        table, names = make_table({"x": rows})
+        table = make_table({"x": rows})
         for path in (str(tmp_path / "r"), None):
             with pytest.raises(ValueError, match="format"):
-                reports.write_table(table, names, path, "xml")
+                reports.write_table(table, path, "xml")
     assert os.listdir(tmp_path) == [] and capsys.readouterr().out == ""
 
 
@@ -228,9 +239,9 @@ def test_property_writers_match_oracle(tmp_path):
                                   st.one_of(st.integers(), st.floats(), text)),
     )
     def check(columns, rows, constants):
-        table, names = make_table({"c%d" % i: c[:rows] for i, c in enumerate(columns)}, constants)
+        table = make_table({"c%d" % i: c[:rows] for i, c in enumerate(columns)}, constants)
         for fmt in ORACLES:
-            assert_table_matches_oracle(table, names, fmt, tmp_path)
+            assert_table_matches_oracle(table, fmt, tmp_path)
 
     check()
 
@@ -396,8 +407,8 @@ def test_property_farey_report_matches_dict_rows():
     check()
 
 
-# The lemma4 report, rendered from the two count tables, against the oracles on
-# the dict rows that sweeps.lemma4_table built before it returned the tables.
+# The lemma4 report, rendered from the Table of sweeps.lemma4_table, against the
+# oracles on the dict rows that it built before it returned the two count tables.
 
 def lemma4_dict_rows(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
     a, b = ratio.numerator, ratio.denominator
@@ -422,12 +433,13 @@ def lemma4_dict_rows(N, M=0, alpha=Fraction(1), ratio=Fraction(0), eps=0.1):
 def assert_lemma4_matches_dict_rows(args, fmt, directory, stdout=True, built=None):
     table, rows = built or (sweeps.lemma4_table(**args)[0], lemma4_dict_rows(**args))
     assert len(table) == len(rows)
+    assert table.columns == sweeps.LEMMA4_COLUMNS
     got, want = directory / ("got." + fmt), directory / ("want." + fmt)
-    reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(got), fmt)
+    reports.write_table(table, str(got), fmt)
     ORACLES[fmt](rows, sweeps.LEMMA4_COLUMNS, str(want))
     assert got.read_bytes() == want.read_bytes()
     if stdout:
-        assert printed(lambda: reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, None, fmt)) == (
+        assert printed(lambda: reports.write_table(table, None, fmt)) == (
             printed(lambda: ORACLES[fmt](rows, sweeps.LEMMA4_COLUMNS))
         )
 
@@ -438,7 +450,8 @@ LEMMA4_CASES = [
     {"N": 60, "M": -7, "alpha": Fraction(1, 5), "ratio": Fraction(2, 3)},
     {"N": 3, "M": -2, "alpha": Fraction(1, 10 ** 310), "ratio": Fraction(-1, 5)},  # inf bounds
     {"N": 3, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4), "eps": 1e6},  # inf bounds
-    # farey.BLOCK // N values of m to a block: 1024 at N = 2, 45 at N = 45, 44 at N = 46.
+    # N^2 rows, farey.BLOCK (2048) to a % call: 2025 at N = 45 in one call, 2116 at N = 46
+    # in two, the second of 68 rows.
     {"N": 1, "M": -4, "alpha": Fraction(1, 3)},
     {"N": 2, "M": -1, "alpha": Fraction(1, 3), "ratio": Fraction(1, 2)},
     {"N": 45, "M": -20, "alpha": Fraction(1, 12), "ratio": Fraction(-3, 4)},
@@ -477,18 +490,26 @@ def test_lemma4_report_across_several_percent_calls(args, fmt, tmp_path, monkeyp
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("block", [5, 7])
 def test_lemma4_report_in_blocks_of_whole_m_rows(block, fmt, tmp_path, monkeypatch):
-    # block // N values of m to a block, the last block shorter: at block 7, N = 3 takes
-    # blocks of 2 and 1 m, N = 2 one block of both, and N = 4 one m a block.
+    # A % call takes `block` rows: its edges split the N rows of an m at N = 2, 3, 4 and 7,
+    # and the last call is shorter.
     monkeypatch.setattr(farey, "BLOCK", block)
     for args in ({"N": 1}, {"N": 2, "M": -1}, {"N": 3, "M": -2, "alpha": Fraction(1, 2)},
                  {"N": 4, "alpha": Fraction(1, 3), "ratio": Fraction(1, 2)}, {"N": 7}):
         assert_lemma4_matches_dict_rows(args, fmt, tmp_path)
 
 
-def test_lemma4_report_writes_disagreeing_counters(tmp_path):
-    table, _ = sweeps.lemma4_table(4, alpha=Fraction(1, 3), ratio=Fraction(1, 2))
-    table.divisor[1, 2] += 1
-    reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(tmp_path / "r.csv"))
+def test_lemma4_report_writes_disagreeing_counters(tmp_path, monkeypatch):
+    real = dls.lemma4_count_divisor
+
+    def off_at_m2_n3(*args):
+        counts = real(*args)
+        counts[1, 2] += 1
+        return counts
+
+    monkeypatch.setattr(dls, "lemma4_count_divisor", off_at_m2_n3)
+    table, agree = sweeps.lemma4_table(4, alpha=Fraction(1, 3), ratio=Fraction(1, 2))
+    assert not agree
+    reports.write_table(table, str(tmp_path / "r.csv"))
     rows = list(csv.DictReader(open(tmp_path / "r.csv")))
     assert [(r["m"], r["n"]) for r in rows if r["agree"] == "false"] == [("2", "3")]
     assert sum(r["agree"] == "true" for r in rows) == 15
@@ -497,7 +518,7 @@ def test_lemma4_report_writes_disagreeing_counters(tmp_path):
 def test_lemma4_report_unknown_format(tmp_path):
     table, _ = sweeps.lemma4_table(2)
     with pytest.raises(ValueError, match="format"):
-        reports.write_lemma4(table, sweeps.LEMMA4_COLUMNS, str(tmp_path / "r"), "xml")
+        reports.write_table(table, str(tmp_path / "r"), "xml")
     assert os.listdir(tmp_path) == []
 
 
@@ -537,8 +558,8 @@ DLS_CASES = [
 
 
 def assert_dls_matches_rows(table, rows, fmt, directory):
-    assert dls_reference.table_rows(table, sweeps.DLS_COLUMNS) == rows
-    return assert_table_matches_oracle(table, sweeps.DLS_COLUMNS, fmt, directory)
+    assert table.columns == sweeps.DLS_COLUMNS and dls_reference.table_rows(table) == rows
+    return assert_table_matches_oracle(table, fmt, directory)
 
 
 @pytest.mark.parametrize("kwargs", DLS_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
@@ -569,7 +590,7 @@ def test_dls_report_writes_floats_and_bools_as_json_does(tmp_path):
 def test_dls_report_unknown_format(instances, tmp_path):
     table, _ = sweeps.dls_random_sweep(instances=instances, size_max=3)
     with pytest.raises(ValueError, match="format"):
-        reports.write_table(table, sweeps.DLS_COLUMNS, str(tmp_path / "r"), "xml")
+        reports.write_table(table, str(tmp_path / "r"), "xml")
     assert os.listdir(tmp_path) == []
 
 
@@ -612,14 +633,15 @@ def row_tables():
     tables = {}
     for name, (driver, kwargs, _) in ROW_CASES.items():
         result = getattr(sweeps, driver)(**kwargs)
-        tables[name] = ((result[0], sweeps.VERIFY_COLUMNS) if driver == "verify_classical"
-                        else result[::-1])
+        if driver == "theorem2_sweep":  # (columns, table)
+            assert result[0] == result[1].columns == sweeps.THEOREM2_COLUMNS
+        tables[name] = result[1] if driver == "theorem2_sweep" else result[0]
     return tables
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_row_report_matches_oracle(case, fmt, tmp_path, row_tables):
-    table, columns = row_tables[case]
+    table = row_tables[case]
     assert ROW_CASES[case][2](table)
-    assert_table_matches_oracle(table, columns, fmt, tmp_path)
+    assert_table_matches_oracle(table, fmt, tmp_path)
